@@ -334,7 +334,8 @@ def _build_parser():
                     help="comma-separated level sizes (default 8,16,32,64)")
     pd.add_argument("--growth-factor", type=float, default=2.0,
                     dest="growth_factor",
-                    help="ratio treated as growth between levels")
+                    help="ratio treated as growth between levels "
+                         "(finite, > 1)")
     pd.add_argument("--out", required=True, help="report JSON output path")
 
     pe = sub.add_parser("example", help="run a registered experiment")

@@ -10,8 +10,6 @@ Normal-cone and radial-cone questions are answered by deterministic sampling
 """
 
 import numpy as np
-from scipy.optimize import lsq_linear
-from scipy.stats import qmc
 
 from .spaces import Element, norm, dual_norm, pairing
 
@@ -42,6 +40,10 @@ def _is_diagonal(m):
 
 def _sobol(dim, count, seed):
     """Deterministic quasi-random points in [0,1)^dim (power-of-two draw)."""
+    # deferred: scipy.stats is the slowest import fcopt has and only the
+    # variation sample needs it, so commands that never sample skip it
+    from scipy.stats import qmc
+
     eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
     n = 1 << max(int(np.ceil(np.log2(max(count, 1)))), 0)
     return eng.random(n)[:count]
@@ -96,6 +98,10 @@ class NonnegativeCone(ConvexSet):
         g = self.space.gram
         if _is_diagonal(g):
             return np.clip(coords, 0.0, None)
+        # deferred: scipy.optimize is only needed for a non-diagonal gram,
+        # which no registered problem has
+        from scipy.optimize import lsq_linear
+
         lt = self.space.norm_factor()
         res = lsq_linear(lt, lt @ coords, bounds=(0.0, np.inf),
                          method="bvls", tol=1e-14)
@@ -125,6 +131,9 @@ class Box(ConvexSet):
         g = self.space.gram
         if _is_diagonal(g):
             return np.clip(coords, self.lo, self.hi)
+        # deferred: see NonnegativeCone._project
+        from scipy.optimize import lsq_linear
+
         lt = self.space.norm_factor()
         res = lsq_linear(lt, lt @ coords, bounds=(self.lo, self.hi),
                          method="bvls", tol=1e-14)

@@ -232,6 +232,17 @@ def closed_range_constant(F, tol=RANK_RTOL):
     )
 
 
+def _check_growth_factor(growth_factor):
+    """Reject a growth factor the verdict cannot use (finite and > 1 only).
+
+    At a factor <= 1 every sequence, constant ones included, counts as
+    growing; at inf every sequence counts as bounded.
+    """
+    if not (np.isfinite(growth_factor) and growth_factor > 1.0):
+        raise ValueError("growth_factor must be finite and > 1, got %r"
+                         % (growth_factor,))
+
+
 def _finite_growth_verdict(values, ns, growth_factor):
     """bounded / growing / inconclusive for a finite positive sequence."""
     values = np.asarray(values, dtype=float)
@@ -296,6 +307,7 @@ def codim_growth_verdict(fam, G_builder=None, growth_factor=2.0, tol=RANK_RTOL):
     dimensions play the role of the growth quantity.  The verdict is a
     heuristic over the computed levels, not a proof.
     """
+    _check_growth_factor(growth_factor)
     if len(fam) < 3:
         raise ValueError("growth verdict needs at least 3 levels")
     reports = []

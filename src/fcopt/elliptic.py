@@ -17,8 +17,9 @@ breaking its mesh independence.
 
 import numpy as np
 
-from .diagnostics import (EstimateReport, SweepReport, _finite_growth_verdict,
-                          _HEURISTIC_NOTE, kernel_dimension)
+from .diagnostics import (EstimateReport, SweepReport, _check_growth_factor,
+                          _finite_growth_verdict, _HEURISTIC_NOTE,
+                          kernel_dimension)
 from .spaces import LinearMap, SpaceDescriptor, singular_triplets
 
 __all__ = [
@@ -198,6 +199,7 @@ def elliptic_sweep(levels, tag="L2L2", a=1.0, c=0.0, growth_factor=2.0):
         within growth_factor overall, "growing" when they increase at
         least geometrically with the mesh resolution.
     """
+    _check_growth_factor(growth_factor)
     levels = [int(n) for n in levels]
     if len(levels) < 3:
         raise ValueError("growth verdict needs at least 3 mesh levels")

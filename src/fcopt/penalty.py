@@ -32,7 +32,6 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 
 from .convex import WholeSpace, dist_subgradient, project, tangent_cone_sample
 from .convex import VariationSample
@@ -480,6 +479,10 @@ def _newton_minimize(p, u0, f0_bar, eps, cfg, tol):
 
 
 def _lbfgs_minimize(p, u0, f0_bar, eps, cfg, tol):
+    # deferred: scipy.optimize is slow to import and no registered problem
+    # takes this fallback, so only the runs that do pay for it
+    from scipy.optimize import minimize as scipy_minimize
+
     def fun(u):
         phi2, g, _ = _grad_phi2(p, u, f0_bar, eps)
         return phi2, g

@@ -29,7 +29,7 @@ although any uniform constant would have to dominate |r_hat|^2 with it.
 import numpy as np
 
 from .diagnostics import (EstimateReport, SweepReport, _HEURISTIC_NOTE,
-                          _sweep_verdict)
+                          _check_growth_factor, _sweep_verdict)
 from .evolution import _per_step
 from .spaces import RANK_RTOL, Element
 
@@ -370,6 +370,7 @@ def sde_estimate_sweep(models, G_mode="phi0", cap=4096, growth_factor=2.0):
         rank-deficient outputs, the kernel dimensions — grow at least
         geometrically with the representation dimension.
     """
+    _check_growth_factor(growth_factor)
     models = list(models)
     if len(models) < 3:
         raise ValueError("growth verdict needs at least 3 depths")

@@ -21,7 +21,7 @@ on finite-codimension complements.
 import numpy as np
 
 from .diagnostics import (EstimateReport, SweepReport, _HEURISTIC_NOTE,
-                          _sweep_verdict)
+                          _check_growth_factor, _sweep_verdict)
 from .spaces import RANK_RTOL
 
 __all__ = [
@@ -211,6 +211,7 @@ def wave_sweep(mode_counts, interval=(0.4, 0.6), T=3.0, a=0.0,
         constants stay within growth_factor overall, "growing" when
         they climb at least geometrically with the mode count.
     """
+    _check_growth_factor(growth_factor)
     mode_counts = [int(M) for M in mode_counts]
     if len(mode_counts) < 3:
         raise ValueError("growth verdict needs at least 3 mode counts")

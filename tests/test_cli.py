@@ -1,6 +1,8 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +145,15 @@ def test_diagnose_too_few_levels(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("factor", ["1", "0.5", "nan", "inf"])
+def test_diagnose_bad_growth_factor_exit_2(tmp_path, factor):
+    out = tmp_path / "x.json"
+    rc = main(["diagnose", "--family", "elliptic-h1", "--growth-factor",
+               factor, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- example
 
 
@@ -197,10 +208,45 @@ def test_example_bad_set_syntax():
     assert main(["example", "wave-obs", "--set", "oops"]) == 2
 
 
+def test_example_bad_growth_factor_exit_2(tmp_path):
+    out = tmp_path / "e.json"
+    assert main(["example", "elliptic-h1", "--set", "growth_factor=0.5",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+# --------------------------------------------------------------- processes
+
+
+def _checkout_env():
+    """Environment whose PYTHONPATH leads to the fcopt under test."""
+    import fcopt
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fcopt.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 def test_installed_entry_point():
     exe = shutil.which("fcopt")
-    if exe is None:
-        pytest.skip("fcopt entry point not on PATH")
-    proc = subprocess.run([exe, "list"], capture_output=True, text=True)
+    cmd = [exe] if exe else [sys.executable, "-m", "fcopt.cli"]
+    proc = subprocess.run(cmd + ["list"], capture_output=True, text=True,
+                          env=_checkout_env())
     assert proc.returncode == 0
     assert "wave-obs" in proc.stdout
+
+
+def test_cli_import_leaves_optional_scipy_unloaded():
+    # scipy.stats and scipy.optimize are imported where they are used, so
+    # start-up and a run that never samples variations do not load them
+    code = ("import sys, fcopt.cli\n"
+            "from fcopt.experiments import run_experiment\n"
+            "run_experiment('elliptic-l2')\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize')\n"
+            "             if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -14,6 +14,9 @@ from fcopt.diagnostics import (
     closed_range_constant,
     codim_growth_verdict,
 )
+from fcopt.elliptic import elliptic_sweep
+from fcopt.tree import TreeModel, sde_estimate_sweep
+from fcopt.wave import wave_sweep
 
 
 def idmap(dim, mat=None, compact=False):
@@ -243,6 +246,25 @@ def test_growth_verdict_kernel_based_when_all_infinite():
     sweep = codim_growth_verdict(fam)
     assert sweep.verdict == "growing"
     assert sweep.kernel_dims == [4, 8, 16]
+
+
+_SWEEPS = {
+    "codim": lambda gf: codim_growth_verdict(
+        OperatorFamily([(n, idmap(n)) for n in (8, 16, 32)]), growth_factor=gf),
+    "elliptic": lambda gf: elliptic_sweep([7, 15, 31], tag="H1H-1",
+                                          growth_factor=gf),
+    "sde": lambda gf: sde_estimate_sweep(
+        [TreeModel(1.0, d, 0.1 * np.eye(2), 0.1 * np.eye(2), np.zeros((2, 2)),
+                   np.eye(2)) for d in (2, 3, 4)], growth_factor=gf),
+    "wave": lambda gf: wave_sweep([4, 8, 16], growth_factor=gf),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(_SWEEPS))
+@pytest.mark.parametrize("factor", [1.0, 0.5, np.nan, np.inf])
+def test_sweeps_reject_unusable_growth_factor(sweep, factor):
+    with pytest.raises(ValueError, match="growth_factor"):
+        _SWEEPS[sweep](factor)
 
 
 def test_family_ordering_enforced():
