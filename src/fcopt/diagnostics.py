@@ -120,13 +120,14 @@ class SweepReport:
         return "SweepReport(verdict=%r, constants=%r)" % (self.verdict, self.constants)
 
 
-def _sigmas(F):
-    return np.array([t[0] for t in singular_triplets(F)])
+def kernel_dimension(F, tol=RANK_RTOL, sigma=None):
+    """Numerical dimension of ker(F*) = codomain dim minus numerical rank.
 
-
-def kernel_dimension(F, tol=RANK_RTOL):
-    """Numerical dimension of ker(F*) = codomain dim minus numerical rank."""
-    s = _sigmas(F)
+    ``sigma`` takes the singular values of F (gram geometry) when the
+    caller already has them, which saves a second SVD; by default they
+    are computed here.
+    """
+    s = singular_triplets(F, compute_uv=False) if sigma is None else sigma
     smax = s.max(initial=0.0)
     rank = int(np.sum(s > tol * smax)) if smax > 0.0 else 0
     return F.codomain.dim - rank
@@ -140,9 +141,9 @@ def restricted_estimate_constant(F, tol=RANK_RTOL):
     singular value above the rank cutoff.  A numerically zero operator
     yields the infinity flag with full kernel dimension.
     """
-    s = np.sort(_sigmas(F))[::-1]
+    s = singular_triplets(F, compute_uv=False)
     smax = s.max(initial=0.0)
-    kdim = kernel_dimension(F, tol)
+    kdim = kernel_dimension(F, tol, sigma=s)
     above = s[s > tol * smax] if smax > 0.0 else np.array([])
     if above.size == 0:
         return EstimateReport(np.inf, F.codomain.dim, s,
@@ -178,7 +179,7 @@ def compact_perturbed_constant(F, G, tol=RANK_RTOL):
     if not G.compact_flag:
         raise ValueError("compact_perturbed_constant requires G.compact_flag")
     stacked = _stacked_with(F, G)
-    s = np.sort(_sigmas(stacked))[::-1]
+    s = singular_triplets(stacked, compute_uv=False)
     smax = s.max(initial=0.0)
     rank = int(np.sum(s > tol * smax)) if smax > 0.0 else 0
     kdim = stacked.domain.dim - rank  # phi-side null space of the stack
@@ -214,9 +215,9 @@ def closed_range_constant(F, tol=RANK_RTOL):
     pi = np.eye(x.dim) - proj_range
     pimap = LinearMap(pi, x, x, compact_flag=True)
     stacked = _stacked_with(F, pimap)
-    s2 = np.sort(_sigmas(stacked))[::-1]
+    s2 = singular_triplets(stacked, compute_uv=False)
     projected_constant = float(1.0 / s2.min()) if s2.min() > 0 else np.inf
-    kdim = kernel_dimension(F, tol)
+    kdim = kernel_dimension(F, tol, sigma=s)
     if np.isfinite(range_constant) and np.isfinite(projected_constant):
         factor = max(range_constant, projected_constant) / max(
             min(range_constant, projected_constant), 1e-300)

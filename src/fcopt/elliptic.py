@@ -16,6 +16,7 @@ breaking its mesh independence.
 """
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .diagnostics import (EstimateReport, SweepReport, _check_growth_factor,
                           _finite_growth_verdict, _HEURISTIC_NOTE,
@@ -113,8 +114,8 @@ class EllipticSystem:
                        + np.diag(off, 1)
                        + np.diag(off, -1))
 
-        eigs = np.linalg.eigvalsh(self.matrix)
-        self.min_eig = float(eigs[0])
+        self.min_eig = float(eigvalsh_tridiagonal(
+            main, off, select="i", select_range=(0, 0))[0])
         self.shift = float(np.max(np.abs(self.c_nodes), initial=0.0))
         self.shifted_spd = self.min_eig + self.shift > 0.0
 
@@ -161,7 +162,7 @@ def elliptic_estimate_constant(sys):
     computation proceeds on the assembled matrix regardless.
     """
     F = elliptic_operator_map(sys)
-    sig = np.array([t[0] for t in singular_triplets(F)])
+    sig = singular_triplets(F, compute_uv=False)
     notes = []
     if sys.min_eig <= 0.0:
         notes.append("operator matrix is not positive definite "
@@ -171,7 +172,7 @@ def elliptic_estimate_constant(sys):
                      "max|c| = %.3e" % sys.shift)
     return EstimateReport(
         constant=sig[0],
-        kernel_dim=kernel_dimension(F),
+        kernel_dim=kernel_dimension(F, sigma=sig),
         sigma_profile=sig,
         verdict="inconclusive",
         note="; ".join(notes),

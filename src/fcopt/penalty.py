@@ -734,8 +734,7 @@ def kkt_check(p, u_bar, pair, cfg=None):
     z_tilde = None
     if normal:
         z_tilde = Element(pair.z.coords / pair.z0, pair.z.space)
-    trips = singular_triplets(p.jacobian_map(u_bar))
-    sigma = trips[-1][0] if trips else 0.0
+    sigma = singular_triplets(p.jacobian_map(u_bar), compute_uv=False)[-1]
     return {"normal": normal, "z_tilde": z_tilde,
             "surjectivity_sigma": float(sigma)}
 

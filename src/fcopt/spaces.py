@@ -24,7 +24,6 @@ __all__ = [
     "dual_norm",
     "pairing",
     "riesz_to_dual",
-    "riesz_to_primal",
     "apply_map",
     "adjoint",
     "singular_triplets",
@@ -203,12 +202,6 @@ def riesz_to_dual(space, x):
     return Element(space.apply_gram(x.coords), space)
 
 
-def riesz_to_primal(space, phi):
-    """Inverse Riesz map: dual phi to the primal vector G^-1 phi."""
-    _check_space(space, phi, "riesz_to_primal")
-    return Element(space.apply_gram_inverse(phi.coords), space)
-
-
 def apply_map(F, u):
     """Apply a LinearMap to a domain element."""
     _check_space(F.domain, u, "apply_map")
@@ -229,7 +222,7 @@ def adjoint(F):
                      compact_flag=F.compact_flag)
 
 
-def singular_triplets(F):
+def singular_triplets(F, compute_uv=True):
     """Singular value decomposition in the gram-induced geometry.
 
     Computes the SVD of C = L_cod' M L_dom'^-1 where G = L L' are the
@@ -239,12 +232,19 @@ def singular_triplets(F):
         F(right) = sigma * left,   |right|_dom = |left|_cod = 1.
 
     The list has min(domain.dim, codomain.dim) entries.
+
+    With ``compute_uv=False`` (as in ``np.linalg.svd``) only the singular
+    values of the same C are computed: the result is their descending
+    1-D ndarray of length min(domain.dim, codomain.dim), with no vectors
+    formed and none un-whitened.
     """
     lv = F.domain.chol_lower
     lx = F.codomain.chol_lower
     # M L_dom'^-1  ==  solve (L_dom X' = M') transposed
     tmp = solve_triangular(lv, F.matrix.T, lower=True).T
     c = lx.T @ tmp
+    if not compute_uv:
+        return np.linalg.svd(c, compute_uv=False)
     u, s, wt = np.linalg.svd(c, full_matrices=False)
     triplets = []
     for i in range(s.size):

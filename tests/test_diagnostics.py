@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from fcopt.spaces import SpaceDescriptor, LinearMap, adjoint
+from fcopt.spaces import (Element, SpaceDescriptor, LinearMap, adjoint,
+                          singular_triplets)
 from fcopt.diagnostics import (
     OperatorFamily,
     kernel_dimension,
@@ -14,7 +15,10 @@ from fcopt.diagnostics import (
     closed_range_constant,
     codim_growth_verdict,
 )
-from fcopt.elliptic import elliptic_sweep
+from fcopt.elliptic import (EllipticSystem, elliptic_estimate_constant,
+                            elliptic_sweep)
+from fcopt.penalty import MultiplierPair, kkt_check
+from fcopt.problems import equality_qp
 from fcopt.tree import TreeModel, sde_estimate_sweep
 from fcopt.wave import wave_sweep
 
@@ -34,23 +38,67 @@ def two_space_map(mat, compact=False):
 # ---------------------------------------------------------------- kernels
 
 
+def kdim_both_ways(f):
+    """kernel_dimension from its own SVD; a caller's sigma must agree."""
+    kdim = kernel_dimension(f)
+    sigma = singular_triplets(f, compute_uv=False)
+    assert kernel_dimension(f, sigma=sigma) == kdim
+    return kdim
+
+
 def test_kernel_dimension_rank_one():
     f = idmap(2, np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert kernel_dimension(f) == 1
+    assert kdim_both_ways(f) == 1
 
 
 def test_kernel_dimension_identity():
-    assert kernel_dimension(idmap(4)) == 0
+    assert kdim_both_ways(idmap(4)) == 0
 
 
 def test_kernel_dimension_constructed_rank3():
     rng = np.random.default_rng(2)
     m = rng.normal(size=(5, 3)) @ rng.normal(size=(3, 5))
-    assert kernel_dimension(idmap(5, m)) == 2
+    assert kdim_both_ways(idmap(5, m)) == 2
 
 
 def test_kernel_dimension_zero_map():
-    assert kernel_dimension(idmap(3, np.zeros((3, 3)))) == 3
+    assert kdim_both_ways(idmap(3, np.zeros((3, 3)))) == 3
+
+
+def _sigma_only_call(case):
+    """One call of a sigma-only caller, its inputs built beforehand."""
+    if case in ("L2L2", "H1H-1"):
+        sysm = EllipticSystem(31, tag=case)
+        return lambda: elliptic_estimate_constant(sysm)
+    if case == "restricted":
+        rng = np.random.default_rng(5)
+        b, c = rng.normal(size=(6, 6)), rng.normal(size=(4, 4))
+        v = SpaceDescriptor("V", 6, b @ b.T + 6.0 * np.eye(6))
+        x = SpaceDescriptor("X", 4, c @ c.T + 4.0 * np.eye(4))
+        f = LinearMap(rng.normal(size=(4, 6)), v, x)
+        return lambda: restricted_estimate_constant(f)
+    p = equality_qp(6, 2, 0)
+    pair = MultiplierPair(1.0, Element(p.extras["kkt_multiplier"], p.X))
+    return lambda: kkt_check(p, p.u_bar, pair)
+
+
+@pytest.mark.parametrize("case", ["L2L2", "H1H-1", "restricted", "kkt_check"])
+def test_sigma_only_callers_run_one_svd_without_vectors(case, monkeypatch):
+    # callers that read only sigma take one SVD per operator, with no
+    # singular vectors formed (the kernel count reuses that sigma)
+    call = _sigma_only_call(case)
+    calls = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, full_matrices=True, compute_uv=True,
+                      hermitian=False):
+        calls.append(compute_uv)
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv,
+                   hermitian=hermitian)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    call()
+    assert calls == [False]
 
 
 # ---------------------------------------------------------------- restricted

@@ -202,13 +202,24 @@ def _char_poly_roots_3x3(a):
     return np.sort(np.roots([1.0, -tr, minors, -det]).real)[::-1]
 
 
+def assert_sigma_only_matches(f, sigmas):
+    """compute_uv=False gives the triplets' sigma as a descending ndarray."""
+    s = singular_triplets(f, compute_uv=False)
+    assert isinstance(s, np.ndarray) and s.ndim == 1
+    assert s.size == min(f.domain.dim, f.codomain.dim)
+    assert np.all(np.diff(s) <= 0.0)
+    assert_allclose(s, sigmas, rtol=1e-12, atol=1e-12 * max(sigmas))
+
+
 def test_singular_triplets_charpoly_oracle():
     m = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
     lam = _char_poly_roots_3x3(m.T @ m)
     expected = np.sqrt(np.clip(lam, 0.0, None))
     s = SpaceDescriptor("X", 3)
-    got = [t[0] for t in singular_triplets(LinearMap(m, s, s))]
+    f = LinearMap(m, s, s)
+    got = [t[0] for t in singular_triplets(f)]
     assert_allclose(got, expected, atol=1e-10)
+    assert_sigma_only_matches(f, got)
     assert_allclose(expected, [2.0, np.sqrt(2.0), 0.0], atol=1e-12)
 
 
@@ -227,6 +238,7 @@ def test_singular_triplets_structure_and_reconstruction():
                         atol=1e-10 * max(smax, 1.0))
         recon += sig * np.outer(left.coords, v.gram @ right.coords)
     assert np.abs(recon - f.matrix).max() <= 1e-10 * max(smax, 1.0)
+    assert_sigma_only_matches(f, [t[0] for t in trips])
 
 
 @settings(deadline=None, max_examples=30)
