@@ -7,7 +7,8 @@ map G (|phi|^2 <= C^2 (|F* phi|^2 + |G phi|^2)), and growth verdicts across
 refinement families.
 
 All constants are 1/sigma computations in the gram-induced geometry; the
-numerical rank cutoff is sigma <= tol * sigma_max (default RANK_RTOL).
+numerical rank cutoff is sigma <= tol * sigma_max (spaces.rank_mask,
+default RANK_RTOL).
 A verdict produced by a sweep is a diagnostic heuristic over finitely many
 levels, never a proof about the underlying infinite-dimensional operator.
 """
@@ -19,6 +20,7 @@ from .spaces import (
     SpaceDescriptor,
     LinearMap,
     adjoint,
+    rank_mask,
     singular_triplets,
 )
 
@@ -128,9 +130,7 @@ def kernel_dimension(F, tol=RANK_RTOL, sigma=None):
     are computed here.
     """
     s = singular_triplets(F, compute_uv=False) if sigma is None else sigma
-    smax = s.max(initial=0.0)
-    rank = int(np.sum(s > tol * smax)) if smax > 0.0 else 0
-    return F.codomain.dim - rank
+    return F.codomain.dim - int(np.sum(rank_mask(s, tol)))
 
 
 def restricted_estimate_constant(F, tol=RANK_RTOL):
@@ -142,9 +142,8 @@ def restricted_estimate_constant(F, tol=RANK_RTOL):
     yields the infinity flag with full kernel dimension.
     """
     s = singular_triplets(F, compute_uv=False)
-    smax = s.max(initial=0.0)
     kdim = kernel_dimension(F, tol, sigma=s)
-    above = s[s > tol * smax] if smax > 0.0 else np.array([])
+    above = s[rank_mask(s, tol)]
     if above.size == 0:
         return EstimateReport(np.inf, F.codomain.dim, s,
                               note="operator numerically zero")
@@ -180,9 +179,8 @@ def compact_perturbed_constant(F, G, tol=RANK_RTOL):
         raise ValueError("compact_perturbed_constant requires G.compact_flag")
     stacked = _stacked_with(F, G)
     s = singular_triplets(stacked, compute_uv=False)
-    smax = s.max(initial=0.0)
-    rank = int(np.sum(s > tol * smax)) if smax > 0.0 else 0
-    kdim = stacked.domain.dim - rank  # phi-side null space of the stack
+    # phi-side null space of the stack
+    kdim = stacked.domain.dim - int(np.sum(rank_mask(s, tol)))
     if kdim > 0:
         return EstimateReport(np.inf, kdim, s,
                               note="stacked operator rank deficient")
@@ -200,8 +198,7 @@ def closed_range_constant(F, tol=RANK_RTOL):
     """
     trips = singular_triplets(F)
     s = np.array([t[0] for t in trips])
-    smax = s.max(initial=0.0)
-    mask_above = s > tol * smax if smax > 0.0 else np.zeros(s.size, dtype=bool)
+    mask_above = rank_mask(s, tol)
     above = s[mask_above]
     range_constant = float(1.0 / above.min()) if above.size else np.inf
     # gram-orthogonal projector onto the orthocomplement of the range

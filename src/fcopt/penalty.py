@@ -410,17 +410,18 @@ def _grad_phi2(p, u, f0_bar, eps):
     phi2, dist, gp, fx, pe = _phi_parts(p, u, f0_bar, eps)
     jac = p.jacobian(u)
     g = 2.0 * (jac.T @ p.X.apply_gram(fx - pe))
+    g0 = None
     if gp > 0.0:
-        g = g + 2.0 * gp * p.gradient(u)
-    return phi2, g, (dist, gp, fx, pe, jac)
+        g0 = p.gradient(u)
+        g = g + 2.0 * gp * g0
+    return phi2, g, (dist, gp, fx, pe, jac, g0)
 
 
 def _hess_phi2(p, u, aux):
-    dist, gp, fx, pe, jac = aux
+    dist, gp, fx, pe, jac, g0 = aux
     gx_j = p.X.apply_gram(jac)
     h = 2.0 * (jac.T @ gx_j)
     if gp > 0.0:
-        g0 = p.gradient(u)
         h = h + 2.0 * np.outer(g0, g0)
         if p.f0_hess is not None:
             h = h + 2.0 * gp * np.asarray(p.f0_hess(u), dtype=float)
@@ -430,13 +431,52 @@ def _hess_phi2(p, u, aux):
     return h
 
 
+# Rounding noise of Phi_eps^2 = dist^2 + gap+^2 at u, in units of the
+# machine epsilon: gap+ = f0(u) - f0_bar + eps inherits the rounding of its
+# three terms and of the terms that cancel inside f0(u), whose size
+# |grad f0(u)| |u| stands for; squaring doubles the relative error, and
+# dist^2 is a sum of squares.  The factor 8 is headroom over that count.
+_NOISE_ULPS = 8.0 * np.finfo(float).eps
+
+# Approximate Wolfe window (Hager and Zhang, SIAM J. Optim. 16, 2005, with
+# their delta = 0.1 and sigma = 0.9) for a step whose change of Phi_eps^2
+# is below noise: the slope g(u + t s).s at the trial point must lie in
+# [-_WOLFE_SIGMA |g.s|, _WOLFE_CAP |g.s|], where _WOLFE_CAP = 1 - 2 delta.
+_WOLFE_SIGMA = 0.9
+_WOLFE_CAP = 0.8
+
+
+def _phi2_noise(u, f0_bar, eps, aux):
+    dist, gp, _, _, _, g0 = aux
+    size = 0.0
+    if gp > 0.0:
+        f0_u = gp + f0_bar - eps
+        size = gp * (abs(f0_u) + abs(f0_bar) + eps
+                     + float(np.linalg.norm(g0) * np.linalg.norm(u)))
+    return _NOISE_ULPS * (size + dist * dist)
+
+
 def _newton_minimize(p, u0, f0_bar, eps, cfg, tol):
+    """Damped Newton descent on Phi_eps^2 from u0 until |grad| <= tol.
+
+    Each iteration solves the mu-regularized Newton system for a step s
+    and tries u + t s for t = 1, 1/2, 1/4, ...  A trial point is accepted
+    by the Armijo test Phi2(u + t s) <= Phi2(u) + 1e-4 t g.s, or, when that
+    fails with Phi2(u + t s) <= Phi2(u) + noise (the rounding noise of
+    Phi2 at u), by the approximate Wolfe test on the slope:
+    -0.9 |g.s| <= grad Phi2(u + t s).s <= 0.8 |g.s|.  The gradient that
+    test computed is reused for the next iteration.
+
+    Returns (u, phi2, stats); stats holds inner_iters, grad_norm,
+    backtracks (rejected trial points) and wolfe_steps (steps accepted by
+    the slope test).
+    """
     u = u0.copy()
     nd = u.size
     mu = 0.0
     phi2, g, aux = _grad_phi2(p, u, f0_bar, eps)
     gnorm = dual_norm(p.V, Element(g, p.V))
-    iters = 0
+    iters = backtracks = wolfe_steps = 0
     while gnorm > tol and iters < cfg.max_iters:
         h = _hess_phi2(p, u, aux)
         step = None
@@ -451,31 +491,49 @@ def _newton_minimize(p, u0, f0_bar, eps, cfg, tol):
             mu = max(10.0 * mu, 1e-12)
         if step is None:
             raise InnerConvergenceError(
-                "could not produce a descent direction", best=u)
+                "could not produce a descent direction", best=u,
+                info={"inner_iters": iters, "grad_norm": gnorm, "tol": tol,
+                      "mu": mu})
         slope = float(g @ step)
+        noise = _phi2_noise(u, f0_bar, eps, aux)
         t = 1.0
         moved = False
+        at_cand = None
         for _ in range(60):
             cand = u + t * step
             cand_phi2 = _phi_parts(p, cand, f0_bar, eps)[0]
             if cand_phi2 <= phi2 + 1e-4 * t * slope:
-                u = cand
                 moved = True
                 break
+            if cand_phi2 <= phi2 + noise:
+                at_cand = _grad_phi2(p, cand, f0_bar, eps)
+                cand_slope = float(at_cand[1] @ step)
+                if (-_WOLFE_SIGMA * abs(slope) <= cand_slope
+                        <= _WOLFE_CAP * abs(slope)):
+                    moved = True
+                    wolfe_steps += 1
+                    break
+                at_cand = None
+            backtracks += 1
             t *= 0.5
         if not moved:
             mu = max(10.0 * mu, 1e-10)
         else:
             mu = mu * 0.25 if mu > 1e-14 else 0.0
+            u = cand
+            if at_cand is None:
+                at_cand = _grad_phi2(p, u, f0_bar, eps)
+            phi2, g, aux = at_cand
+            gnorm = dual_norm(p.V, Element(g, p.V))
         iters += 1
-        phi2, g, aux = _grad_phi2(p, u, f0_bar, eps)
-        gnorm = dual_norm(p.V, Element(g, p.V))
+    stats = {"inner_iters": iters, "grad_norm": gnorm,
+             "backtracks": backtracks, "wolfe_steps": wolfe_steps}
     if gnorm > tol:
         raise InnerConvergenceError(
             "no stationary point of Phi_eps^2 within %d iterations "
             "(grad %.3e > tol %.3e)" % (cfg.max_iters, gnorm, tol),
-            best=u, info={"grad_norm": gnorm, "iters": iters})
-    return u, iters, gnorm, phi2
+            best=u, info=dict(stats, tol=tol))
+    return u, phi2, stats
 
 
 def _lbfgs_minimize(p, u0, f0_bar, eps, cfg, tol):
@@ -496,8 +554,11 @@ def _lbfgs_minimize(p, u0, f0_bar, eps, cfg, tol):
     if gnorm > tol:
         raise InnerConvergenceError(
             "quasi-Newton inner solve left grad %.3e > tol %.3e" % (gnorm, tol),
-            best=u, info={"iters": int(res.nit)})
-    return u, int(res.nit), gnorm, phi2
+            best=u, info={"inner_iters": int(res.nit), "grad_norm": gnorm,
+                          "tol": tol})
+    # scipy runs its own line search, so there are no backtracking counts
+    return u, phi2, {"inner_iters": int(res.nit), "grad_norm": gnorm,
+                     "backtracks": 0, "wolfe_steps": 0}
 
 
 def _ekeland_residual(p, u, f0_bar, eps, cfg):
@@ -539,16 +600,24 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
 
     Minimizes Phi_eps^2 (smooth) from u_bar, or from warm_start when given,
     by damped Newton (falling back to L-BFGS when no curvature callables
-    are available), then verifies a posteriori that Phi_eps(u_eps) <= eps,
-    that u_eps stays within sqrt(eps) + ball_slack of u_bar, and that the
-    Ekeland-type inequality holds on probe points up to ekeland_tol.
-    A warm start that ends above eps triggers one cold restart from u_bar.
+    are available) to a gradient dual norm of max(inner_floor,
+    inner_scale * eps^2).  The Newton line search accepts a step by the
+    Armijo decrease of Phi_eps^2, or, when the change of Phi_eps^2 is
+    below its rounding noise, by the approximate Wolfe condition on the
+    slope along the step (see _newton_minimize).  It then verifies a
+    posteriori that Phi_eps(u_eps) <= eps, that u_eps stays within
+    sqrt(eps) + ball_slack of u_bar, and that the Ekeland-type inequality
+    holds on probe points up to ekeland_tol.  A warm start that fails
+    triggers one cold restart from u_bar.
 
     With return_info=True returns (element, info dict) where info carries
-    phi, dist, gap_plus, inner_iters, grad_norm, ekeland_residual, ball.
+    phi, dist, gap_plus, inner_iters, grad_norm, backtracks, wolfe_steps,
+    ekeland_residual, ball, cold_start and eps.
 
     Raises InnerConvergenceError (carrying the best iterate) when the inner
-    solver stalls or any a-posteriori check fails.
+    solver stalls or any a-posteriori check fails; its info dict carries
+    the iteration count, grad_norm, tol and the failing quantity (phi,
+    ball or ekeland_residual).
     """
     if cfg is None:
         cfg = PenaltyConfig()
@@ -570,12 +639,12 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
     cold = warm_start is None
     while True:
         try:
-            u, iters, gnorm, phi2 = solver(p, start, f0_bar, eps, cfg, tol)
+            u, phi2, stats = solver(p, start, f0_bar, eps, cfg, tol)
             phi = float(np.sqrt(phi2))
             if phi > eps * (1.0 + 1e-9) + 1e-15:
                 raise InnerConvergenceError(
                     "inner solve stalled at Phi = %.6e > eps = %.6e" % (phi, eps),
-                    best=u)
+                    best=u, info=dict(stats, tol=tol, phi=phi, eps=eps))
         except InnerConvergenceError:
             if cold:
                 raise
@@ -588,20 +657,19 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
     if ball > np.sqrt(eps) + cfg.ball_slack:
         raise InnerConvergenceError(
             "minimizer left the sqrt(eps) ball: |u_eps - u_bar| = %.3e" % ball,
-            best=u)
+            best=u, info=dict(stats, tol=tol, ball=ball, eps=eps))
     res = _ekeland_residual(p, u, f0_bar, eps, cfg)
     if res > cfg.ekeland_tol:
         raise InnerConvergenceError(
             "a-posteriori variational inequality violated by %.3e" % res,
-            best=u)
+            best=u, info=dict(stats, tol=tol, ekeland_residual=res, eps=eps))
 
     el = Element(u, p.V)
     if not return_info:
         return el
     _, dist, gp, _, _ = _phi_parts(p, u, f0_bar, eps)
-    info = {"phi": phi, "dist": dist, "gap_plus": gp, "inner_iters": iters,
-            "grad_norm": gnorm, "ekeland_residual": res, "ball": ball,
-            "cold_start": cold, "eps": eps}
+    info = dict(stats, phi=phi, dist=dist, gap_plus=gp, ekeland_residual=res,
+                ball=ball, cold_start=cold, eps=eps)
     return el, info
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "apply_map",
     "adjoint",
     "singular_triplets",
+    "rank_mask",
     "gram_from_config",
     "space_from_config",
 ]
@@ -263,6 +264,20 @@ def stiffness1d(dim, h):
     """Tridiagonal second-difference matrix tridiag(-1, 2, -1)/h."""
     k = 2.0 * np.eye(dim) - np.eye(dim, k=1) - np.eye(dim, k=-1)
     return k / float(h)
+
+
+def rank_mask(sigma, tol=RANK_RTOL):
+    """Mask of the singular values above the numerical rank cutoff.
+
+    sigma counts as nonzero when sigma > tol * max(sigma); when the largest
+    value is 0 (or there is none) the operator is numerically zero and the
+    mask is all False.
+    """
+    s = np.asarray(sigma, dtype=float)
+    smax = s.max(initial=0.0)
+    if smax > 0.0:
+        return s > tol * smax
+    return np.zeros(s.shape, dtype=bool)
 
 
 def gram_from_config(value, dim):

@@ -31,7 +31,7 @@ import numpy as np
 from .diagnostics import (EstimateReport, SweepReport, _HEURISTIC_NOTE,
                           _check_growth_factor, _sweep_verdict)
 from .evolution import _per_step
-from .spaces import RANK_RTOL, Element
+from .spaces import RANK_RTOL, Element, rank_mask
 
 __all__ = [
     "TreeModel",
@@ -335,7 +335,7 @@ def sde_estimate_constant(model, G_mode="phi0", cap=4096, tol=RANK_RTOL):
     # terminal gram is 2^-d * identity: rescale plain singular values
     sig = sig * np.sqrt(float(model.leaf_count))
     smax = sig[0] if sig.size else 0.0
-    kernel = int(np.sum(sig <= tol * smax)) if smax > 0 else dim
+    kernel = dim - int(np.sum(rank_mask(sig, tol)))
     if kernel > 0:
         constant = np.inf
         note = ("output map is rank deficient on the terminal space; "

@@ -22,7 +22,7 @@ import numpy as np
 
 from .diagnostics import (EstimateReport, SweepReport, _HEURISTIC_NOTE,
                           _check_growth_factor, _sweep_verdict)
-from .spaces import RANK_RTOL
+from .spaces import rank_mask
 
 __all__ = [
     "WaveModel",
@@ -168,8 +168,7 @@ def wave_observability_constant(model, complement=0):
     eigvals, eigvecs = np.linalg.eigh(G)
     eigvals = np.clip(eigvals, 0.0, None)
     sig = np.sqrt(eigvals)[::-1]
-    smax = sig[0]
-    kernel = int(np.sum(sig <= RANK_RTOL * smax)) if smax > 0 else sig.size
+    kernel = sig.size - int(np.sum(rank_mask(sig)))
     with np.errstate(divide="ignore"):
         comp = 1.0 / np.sqrt(eigvals[:complement + 1])
     constant = comp[0]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -167,6 +167,9 @@ def test_minimize_reports_ball_and_ekeland():
     assert info["phi"] <= 1e-3 * (1.0 + 1e-9)
     assert info["ball"] <= np.sqrt(1e-3) + 1e-6
     assert info["ekeland_residual"] <= 1e-8
+    assert info["grad_norm"] <= max(1e-13, 1e-2 * 1e-6)
+    assert 0 <= info["wolfe_steps"] <= info["inner_iters"]
+    assert info["backtracks"] >= 0
 
 
 def test_minimize_convergence_error_carries_best_iterate():
@@ -176,6 +179,42 @@ def test_minimize_convergence_error_carries_best_iterate():
         minimize_penalty(p, p.u_bar, 0.1, cfg)
     assert err.value.best is not None
     assert err.value.best.shape == (6,)
+    info = err.value.info
+    assert info["inner_iters"] == 1
+    assert info["grad_norm"] > info["tol"] > 0.0
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"ball_slack": -1.0}, "ball"),
+    ({"ekeland_tol": -1.0}, "ekeland_residual"),
+])
+def test_a_posteriori_failures_carry_telemetry(overrides, key):
+    p = equality_qp()
+    cfg = PenaltyConfig(**overrides)
+    with pytest.raises(InnerConvergenceError) as err:
+        minimize_penalty(p, p.u_bar, 1e-3, cfg)
+    info = err.value.info
+    assert np.isfinite(info[key])
+    assert info["grad_norm"] <= info["tol"]
+    assert info["inner_iters"] >= 1
+    assert err.value.best.shape == (p.V.dim,)
+
+
+def test_phi_above_eps_failure_carries_telemetry(monkeypatch):
+    # a solver that returns a point with Phi = 2 eps fails the Phi <= eps
+    # check, cold restart included
+    import fcopt.penalty as penalty
+
+    def stuck(p, u0, f0_bar, eps, cfg, tol):
+        return u0, 4.0 * eps * eps, {"inner_iters": 0, "grad_norm": 0.0,
+                                     "backtracks": 0, "wolfe_steps": 0}
+
+    monkeypatch.setattr(penalty, "_newton_minimize", stuck)
+    p = equality_qp()
+    with pytest.raises(InnerConvergenceError, match="stalled") as err:
+        minimize_penalty(p, p.u_bar, 1e-2, warm_start=p.u_bar)
+    assert_allclose(err.value.info["phi"], 2e-2)
+    assert err.value.info["eps"] == 1e-2
 
 
 def test_minimize_quasi_newton_fallback():
@@ -473,14 +512,12 @@ def test_normal_cone_inequality_along_trace():
 # ------------------------------------------------------- oracle equivalence
 
 
-@settings(max_examples=12, deadline=None)
-@given(dim=st.integers(4, 14), k=st.integers(1, 3),
-       seed=st.integers(0, 10 ** 6))
-def test_qp_pair_matches_direct_kkt_solve(dim, k, seed):
-    # independent oracle: null-space reduction for u_bar, least squares
-    # for the multiplier; the extracted pair must match the normalized
-    # (1, lambda) direction within 1e-4
-    p = equality_qp(dim=dim, n_constraints=k, seed=seed)
+def _direct_kkt_pair(p):
+    """Normalized (1, lambda) of an equality_qp from a direct KKT solve.
+
+    Independent of the penalty code: null-space reduction for u_bar,
+    least squares for the multiplier.
+    """
     Q, A, b, c = (p.extras[key] for key in ("Q", "A", "b", "c"))
     from scipy.linalg import null_space, lstsq
     Z = null_space(A)
@@ -489,16 +526,62 @@ def test_qp_pair_matches_direct_kkt_solve(dim, k, seed):
     u_star = u_part + Z @ y
     lam = lstsq(A.T, -(Q @ u_star + c))[0]
     assert_allclose(u_star, p.u_bar.coords, atol=1e-8)
-
-    # unnormalized random instances hit the float noise floor of the
-    # gap-degenerate Hessian near the end of the schedule; a 1e-9 floor
-    # on the inner gradient tolerance stays far below the 1e-4 target
-    cfg = PenaltyConfig(inner_floor=1e-9)
-    pair, _ = extract_multiplier(p, p.u_bar, default_schedule(0.1, 14), cfg)
     ref = np.concatenate([[1.0], lam])
-    ref = ref / np.linalg.norm(ref)
-    got = np.concatenate([[pair.z0], pair.z.coords])
-    assert_allclose(got, ref, atol=1e-4)
+    return ref / np.linalg.norm(ref)
+
+
+def _extracted_pair(p):
+    pair, _ = extract_multiplier(p, p.u_bar, default_schedule(0.1, 14),
+                                 PenaltyConfig())
+    return np.concatenate([[pair.z0], pair.z.coords])
+
+
+@settings(max_examples=12, deadline=None)
+@given(dim=st.integers(4, 14), k=st.integers(1, 3),
+       seed=st.integers(0, 10 ** 6))
+# instances whose inner solves once stalled on roundoff-level changes of
+# Phi_eps^2 near the end of the schedule
+@example(dim=12, k=1, seed=0)
+@example(dim=8, k=1, seed=1000000)
+@example(dim=14, k=2, seed=2)
+@example(dim=6, k=2, seed=953938)
+def test_qp_pair_matches_direct_kkt_solve(dim, k, seed):
+    # the extracted pair, with the default configuration, must match the
+    # normalized (1, lambda) direction within 1e-4
+    p = equality_qp(dim=dim, n_constraints=k, seed=seed)
+    assert_allclose(_extracted_pair(p), _direct_kkt_pair(p), atol=1e-4)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_qp_sweep_matches_direct_kkt_solve(seed):
+    # every shape dim 4..14, k 1..3 with the default configuration
+    bad = []
+    for dim in range(4, 15):
+        for k in range(1, 4):
+            p = equality_qp(dim=dim, n_constraints=k, seed=seed)
+            err = np.abs(_extracted_pair(p) - _direct_kkt_pair(p)).max()
+            if err > 1e-4:
+                bad.append((dim, k, err))
+    assert bad == []
+
+
+def test_default_qp_schedule_phi_evaluation_budget(monkeypatch):
+    # the default schedule on the default instance takes 823 evaluations
+    # of Phi_eps^2, Ekeland probes included; a line search that judges
+    # steps by changes of Phi_eps^2 below its roundoff makes over 12,000
+    # and stalls
+    import fcopt.penalty as penalty
+    calls = [0]
+    parts = penalty._phi_parts
+
+    def counting(*args):
+        calls[0] += 1
+        return parts(*args)
+
+    monkeypatch.setattr(penalty, "_phi_parts", counting)
+    p = equality_qp()
+    extract_multiplier(p, p.u_bar, default_schedule(0.1, 14))
+    assert 0 < calls[0] <= 2000
 
 
 def test_config_validation():

@@ -15,6 +15,8 @@ from fcopt.spaces import (
     apply_map,
     adjoint,
     singular_triplets,
+    rank_mask,
+    RANK_RTOL,
     gram_from_config,
     space_from_config,
     stiffness1d,
@@ -221,6 +223,30 @@ def test_singular_triplets_charpoly_oracle():
     assert_allclose(got, expected, atol=1e-10)
     assert_sigma_only_matches(f, got)
     assert_allclose(expected, [2.0, np.sqrt(2.0), 0.0], atol=1e-12)
+
+
+def test_rank_mask_cutoff():
+    # strictly above tol * sigma_max counts; a value at the cutoff does not
+    s = np.array([4.0, 2.0, 4.0 * RANK_RTOL, 3.0 * RANK_RTOL, 0.0])
+    assert rank_mask(s).tolist() == [True, True, False, False, False]
+    assert rank_mask(s, tol=0.5).tolist() == [True, False, False, False,
+                                              False]
+    # unsorted input is masked in place
+    assert rank_mask(s[::-1]).tolist() == [False, False, False, True, True]
+    # a numerically zero operator, and no singular values at all
+    assert rank_mask(np.zeros(3)).tolist() == [False, False, False]
+    assert rank_mask(np.array([])).shape == (0,)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(0.0, 1e6), max_size=12),
+       st.sampled_from([RANK_RTOL, 1e-6, 0.5]))
+def test_rank_mask_matches_inline_rule(values, tol):
+    # the rule it replaced: s > tol * smax when smax > 0, else no rank
+    s = np.array(values)
+    smax = max(values, default=0.0)
+    expect = [smax > 0.0 and v > tol * smax for v in values]
+    assert rank_mask(s, tol).tolist() == expect
 
 
 def test_singular_triplets_structure_and_reconstruction():
