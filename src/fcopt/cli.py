@@ -13,15 +13,12 @@ a CSV companion with columns eps, a, b_norm, dist, gap.  ``example``
 runs a registered experiment and exits 1 when any of its criteria fail.
 Exit codes: 0 success, 1 a criterion or the computation failed, 2 bad
 usage (unknown name, malformed parameter, unreadable input).
-
-The environment variable ``FCOPT_THREADS`` caps worker threads for any
-run; the ``--threads`` flag requests a count below that cap.
 """
 
 import argparse
-import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -35,9 +32,9 @@ from .problems import (scalar_problem, l2_example, equality_qp,
                        lq_endpoint_problem)
 from .diagnostics import OperatorFamily, codim_growth_verdict
 from .elliptic import elliptic_sweep
-from .experiments import (EXPERIMENTS, run_experiment, list_experiments,
-                          write_report, format_table, REPORT_SCHEMA,
-                          _jsonable)
+from .experiments import (EXPERIMENTS, RunReport, run_experiment,
+                          list_experiments, write_report, _jsonable,
+                          _trace_table, _write_document)
 
 __all__ = ["main"]
 
@@ -53,34 +50,7 @@ SOLVE_PROBLEMS = {
 }
 
 SOLVE_DEFAULTS = {"eps0": 0.1, "steps": 15, "seed": 7, "dim": 6, "mesh": 50,
-                  "n_constraints": 3, "samples": 256, "threads": 1}
-
-
-def _resolve_threads(requested):
-    """Apply the FCOPT_THREADS environment cap to a requested count."""
-    n = max(1, int(requested))
-    cap = os.environ.get("FCOPT_THREADS")
-    if cap:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError:
-            raise ValueError("FCOPT_THREADS must be an integer, got %r" % cap)
-    return n
-
-
-def _write_json(payload, path):
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(text, json_path):
-    csv_path = os.path.splitext(json_path)[0] + ".csv"
-    with open(csv_path, "w") as fh:
-        fh.write(text)
-    return csv_path
+                  "n_constraints": 3, "samples": 256}
 
 
 # ------------------------------------------------------------------- solve
@@ -98,7 +68,7 @@ def _cmd_solve(args):
     if name not in SOLVE_PROBLEMS:
         raise ValueError("unknown problem %r (known: %s)"
                          % (name, ", ".join(sorted(SOLVE_PROBLEMS))))
-    for key in ("eps0", "steps", "seed", "threads"):
+    for key in ("eps0", "steps", "seed"):
         val = getattr(args, key)
         if val is not None:
             overrides[key] = val
@@ -110,10 +80,9 @@ def _cmd_solve(args):
         raise ValueError("eps0 must lie in (0, 1]")
     if not 2 <= steps <= 200:
         raise ValueError("steps must lie in [2, 200]")
-    threads = _resolve_threads(params["threads"])
 
     p = SOLVE_PROBLEMS[name](params)
-    cfg = PenaltyConfig(seed=seed, parallel=threads > 1, threads=threads)
+    cfg = PenaltyConfig(seed=seed)
     pair, trace = extract_multiplier(p, p.u_bar, default_schedule(eps0, steps),
                                      cfg)
     kk = kkt_check(p, p.u_bar, pair, cfg)
@@ -145,10 +114,8 @@ def _cmd_solve(args):
         "residuals": {"fritz_john_min": fj},
         "records": records,
     }
-    _write_json(_jsonable(payload), args.out)
-    header = ("eps", "a", "b_norm", "dist", "gap")
-    rows = [[r.eps, r.a, r.b_norm(), r.dist_val, r.f0_gap] for r in trace]
-    _write_csv(format_table(header, rows), args.out)
+    _write_document(_jsonable(payload), {"trace": _trace_table(trace)},
+                    args.out)
     print("solve %s: %d records, z0=%.6g, |z|=%.6g -> %s"
           % (name, len(trace), pair.z0, pair.z_norm(), args.out))
     return 0
@@ -199,6 +166,7 @@ def _cmd_diagnose(args):
         raise ValueError("need at least 3 levels, got %r" % args.levels)
     factor = float(args.growth_factor)
 
+    t0 = time.perf_counter()
     family = args.family
     if family == "diag":
         swept = codim_growth_verdict(_diag_family(levels),
@@ -217,22 +185,17 @@ def _cmd_diagnose(args):
             "unknown family %r (use diag, elliptic-l2, elliptic-h1, "
             "or a .npz file path)" % family)
 
-    payload = {
-        "schema": REPORT_SCHEMA,
-        "version": __version__,
-        "experiment": "diagnose",
-        "inputs": {"family": label, "levels": levels,
-                   "growth_factor": factor},
-        "results": {"constants": swept.constants,
-                    "kernel_dims": swept.kernel_dims,
-                    "verdict": swept.verdict, "note": swept.note},
-        "criteria": [],
-        "passed": True,
-    }
-    _write_json(_jsonable(payload), args.out)
-    header = ("n", "constant", "kernel_dim")
     rows = [[n, rep.constant, rep.kernel_dim] for n, rep in swept.levels]
-    _write_csv(format_table(header, rows), args.out)
+    report = RunReport(
+        "diagnose",
+        inputs={"family": label, "levels": levels, "growth_factor": factor},
+        results={"constants": swept.constants,
+                 "kernel_dims": swept.kernel_dims,
+                 "verdict": swept.verdict, "note": swept.note},
+        criteria=[],
+        tables={"sweep": (("n", "constant", "kernel_dim"), rows)},
+        wall_clock_s=time.perf_counter() - t0)
+    write_report(report, args.out)
     print("diagnose %s: verdict=%s, constants=%s"
           % (label, swept.verdict,
              ["%.4g" % c for c in swept.constants]))
@@ -322,8 +285,6 @@ def _build_parser():
                          "(default 15)")
     ps.add_argument("--seed", type=int, default=None,
                     help="generator seed for sampled checks (default 7)")
-    ps.add_argument("--threads", type=int, default=None,
-                    help="worker threads (capped by FCOPT_THREADS)")
     ps.add_argument("--out", required=True, help="trace JSON output path")
 
     pd = sub.add_parser("diagnose", help="estimate-constant growth verdict "

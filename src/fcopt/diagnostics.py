@@ -292,6 +292,33 @@ def _sweep_verdict(ns, consts, kdims, growth_factor):
     return "inconclusive"
 
 
+def _sweep(levels, build, growth_factor, noun, key=int, rule=_sweep_verdict):
+    """Shared body of every sweep: validate, build each level, judge, stamp.
+
+    ``levels`` needs at least 3 entries with ``key(entry)`` strictly
+    increasing; ``noun`` names them in the error messages.
+    ``build(entry)`` returns (n, EstimateReport) for one level, and
+    ``rule(ns, consts, kdims, growth_factor)`` gives the verdict that is
+    stamped on every report, with the heuristic note where it has none.
+    """
+    _check_growth_factor(growth_factor)
+    levels = list(levels)
+    if len(levels) < 3:
+        raise ValueError("growth verdict needs at least 3 %s" % noun)
+    keys = [key(entry) for entry in levels]
+    if any(k2 <= k1 for k1, k2 in zip(keys, keys[1:])):
+        raise ValueError("%s must be strictly increasing" % noun)
+    reports = [build(entry) for entry in levels]
+    ns = np.array([n for n, _ in reports], dtype=float)
+    consts = np.array([rep.constant for _, rep in reports])
+    kdims = np.array([rep.kernel_dim for _, rep in reports], dtype=float)
+    verdict = rule(ns, consts, kdims, growth_factor)
+    for _, rep in reports:
+        rep.verdict = verdict
+        rep.note = rep.note or _HEURISTIC_NOTE
+    return SweepReport(reports, verdict)
+
+
 def codim_growth_verdict(fam, G_builder=None, growth_factor=2.0, tol=RANK_RTOL):
     """Estimate constants per family level plus a growth verdict.
 
@@ -305,22 +332,11 @@ def codim_growth_verdict(fam, G_builder=None, growth_factor=2.0, tol=RANK_RTOL):
     dimensions play the role of the growth quantity.  The verdict is a
     heuristic over the computed levels, not a proof.
     """
-    _check_growth_factor(growth_factor)
-    if len(fam) < 3:
-        raise ValueError("growth verdict needs at least 3 levels")
-    reports = []
-    for idx, (n, F) in enumerate(fam):
-        if G_builder is not None:
-            rep = compact_perturbed_constant(F, G_builder(idx), tol)
-        else:
-            rep = restricted_estimate_constant(F, tol)
-        reports.append((n, rep))
-    ns = np.array([n for n, _ in reports], dtype=float)
-    consts = np.array([rep.constant for _, rep in reports])
-    kdims = np.array([rep.kernel_dim for _, rep in reports], dtype=float)
-    verdict = _sweep_verdict(ns, consts, kdims, growth_factor)
-    swept = SweepReport(reports, verdict)
-    for _, rep in reports:
-        rep.verdict = verdict
-        rep.note = rep.note or _HEURISTIC_NOTE
-    return swept
+    def build(entry):
+        idx, (n, F) = entry
+        if G_builder is None:
+            return n, restricted_estimate_constant(F, tol)
+        return n, compact_perturbed_constant(F, G_builder(idx), tol)
+
+    return _sweep(enumerate(fam), build, growth_factor, "levels",
+                  key=lambda entry: entry[1][0])

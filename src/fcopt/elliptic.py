@@ -18,8 +18,7 @@ breaking its mesh independence.
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .diagnostics import (EstimateReport, SweepReport, _check_growth_factor,
-                          _finite_growth_verdict, _HEURISTIC_NOTE,
+from .diagnostics import (EstimateReport, _finite_growth_verdict, _sweep,
                           kernel_dimension)
 from .spaces import LinearMap, SpaceDescriptor, singular_triplets
 
@@ -200,19 +199,13 @@ def elliptic_sweep(levels, tag="L2L2", a=1.0, c=0.0, growth_factor=2.0):
         within growth_factor overall, "growing" when they increase at
         least geometrically with the mesh resolution.
     """
-    _check_growth_factor(growth_factor)
-    levels = [int(n) for n in levels]
-    if len(levels) < 3:
-        raise ValueError("growth verdict needs at least 3 mesh levels")
-    if any(n2 <= n1 for n1, n2 in zip(levels, levels[1:])):
-        raise ValueError("mesh levels must be strictly increasing")
-    reports = [(n, elliptic_estimate_constant(
-        EllipticSystem(n, a=a, c=c, tag=tag))) for n in levels]
-    consts = np.array([rep.constant for _, rep in reports])
-    ns = np.array(levels, dtype=float)
-    verdict = _finite_growth_verdict(consts, ns, growth_factor)
-    swept = SweepReport(reports, verdict)
-    for _, rep in reports:
-        rep.verdict = verdict
-        rep.note = rep.note or _HEURISTIC_NOTE
-    return swept
+    def build(n):
+        return int(n), elliptic_estimate_constant(
+            EllipticSystem(n, a=a, c=c, tag=tag))
+
+    # the constant is sigma_max, so a kernel does not bear on the verdict
+    def constants_rule(ns, consts, kdims, growth_factor):
+        return _finite_growth_verdict(consts, ns, growth_factor)
+
+    return _sweep(levels, build, growth_factor, "mesh levels",
+                  rule=constants_rule)

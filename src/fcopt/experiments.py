@@ -154,6 +154,35 @@ def format_table(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def _write_document(payload, tables, path):
+    """Write a JSON payload and its CSV tables, laid out as write_report says.
+
+    ``tables`` maps a name to (header, rows); the JSON gains a ``tables``
+    key mapping each name to its CSV file name.  Returns all paths
+    written, JSON first.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    os.makedirs(parent, exist_ok=True)
+    stem = os.path.splitext(path)[0]
+    written = [path]
+    refs = {}
+    for tname in sorted(tables):
+        header, rows = tables[tname]
+        if len(tables) == 1:
+            csv_path = stem + ".csv"
+        else:
+            csv_path = "%s-%s.csv" % (stem, tname)
+        with open(csv_path, "w") as fh:
+            fh.write(format_table(header, rows))
+        refs[tname] = os.path.basename(csv_path)
+        written.append(csv_path)
+    payload = dict(payload, tables=refs)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return written
+
+
 def write_report(report, path):
     """Write a report as JSON plus one CSV file per table.
 
@@ -171,27 +200,7 @@ def write_report(report, path):
     list of str
         All paths written, JSON first.
     """
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    stem = os.path.splitext(path)[0]
-    payload = report.to_dict()
-    written = [path]
-    refs = {}
-    for tname in sorted(report.tables):
-        header, rows = report.tables[tname]
-        if len(report.tables) == 1:
-            csv_path = stem + ".csv"
-        else:
-            csv_path = "%s-%s.csv" % (stem, tname)
-        with open(csv_path, "w") as fh:
-            fh.write(format_table(header, rows))
-        refs[tname] = os.path.basename(csv_path)
-        written.append(csv_path)
-    payload["tables"] = refs
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return written
+    return _write_document(report.to_dict(), report.tables, path)
 
 
 # ---------------------------------------------------------------- helpers

@@ -27,9 +27,8 @@ solver minimizes Phi_eps^2 by damped Newton / quasi-Newton descent and the
 Ekeland-type inequalities are verified a posteriori on probe points.
 """
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from operator import attrgetter, methodcaller
 
 import numpy as np
 
@@ -205,6 +204,9 @@ class ConstrainedProblem:
 class PenaltyConfig:
     """Tunable knobs of the penalty pipeline (all defaults are sensible).
 
+    The inner solver is not among them: it is damped Newton for a problem
+    with f0_hess and L-BFGS for one without (see minimize_penalty).
+
     Parameters
     ----------
     inner_scale, inner_floor : float
@@ -230,12 +232,6 @@ class PenaltyConfig:
         Number of final records examined by enhanced_sequence_report.
     seed : int
         Base seed for all samplers (probes, variations).
-    method : str
-        "auto" (Newton when curvature callables exist, else L-BFGS),
-        "newton", or "lbfgs".
-    parallel, threads : bool, int or None
-        Cold-start parallel schedule mode; threads defaults to the
-        FCOPT_THREADS environment variable.
     verify_solution : bool
         Whether minimize_penalty spot-checks local optimality of u_bar.
     """
@@ -244,8 +240,7 @@ class PenaltyConfig:
                  ball_slack=1e-6, ekeland_tol=1e-8, ekeland_probes=16,
                  solution_slack=1e-8, solution_samples=64, limit_tol=1e-2,
                  z0_tol=1e-6, z_tol=1e-6, mono_slack=1e-12, tail_len=5,
-                 seed=0, method="auto", parallel=False, threads=None,
-                 verify_solution=True):
+                 seed=0, verify_solution=True):
         self.inner_scale = float(inner_scale)
         self.inner_floor = float(inner_floor)
         self.max_iters = int(max_iters)
@@ -260,11 +255,6 @@ class PenaltyConfig:
         self.mono_slack = float(mono_slack)
         self.tail_len = int(tail_len)
         self.seed = int(seed)
-        if method not in ("auto", "newton", "lbfgs"):
-            raise ValueError("method must be auto, newton or lbfgs")
-        self.method = method
-        self.parallel = bool(parallel)
-        self.threads = threads
         self.verify_solution = bool(verify_solution)
 
 
@@ -333,7 +323,15 @@ class TraceRecord:
 class PenaltyTrace:
     """Ordered schedule records with strictly decreasing eps."""
 
-    _COLUMNS = ("eps", "a", "b_norm", "dist", "gap", "phi", "inner_iters")
+    _COLUMNS = {
+        "eps": attrgetter("eps"),
+        "a": attrgetter("a"),
+        "b_norm": methodcaller("b_norm"),
+        "dist": attrgetter("dist_val"),
+        "gap": attrgetter("f0_gap"),
+        "phi": attrgetter("phi"),
+        "inner_iters": attrgetter("inner_iters"),
+    }
 
     def __init__(self):
         self.records = []
@@ -344,22 +342,12 @@ class PenaltyTrace:
         self.records.append(rec)
 
     def column(self, name):
-        """Array view of one column: eps, a, b_norm, dist, gap, phi, inner_iters."""
-        if name == "eps":
-            return np.array([r.eps for r in self.records])
-        if name == "a":
-            return np.array([r.a for r in self.records])
-        if name == "b_norm":
-            return np.array([r.b_norm() for r in self.records])
-        if name == "dist":
-            return np.array([r.dist_val for r in self.records])
-        if name == "gap":
-            return np.array([r.f0_gap for r in self.records])
-        if name == "phi":
-            return np.array([r.phi for r in self.records])
-        if name == "inner_iters":
-            return np.array([r.inner_iters for r in self.records])
-        raise KeyError(name)
+        """Array view of one column: eps, a, b_norm, dist, gap, phi, inner_iters.
+
+        Raises KeyError for any other name.
+        """
+        get = self._COLUMNS[name]
+        return np.array([get(r) for r in self.records])
 
     def __len__(self):
         return len(self.records)
@@ -599,8 +587,8 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
     """Near-minimizer u_eps of Phi_eps with Phi_eps(u_eps) <= eps.
 
     Minimizes Phi_eps^2 (smooth) from u_bar, or from warm_start when given,
-    by damped Newton (falling back to L-BFGS when no curvature callables
-    are available) to a gradient dual norm of max(inner_floor,
+    by damped Newton when the problem has f0_hess, and by L-BFGS
+    otherwise, to a gradient dual norm of max(inner_floor,
     inner_scale * eps^2).  The Newton line search accepts a step by the
     Armijo decrease of Phi_eps^2, or, when the change of Phi_eps^2 is
     below its rounding noise, by the approximate Wolfe condition on the
@@ -631,9 +619,7 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
         _verify_local_solution(p, ub, cfg)
 
     tol = max(cfg.inner_floor, cfg.inner_scale * eps * eps)
-    use_newton = cfg.method == "newton" or (
-        cfg.method == "auto" and p.f0_hess is not None)
-    solver = _newton_minimize if use_newton else _lbfgs_minimize
+    solver = _newton_minimize if p.f0_hess is not None else _lbfgs_minimize
 
     start = ub if warm_start is None else _coords(warm_start)
     cold = warm_start is None
@@ -693,15 +679,6 @@ def multiplier_at(p, u_bar, eps, u_eps):
     return a, b
 
 
-def _thread_count(cfg):
-    if cfg.threads is not None:
-        return int(cfg.threads)
-    env = os.environ.get("FCOPT_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def _cauchy_gap(trace):
     recs = trace.records[-3:]
     gap = 0.0
@@ -716,11 +693,11 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
     """Run the schedule and return (MultiplierPair, PenaltyTrace).
 
     Sequentially minimizes Phi_eps along the strictly decreasing schedule,
-    warm-starting each step from the previous near-minimizer (or cold in
-    parallel mode), records (eps, u_eps, phi, a, b, dist, f0 gap, iteration
-    count) per step, and reads the pair (z0, z) off the final record.  The
-    Cauchy gap max(|a_k - a_{k-1}|, |b_k - b_{k-1}|) over the final three
-    records is reported on the pair; a gap above cfg.limit_tol raises a
+    warm-starting each step from the previous near-minimizer, records
+    (eps, u_eps, phi, a, b, dist, f0 gap, iteration count) per step, and
+    reads the pair (z0, z) off the final record.  The Cauchy gap
+    max(|a_k - a_{k-1}|, |b_k - b_{k-1}|) over the final three records is
+    reported on the pair; a gap above cfg.limit_tol raises a
     non-convergence warning but still returns the result.
     """
     if cfg is None:
@@ -738,23 +715,11 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
     if cfg.verify_solution:
         _verify_local_solution(p, ub, cfg)
 
-    results = []
-    if cfg.parallel:
-        def run(e):
-            return minimize_penalty(p, ub, e, cfg, return_info=True,
-                                    verify=False)
-        with ThreadPoolExecutor(max_workers=_thread_count(cfg)) as pool:
-            results = list(pool.map(run, sched))
-    else:
-        prev = None
-        for e in sched:
-            el, info = minimize_penalty(p, ub, e, cfg, warm_start=prev,
-                                        return_info=True, verify=False)
-            prev = el
-            results.append((el, info))
-
     trace = PenaltyTrace()
-    for e, (el, info) in zip(sched, results):
+    el = None
+    for e in sched:
+        el, info = minimize_penalty(p, ub, e, cfg, warm_start=el,
+                                    return_info=True, verify=False)
         a, b = multiplier_at(p, ub, e, el)
         trace.append(TraceRecord(
             eps=e, u_eps=el, phi=info["phi"], a=a, b=b,

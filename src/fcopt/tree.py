@@ -28,8 +28,7 @@ although any uniform constant would have to dominate |r_hat|^2 with it.
 
 import numpy as np
 
-from .diagnostics import (EstimateReport, SweepReport, _HEURISTIC_NOTE,
-                          _check_growth_factor, _sweep_verdict)
+from .diagnostics import EstimateReport, _sweep
 from .evolution import _per_step
 from .spaces import RANK_RTOL, Element, rank_mask
 
@@ -370,25 +369,12 @@ def sde_estimate_sweep(models, G_mode="phi0", cap=4096, growth_factor=2.0):
         rank-deficient outputs, the kernel dimensions — grow at least
         geometrically with the representation dimension.
     """
-    _check_growth_factor(growth_factor)
-    models = list(models)
-    if len(models) < 3:
-        raise ValueError("growth verdict needs at least 3 depths")
-    if any(m2.d <= m1.d for m1, m2 in zip(models, models[1:])):
-        raise ValueError("tree depths must be strictly increasing")
-    reports = []
-    for mod in models:
-        rep = sde_estimate_constant(mod, G_mode=G_mode, cap=cap)
-        reports.append((mod.leaf_count * mod.n, rep))
-    ns = np.array([n for n, _ in reports], dtype=float)
-    consts = np.array([rep.constant for _, rep in reports])
-    kdims = np.array([rep.kernel_dim for _, rep in reports], dtype=float)
-    verdict = _sweep_verdict(ns, consts, kdims, growth_factor)
-    swept = SweepReport(reports, verdict)
-    for _, rep in reports:
-        rep.verdict = verdict
-        rep.note = rep.note or _HEURISTIC_NOTE
-    return swept
+    def build(mod):
+        return (mod.leaf_count * mod.n,
+                sde_estimate_constant(mod, G_mode=G_mode, cap=cap))
+
+    return _sweep(models, build, growth_factor, "depths",
+                  key=lambda mod: mod.d)
 
 
 def rank_deficiency_witness(model, r_hat, k):

@@ -20,8 +20,7 @@ on finite-codimension complements.
 
 import numpy as np
 
-from .diagnostics import (EstimateReport, SweepReport, _HEURISTIC_NOTE,
-                          _check_growth_factor, _sweep_verdict)
+from .diagnostics import EstimateReport, _sweep
 from .spaces import rank_mask
 
 __all__ = [
@@ -210,23 +209,8 @@ def wave_sweep(mode_counts, interval=(0.4, 0.6), T=3.0, a=0.0,
         constants stay within growth_factor overall, "growing" when
         they climb at least geometrically with the mode count.
     """
-    _check_growth_factor(growth_factor)
-    mode_counts = [int(M) for M in mode_counts]
-    if len(mode_counts) < 3:
-        raise ValueError("growth verdict needs at least 3 mode counts")
-    if any(M2 <= M1 for M1, M2 in zip(mode_counts, mode_counts[1:])):
-        raise ValueError("mode counts must be strictly increasing")
-    reports = []
-    for M in mode_counts:
-        model = WaveModel(M, interval=interval, T=T, a=a,
-                          quad_step=quad_step)
-        reports.append((2 * M, wave_observability_constant(model)))
-    ns = np.array([n for n, _ in reports], dtype=float)
-    consts = np.array([rep.constant for _, rep in reports])
-    kdims = np.array([rep.kernel_dim for _, rep in reports], dtype=float)
-    verdict = _sweep_verdict(ns, consts, kdims, growth_factor)
-    swept = SweepReport(reports, verdict)
-    for _, rep in reports:
-        rep.verdict = verdict
-        rep.note = rep.note or _HEURISTIC_NOTE
-    return swept
+    def build(M):
+        model = WaveModel(M, interval=interval, T=T, a=a, quad_step=quad_step)
+        return 2 * model.modes, wave_observability_constant(model)
+
+    return _sweep(mode_counts, build, growth_factor, "mode counts")

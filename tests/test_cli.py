@@ -83,21 +83,6 @@ def test_solve_bad_eps0(tmp_path):
     assert rc == 2
 
 
-def test_threads_env_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("FCOPT_THREADS", "1")
-    out = tmp_path / "t.json"
-    assert main(["solve", "--problem", "scalar", "--steps", "8",
-                 "--threads", "8", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["inputs"]["threads"] == 8
-
-
-def test_threads_env_invalid(tmp_path, monkeypatch):
-    monkeypatch.setenv("FCOPT_THREADS", "lots")
-    rc = main(["solve", "--problem", "scalar", "--steps", "8",
-               "--out", str(tmp_path / "t.json")])
-    assert rc == 2
-
-
 # ---------------------------------------------------------------- diagnose
 
 

@@ -147,6 +147,19 @@ def test_sweep_h1_bounded_variable_coefficients():
     assert consts.max() / consts.min() <= 1.2
 
 
+@pytest.mark.parametrize("tag, verdict", [("L2L2", "growing"),
+                                          ("H1H-1", "bounded")])
+def test_sweep_verdict_ignores_kernel(tag, verdict):
+    # c is the lowest discrete eigenvalue at N=15, so that level alone has
+    # a kernel; the constant is sigma_max, which the kernel does not move,
+    # so the verdict follows the constants (a kernel-aware rule would say
+    # "inconclusive" for both tags)
+    c = 4.0 * 16 ** 2 * np.sin(np.pi / 32) ** 2
+    swept = elliptic_sweep((15, 31, 63, 127), tag=tag, c=c)
+    assert swept.kernel_dims == [1, 0, 0, 0]
+    assert swept.verdict == verdict
+
+
 def test_validation_errors():
     with pytest.raises(ValueError, match="interior node"):
         EllipticSystem(0)

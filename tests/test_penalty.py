@@ -332,6 +332,29 @@ def test_extract_trace_invariants():
     assert not pair.degenerate
 
 
+@pytest.mark.parametrize("name, field", [
+    ("eps", lambda r: r.eps),
+    ("a", lambda r: r.a),
+    ("b_norm", lambda r: r.b_norm()),
+    ("dist", lambda r: r.dist_val),
+    ("gap", lambda r: r.f0_gap),
+    ("phi", lambda r: r.phi),
+    ("inner_iters", lambda r: r.inner_iters),
+    ("u_eps", None),
+])
+def test_trace_column(name, field):
+    p = scalar_problem()
+    _, trace = extract_multiplier(p, p.u_bar, default_schedule(0.1, 6))
+    if field is None:
+        with pytest.raises(KeyError):
+            trace.column(name)
+        return
+    want = np.array([field(r) for r in trace])
+    got = trace.column(name)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 def test_extract_whole_space_limit():
     p = _unconstrained_quadratic()
     pair, trace = extract_multiplier(p, p.u_bar, default_schedule(0.1, 8))
@@ -374,17 +397,6 @@ def test_extract_sequential_is_deterministic():
     assert pair1.z0 == pair2.z0
     for r1, r2 in zip(trace1, trace2):
         assert np.array_equal(r1.u_eps.coords, r2.u_eps.coords)
-
-
-def test_extract_parallel_cold_start_agrees():
-    p = equality_qp()
-    sched = default_schedule(0.1, 8)
-    pair_seq, _ = extract_multiplier(p, p.u_bar, sched)
-    cfg = PenaltyConfig(parallel=True, threads=2)
-    pair_par, trace_par = extract_multiplier(p, p.u_bar, sched, cfg)
-    assert len(trace_par) == len(sched)
-    assert abs(pair_par.z0 - pair_seq.z0) < 1e-8
-    assert_allclose(pair_par.z.coords, pair_seq.z.coords, atol=1e-8)
 
 
 # ----------------------------------------------------------- certificates
@@ -582,8 +594,3 @@ def test_default_qp_schedule_phi_evaluation_budget(monkeypatch):
     p = equality_qp()
     extract_multiplier(p, p.u_bar, default_schedule(0.1, 14))
     assert 0 < calls[0] <= 2000
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        PenaltyConfig(method="simplex")
