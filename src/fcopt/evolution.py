@@ -14,6 +14,9 @@ stepping is Crank-Nicolson with piecewise-constant data per step:
 
 whose transpose is again Crank-Nicolson for the adjoint because the two
 step factors are polynomials in the same matrix and therefore commute.
+One loop steps this scheme forward: trajectories start from a given
+initial state (zero for variations) and may carry a trailing batch axis,
+so a batch of B control paths is simulated in a single pass.
 State-space grams are the identity.
 """
 
@@ -109,13 +112,14 @@ class EvolutionSystem:
         return self._path_space
 
     def reshape_control(self, w):
-        """Coerce a control variation to shape (N, m)."""
+        """Coerce a control variation to shape (N, m), or (N, m, B) for a
+        batch of B control paths."""
         if isinstance(w, Element):
             w = w.coords
         w = np.asarray(w, dtype=float)
         if w.ndim == 1:
             w = w.reshape(self.N, self.m)
-        if w.shape != (self.N, self.m):
+        if w.shape[:2] != (self.N, self.m) or w.ndim not in (2, 3):
             raise ValueError("control sequence must have %d steps of dim %d"
                              % (self.N, self.m))
         return w
@@ -125,14 +129,30 @@ class EvolutionSystem:
             self.name, self.n, self.m, self.N, self.T)
 
 
-def simulate_variation_evolution(sys, w):
-    """Trajectory of xi' = A xi + Bc w with xi(0) = 0; returns (N+1, n) array."""
-    w = sys.reshape_control(w)
-    xi = np.zeros((sys.N + 1, sys.n))
+def _crank_nicolson(sys, x0, forcing):
+    """Crank-Nicolson states x_0 = x0, x_{k+1} from x_k and forcing f_k.
+
+    Steps (I - dt/2 A_k) x_{k+1} = (I + dt/2 A_k) x_k + dt f_k.  x0 has
+    shape (n,) or (n, B) and forcing (N, n) or (N, n, B); a trailing batch
+    axis carries B trajectories at once.  Returns (N+1, n[, B]).
+    """
+    x = np.empty((sys.N + 1,) + np.shape(x0))
+    x[0] = x0
     for k in range(sys.N):
-        rhs = sys._P[k] @ xi[k] + sys.dt * (sys.Bc[k] @ w[k])
-        xi[k + 1] = np.linalg.solve(sys._R[k], rhs)
-    return xi
+        rhs = sys._P[k] @ x[k] + sys.dt * forcing[k]
+        x[k + 1] = np.linalg.solve(sys._R[k], rhs)
+    return x
+
+
+def simulate_variation_evolution(sys, w):
+    """Trajectory of xi' = A xi + Bc w with xi(0) = 0.
+
+    w is one control path, (N, m) or flattened (N*m,), giving an (N+1, n)
+    array, or a batch of B paths, (N, m, B), giving (N+1, n, B).
+    """
+    w = sys.reshape_control(w)
+    forcing = np.einsum("kij,kj...->ki...", sys.Bc, w)
+    return _crank_nicolson(sys, np.zeros(forcing.shape[1:]), forcing)
 
 
 def endpoint_map(sys):
@@ -170,13 +190,9 @@ def spike_variation(sys, drift_diff, cost_diff):
                       "drift_diff")
     cost = np.broadcast_to(np.asarray(cost_diff, dtype=float),
                            (sys.N,)).astype(float)
-    xi = np.zeros((sys.N + 1, sys.n))
-    xi0 = 0.0
-    for k in range(sys.N):
-        rhs = sys._P[k] @ xi[k] + sys.dt * drift[k]
-        xi[k + 1] = np.linalg.solve(sys._R[k], rhs)
-        mid = 0.5 * (xi[k] + xi[k + 1])
-        xi0 += sys.dt * (float(sys.gy[k] @ mid) + cost[k])
+    xi = _crank_nicolson(sys, np.zeros(sys.n), drift)
+    mid = 0.5 * (xi[:-1] + xi[1:])
+    xi0 = sys.dt * float(np.sum(np.einsum("ki,ki->k", sys.gy, mid) + cost))
     return xi0 / sys.T, xi[sys.N] / sys.T
 
 

@@ -108,9 +108,6 @@ class ConstrainedProblem:
     f_hess_combo : callable or None
         (u, w) -> sum_i w_i * Hess f_i(u), the second-order term of the
         constraint map weighted by a dual vector w; 0 for affine maps.
-    variation_sampler : callable or None
-        (problem, u, count, seed) -> list of VariationSample; overrides the
-        default linearized-direction sampler.
     feasible_sampler : callable or None
         (u_bar, count, seed) -> (count, V.dim) array of feasible points near
         u_bar, used to spot-check local optimality of the reference point.
@@ -119,8 +116,8 @@ class ConstrainedProblem:
     """
 
     def __init__(self, V, X, f0, f0_grad, f, f_jac, E, domain=None,
-                 f0_hess=None, f_hess_combo=None, variation_sampler=None,
-                 feasible_sampler=None, name="problem"):
+                 f0_hess=None, f_hess_combo=None, feasible_sampler=None,
+                 name="problem"):
         self.V = V
         self.X = X
         self._f0 = f0
@@ -131,7 +128,6 @@ class ConstrainedProblem:
         self.domain = domain
         self.f0_hess = f0_hess
         self.f_hess_combo = f_hess_combo
-        self.variation_sampler = variation_sampler
         self.feasible_sampler = feasible_sampler
         self.name = name
 
@@ -179,13 +175,11 @@ class ConstrainedProblem:
     def variations(self, u, count, seed=0):
         """Sample admissible variations (xi0, xi) of (f0, f) at u.
 
-        Uses the plug-in sampler when provided; otherwise draws radial-cone
-        directions v of the admissible set at u (unit ball when the whole
-        space is admissible) and linearizes: xi0 = grad f0(u).v, xi = f'(u)v.
+        Draws radial-cone directions v of the admissible set at u (unit
+        ball when the whole space is admissible) and linearizes:
+        xi0 = grad f0(u).v, xi = f'(u)v.
         """
         u = _coords(u)
-        if self.variation_sampler is not None:
-            return self.variation_sampler(self, u, count, seed)
         dom = self.domain if self.domain is not None else WholeSpace(self.V)
         dirs = tangent_cone_sample(dom, Element(u, self.V), count, seed=seed)
         g = self.gradient(u)

@@ -22,7 +22,8 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .convex import Singleton
-from .evolution import EvolutionSystem, endpoint_map
+from .evolution import (EvolutionSystem, _crank_nicolson, endpoint_map,
+                        simulate_variation_evolution)
 from .penalty import ConstrainedProblem, default_schedule
 from .spaces import Element, SpaceDescriptor
 
@@ -131,6 +132,17 @@ def l2_example(dim=6):
     return p
 
 
+def _kkt_solve(H, A, g, r):
+    """Solve the KKT system [[H, A'], [A, 0]] (x, lam) = (g, r)."""
+    nx, nc = H.shape[0], A.shape[0]
+    kkt = np.zeros((nx + nc, nx + nc))
+    kkt[:nx, :nx] = H
+    kkt[:nx, nx:] = A.T
+    kkt[nx:, :nx] = A
+    sol = np.linalg.solve(kkt, np.concatenate([g, r]))
+    return sol[:nx], sol[nx:]
+
+
 def equality_qp(dim=8, n_constraints=3, seed=0):
     """Random strictly convex QP under affine equality constraints.
 
@@ -148,12 +160,7 @@ def equality_qp(dim=8, n_constraints=3, seed=0):
     b = rng.standard_normal(n_constraints)
     c = rng.standard_normal(dim)
 
-    kkt = np.zeros((dim + n_constraints, dim + n_constraints))
-    kkt[:dim, :dim] = Q
-    kkt[:dim, dim:] = A.T
-    kkt[dim:, :dim] = A
-    sol = np.linalg.solve(kkt, np.concatenate([-c, b]))
-    ub, lam = sol[:dim], sol[dim:]
+    ub, lam = _kkt_solve(Q, A, -c, b)
 
     V = SpaceDescriptor("qp-controls", dim)
     X = SpaceDescriptor("qp-constraints", n_constraints)
@@ -191,6 +198,11 @@ _LQ_B = np.array([[0.0, 0.0],
                   [0.0, 1.0]])
 
 
+def _midpoints(y):
+    """Step midpoints (y_k + y_{k+1})/2 along the leading (time) axis."""
+    return 0.5 * (y[:-1] + y[1:])
+
+
 def lq_endpoint_problem(N=50, T=1.0, target_amp=0.5):
     """Linear-quadratic control with a pinned endpoint (oscillator pair).
 
@@ -204,48 +216,27 @@ def lq_endpoint_problem(N=50, T=1.0, target_amp=0.5):
     """
     n, m = 4, 2
     dt = T / N
-    R_half = np.eye(n) - 0.5 * dt * _LQ_A
-    P_half = np.eye(n) + 0.5 * dt * _LQ_A
-    Rinv = np.linalg.inv(R_half)
-    M = Rinv @ P_half
-    S = dt * Rinv @ _LQ_B
-    y0 = np.array([1.0, 0.0, -0.5, 0.0])
-
-    # midpoint states ybar_k = Rinv (y_k + dt/2 B u_k) stacked as a big
-    # affine map ybar = ybar0 + W u of the flattened control path
     nu = N * m
-    W = np.zeros((N * n, nu))
-    ybar0 = np.zeros(N * n)
-    free = np.zeros((N + 1, n))
-    free[0] = y0
-    trans = np.zeros((N + 1, n, n))   # trans[k] maps y_k contributions
-    trans[0] = np.eye(n)
-    for k in range(N):
-        free[k + 1] = M @ free[k]
-        trans[k + 1] = M @ trans[k]
-    half = 0.5 * dt * Rinv @ _LQ_B
-    for k in range(N):
-        ybar0[k * n:(k + 1) * n] = Rinv @ free[k]
-        for j in range(k):
-            W[k * n:(k + 1) * n, j * m:(j + 1) * m] = Rinv @ (trans[k - 1 - j] @ S)
-        W[k * n:(k + 1) * n, k * m:(k + 1) * m] = half
+    y0 = np.array([1.0, 0.0, -0.5, 0.0])
+    sysmodel = EvolutionSystem(T, N, _LQ_A, _LQ_B, name="lq-endpoint")
+
+    # midpoint states ybar_k = (y_k + y_{k+1})/2 stacked as an affine map
+    # ybar = ybar0 + W u of the flattened control path: the free response
+    # from y0, plus the variations driven by the identity batch of paths
+    free = _crank_nicolson(sysmodel, y0, np.zeros((N, n)))
+    ybar0 = _midpoints(free).ravel()
+    W = _midpoints(simulate_variation_evolution(
+        sysmodel, np.eye(nu).reshape(N, m, nu))).reshape(N * n, nu)
 
     H = dt * (W.T @ W) + dt * np.eye(nu)
     c = dt * (W.T @ ybar0)
     const = 0.5 * dt * float(ybar0 @ ybar0)
 
-    sysmodel = EvolutionSystem(T, N, _LQ_A, _LQ_B, name="lq-endpoint")
     G = endpoint_map(sysmodel).matrix
     y_free = free[N]
     shape = 0.3 * np.sin(np.linspace(0.0, 3.0, nu))
     y_target = y_free + target_amp * (G @ shape)
-
-    kkt = np.zeros((nu + n, nu + n))
-    kkt[:nu, :nu] = H
-    kkt[:nu, nu:] = G.T
-    kkt[nu:, :nu] = G
-    sol = np.linalg.solve(kkt, np.concatenate([-c, y_target - y_free]))
-    ubar, lam = sol[:nu], sol[nu:]
+    ubar, lam = _kkt_solve(H, G, -c, y_target - y_free)
 
     V = SpaceDescriptor("control-path", nu)
     X = SpaceDescriptor("endpoint", n)

@@ -23,7 +23,6 @@ __all__ = [
     "norm",
     "dual_norm",
     "pairing",
-    "riesz_to_dual",
     "apply_map",
     "adjoint",
     "singular_triplets",
@@ -195,12 +194,6 @@ def pairing(phi, x):
     """Duality pairing <phi, x> = phi' x (shared coordinates)."""
     return float(np.asarray(phi.coords if isinstance(phi, Element) else phi)
                  @ np.asarray(x.coords if isinstance(x, Element) else x))
-
-
-def riesz_to_dual(space, x):
-    """Riesz map: primal x to the dual vector G x representing <x, .>."""
-    _check_space(space, x, "riesz_to_dual")
-    return Element(space.apply_gram(x.coords), space)
 
 
 def apply_map(F, u):

@@ -88,6 +88,12 @@ class TreeModel:
         self.A2 = _per_step(A2, d, (n, n), "A2")
         self.C1 = _per_step(C1, d, (n, m), "C1")
         self.C2 = _per_step(C2, d, (n, m), "C2")
+        # drift-implicit step matrices I - dt*A1_j, checked once here
+        self.implicit_step = np.eye(n) - self.dt * self.A1
+        sig = np.linalg.svd(self.implicit_step, compute_uv=False)
+        if np.any(sig[:, -1] <= 1e-13 * np.maximum(sig[:, 0], 1.0)):
+            raise ValueError("implicit step matrix I - dt*A1^T is numerically "
+                             "singular; use a deeper tree (smaller step)")
 
     @property
     def leaf_count(self):
@@ -140,10 +146,6 @@ def _adapted_levels(model, proc, width, steps, what):
 
 def _step_solve(M, rhs):
     """Solve M x = rhs for per-node right sides (nodes, n[, batch])."""
-    sig = np.linalg.svd(M, compute_uv=False)
-    if sig[-1] <= 1e-13 * max(sig[0], 1.0):
-        raise ValueError("implicit step matrix I - dt*A1^T is numerically "
-                         "singular; use a deeper tree (smaller step)")
     squeeze = rhs.ndim == 2
     if squeeze:
         rhs = rhs[:, :, None]
@@ -215,8 +217,7 @@ def tree_bsde_solve(model, z0=0.0, driver_gy=None, terminal=None,
         rhs = cond_mean + model.dt * (
             np.einsum(spec, model.A2[j].T, Phi_j) + drive)
         if method == "implicit":
-            M = np.eye(model.n) - model.dt * model.A1[j].T
-            phi[j] = _step_solve(M, rhs)
+            phi[j] = _step_solve(model.implicit_step[j].T, rhs)
         else:
             phi[j] = rhs + model.dt * np.einsum(spec, model.A1[j].T,
                                                 cond_mean)
@@ -242,8 +243,8 @@ def simulate_variation_tree(model, u):
     xi = [np.zeros((1, model.n))]
     for j in range(model.d):
         cur = xi[j]
-        M = np.eye(model.n) - model.dt * model.A1[j]
-        xhat = _step_solve(M, cur + model.dt * (uu[j] @ model.C1[j].T))
+        xhat = _step_solve(model.implicit_step[j],
+                           cur + model.dt * (uu[j] @ model.C1[j].T))
         spread = model.sqrt_dt * (xhat @ model.A2[j].T
                                   + uu[j] @ model.C2[j].T)
         nxt = np.empty((2 ** (j + 1), model.n))

@@ -80,20 +80,16 @@ def _rank_dichotomy_models(C2, depths, T=1.0):
 
 def test_acceptance_1_trace_normalization(capfd):
     with _criterion(1, "trace normalization a^2 + |b|^2 = 1", capfd):
-        # deep schedules push the inner gradient target below what the
-        # damped Newton solver can resolve on the QP; a relaxed floor
-        # does not touch the per-record coefficient normalization
         runs = [
-            (scalar_problem(), default_schedule(0.1, 15), {}),
-            (l2_example(6), default_schedule(0.1, 15), {}),
-            (equality_qp(8, 3, 0), default_schedule(0.1, 15),
-             {"inner_floor": 1e-9}),
+            (scalar_problem(), default_schedule(0.1, 15)),
+            (l2_example(6), default_schedule(0.1, 15)),
+            (equality_qp(8, 3, 0), default_schedule(0.1, 15)),
         ]
         lq = lq_endpoint_problem(50)
-        runs.append((lq, lq.extras["schedule"], {}))
+        runs.append((lq, lq.extras["schedule"]))
         checked = 0
-        for p, schedule, kw in runs:
-            _, trace = _extract(p, schedule=schedule, **kw)
+        for p, schedule in runs:
+            _, trace = _extract(p, schedule=schedule)
             for r in trace:
                 if r.phi > 0:
                     dev = abs(r.a ** 2 + r.b_norm() ** 2 - 1.0)

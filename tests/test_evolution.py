@@ -5,9 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from fcopt.evolution import (EvolutionSystem, adjoint_evolution,
-                             adjoint_midpoints, endpoint_map,
-                             maximum_principle_residual,
+from fcopt.evolution import (EvolutionSystem, _crank_nicolson,
+                             adjoint_evolution, adjoint_midpoints,
+                             endpoint_map, maximum_principle_residual,
                              simulate_variation_evolution, spike_variation)
 from fcopt.penalty import MultiplierPair
 from fcopt.spaces import Element
@@ -23,6 +23,37 @@ def test_simulate_zero_control_matrix():
     sys = EvolutionSystem(1.0, 50, np.array([[0.3]]), np.zeros((1, 1)))
     xi = simulate_variation_evolution(sys, np.ones((50, 1)))
     assert_allclose(xi, np.zeros((51, 1)))
+
+
+def test_simulate_batch_matches_single_paths():
+    # a trailing batch axis of B control paths gives the B trajectories
+    # of B single calls
+    rng = np.random.default_rng(3)
+    N, n, m, B = 25, 3, 2, 6
+    sys = EvolutionSystem(1.5, N, 0.7 * rng.standard_normal((N, n, n)),
+                          rng.standard_normal((N, n, m)))
+    w = rng.standard_normal((N, m, B))
+    xi = simulate_variation_evolution(sys, w)
+    assert xi.shape == (N + 1, n, B)
+    for b in range(B):
+        assert_allclose(xi[:, :, b], simulate_variation_evolution(sys, w[:, :, b]),
+                        rtol=1e-13, atol=1e-14)
+
+
+def test_nonzero_initial_state_pure_integration():
+    # with A = 0 the scheme is exact for piecewise-constant forcing:
+    # x_k = x0 + sum_{j<k} dt Bc_j w_j, the closed form x0 + int Bc w
+    rng = np.random.default_rng(9)
+    N, n, m, T = 40, 3, 2, 2.0
+    Bc = rng.standard_normal((N, n, m))
+    sys = EvolutionSystem(T, N, np.zeros((n, n)), Bc)
+    x0 = np.array([1.0, -0.5, 2.0])
+    w = rng.standard_normal((N, m))
+    forcing = np.einsum("kij,kj->ki", Bc, w)
+    x = _crank_nicolson(sys, x0, forcing)
+    closed = x0 + np.concatenate(
+        [np.zeros((1, n)), np.cumsum(sys.dt * forcing, axis=0)])
+    assert_allclose(x, closed, rtol=1e-13, atol=1e-13)
 
 
 def test_simulate_matrix_exponential_oracle():
@@ -178,8 +209,9 @@ def test_system_validation():
     with pytest.raises(ValueError):
         EvolutionSystem(1.0, 5, np.ones((2, 3)), np.eye(2))
     sys = EvolutionSystem(1.0, 5, np.eye(2), np.ones((2, 1)))
-    with pytest.raises(ValueError):
-        sys.reshape_control(np.ones((4, 1)))
+    for bad in (np.ones((4, 1)), np.ones((5, 2, 3)), np.ones((5, 1, 2, 2))):
+        with pytest.raises(ValueError, match="5 steps of dim 1"):
+            sys.reshape_control(bad)
     with pytest.raises(ValueError):
         adjoint_evolution(sys, 0.0, np.zeros(3))
     with pytest.raises(ValueError):

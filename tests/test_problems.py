@@ -75,8 +75,7 @@ def test_qp_builder_kkt_consistency():
 
 def _lq_cost_by_simulation(p, u):
     """Independent running-cost oracle: forward CN sweep + midpoint sums."""
-    N, T = 50, 1.0
-    dt = T / N
+    N, dt = p.extras["system"].N, p.extras["system"].dt
     n = 4
     R = np.eye(n) - 0.5 * dt * _LQ_A
     P = np.eye(n) + 0.5 * dt * _LQ_A
@@ -91,11 +90,12 @@ def _lq_cost_by_simulation(p, u):
     return J, y
 
 
-def test_lq_objective_matches_simulation_oracle():
-    p = lq_endpoint_problem()
+@pytest.mark.parametrize("N", [50, 400])
+def test_lq_objective_matches_simulation_oracle(N):
+    p = lq_endpoint_problem(N)
     rng = np.random.default_rng(8)
     for _ in range(5):
-        u = rng.standard_normal(100) * 0.5
+        u = rng.standard_normal(p.V.dim) * 0.5
         J, yN = _lq_cost_by_simulation(p, u)
         assert_allclose(p.objective(u), J, rtol=1e-10)
         # the constraint map reproduces the simulated endpoint
@@ -103,12 +103,13 @@ def test_lq_objective_matches_simulation_oracle():
                         atol=1e-10)
 
 
-def test_lq_builder_kkt_consistency():
-    p = lq_endpoint_problem()
+@pytest.mark.parametrize("N", [50, 400])
+def test_lq_builder_kkt_consistency(N):
+    p = lq_endpoint_problem(N)
     H, c, G = p.extras["H"], p.extras["c"], p.extras["endpoint_matrix"]
     lam = p.extras["kkt_multiplier"]
     ub = p.u_bar.coords
-    assert_allclose(H @ ub + c + G.T @ lam, np.zeros(100), atol=1e-10)
+    assert_allclose(H @ ub + c + G.T @ lam, np.zeros(p.V.dim), atol=1e-10)
     assert_allclose(p.constraint(ub), np.zeros(4), atol=1e-12)
     assert p.jacobian_fd_error(p.u_bar) <= 1e-5
     # reference is optimal among sampled feasible neighbors

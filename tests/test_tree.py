@@ -176,9 +176,8 @@ def test_explicit_equals_implicit_without_drift():
 
 def test_singular_step_matrix_error():
     d = 2
-    mod = _scalar_model(T=1.0, d=d, a1=float(d))  # 1 - dt*a1 = 0
     with pytest.raises(ValueError, match="deeper tree"):
-        tree_bsde_solve(mod, terminal=np.ones((4, 1)))
+        _scalar_model(T=1.0, d=d, a1=float(d))  # 1 - dt*a1 = 0
 
 
 def test_terminal_validation():
