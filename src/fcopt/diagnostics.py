@@ -75,7 +75,10 @@ class EstimateReport:
     kernel_dim : int
         Numerical kernel dimension of the adjoint (or stacked) operator.
     sigma_profile : ndarray
-        Singular values, descending.
+        Singular values, descending.  Tree-SDE reports
+        (tree.sde_estimate_constant) carry only the extremes
+        [sigma_max, sigma_min], with sigma_min 0.0 when the kernel is
+        not trivial.
     verdict : str
         One of "bounded", "growing", "inconclusive"; single-operator
         reports carry "inconclusive" (a verdict needs a sweep).

@@ -24,6 +24,21 @@ norms.  Whether C stays bounded as the tree deepens is governed by the
 rank of C2: full rank keeps it bounded, while a kernel direction r_hat
 of C2^T feeds a witness process whose terminal energy shrinks like 1/k
 although any uniform constant would have to dominate |r_hat|^2 with it.
+
+The constant is found without forming that 2^d n column map.  Its
+coefficients depend on the step and not on the node, so every node of a
+level poses the same small elimination of the map's Jordan-Wielandt form
+[[-s I, A], [A^T, -s I]]; by Sylvester's law and Haynsworth's inertia
+additivity the number of singular values below a shift s is a weighted
+sum of inertias of (n + m)-sized blocks, at O(d (n + m)^3) per shift
+(_singular_count).  Counting a batch of shifts per pass narrows
+sigma_max and sigma_min to adjacent doubles.  The count at 1e-6
+sigma_max must equal the exact kernel dimension, found level by level
+from small ranks; that certifies the numerical kernel.  A map that
+fails the certificate (ill-conditioned, not structurally deficient), or
+whose elimination is too ill-conditioned to trust, is factored densely
+up to DENSE_MAX_DIM terminal dimensions, and every result is checked
+against Rayleigh quotients of the map applied through tree_bsde_solve.
 """
 
 import numpy as np
@@ -298,62 +313,464 @@ def _estimate_matrix(model, G_mode):
     return np.vstack(blocks)
 
 
-def sde_estimate_constant(model, G_mode="phi0", cap=4096, tol=RANK_RTOL):
+# Largest terminal dimension 2^d * n the dense fallback of
+# sde_estimate_constant forms and factors.
+DENSE_MAX_DIM = 4096
+
+# The count is trusted while _elimination_condition is at most this.
+_ELIMINATION_COND_MAX = 1e4
+
+# Shifts evaluated per pass of the multisection in sde_estimate_constant.
+_SHIFTS_PER_PASS = 15
+
+# The kernel is certified by the count at this fraction of sigma_max.
+_CERTIFY_RTOL = 1e-6
+
+# Slack on the a-posteriori Rayleigh-quotient check.
+_RAYLEIGH_RTOL = 1e-10
+
+# First-pass shifts, as multiples of the smallest and of the largest
+# Rayleigh quotient.
+_LOW_GRID = 2.0 ** np.array([-12.0, -6.0, -3.0, -2.0, -1.0, -0.5, 0.0])
+_HIGH_GRID = 2.0 ** np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 6.0, 12.0])
+
+# Offsets of the shifts around an interpolated step of the count: in
+# bracket widths before the interpolation converges, and in multiples of
+# its expected error after.
+_EARLY_OFFSETS = np.array([1e-2, 1e-4])
+_LATE_OFFSETS = np.array([1e2, 1.0, 1e-2, 1e-4, 1e-6])
+
+_EPS = np.finfo(float).eps
+
+
+def _solve(Z, B):
+    """Z^-1 B per shift, for symmetric Z.
+
+    LU with partial pivoting; a Z that LU finds exactly singular (a shift
+    on a singular value) is inverted through its eigenvalues instead,
+    an exact zero one moved to the rounding level.
+    """
+    try:
+        return np.linalg.solve(Z, B)
+    except np.linalg.LinAlgError:
+        lam, Q = np.linalg.eigh(Z)
+        lam[lam == 0.0] = -_EPS * np.abs(lam).max()
+        return Q @ ((np.swapaxes(Q, 1, 2) @ B) / lam[:, :, None])
+
+
+def _pivots(model, sigmas, G_mode):
+    """Eliminate the Jordan-Wielandt form on the tree at each shift.
+
+    Returns (counts, negs, lams): counts[k] = #{sigma_i < sigmas[k]} as
+    in _singular_count; lams[k, j] the eigenvalues, ascending and padded
+    with NaN, of Z_j (j < d) and of the root block (j = d); negs[k, j]
+    how many are negative.
+    """
+    s = np.asarray(sigmas, dtype=float)
+    n, m, d, dt = model.n, model.m, model.d, model.dt
+    # per level: [E | P] with E = (I - dt A1)^T and P = -dt A2^T, so that
+    # one product gives E^T S E, P^T S E and P^T S P
+    EP = np.concatenate([np.swapaxes(model.implicit_step, 1, 2),
+                         -dt * np.swapaxes(model.A2, 1, 2)], axis=2)
+    G = model.sqrt_dt * model.C2
+    F = model.sqrt_dt * np.swapaxes(model.C1, 1, 2)
+    Z = np.empty((s.size, n + m, n + m))
+    Z[:, n:, n:] = -s[:, None, None] * np.eye(m)
+    B = np.empty((s.size, n + m, n))
+    lams = np.full((s.size, d + 1, max(n + m, 2 * n)), np.nan)
+    # leaf form -s |phi_T|^2
+    S = -s[:, None, None] * np.eye(n)
+    for j in range(d - 1, -1, -1):
+        T = EP[j].T @ (S @ EP[j])
+        Z[:, :n, :n] = T[:, n:, n:] + dt * S
+        Z[:, :n, n:] = G[j]
+        Z[:, n:, :n] = G[j].T
+        B[:, :n] = T[:, n:, :n]
+        B[:, n:] = F[j]
+        lams[:, j, :n + m] = np.linalg.eigvalsh(Z)
+        S = T[:, :n, :n] - np.swapaxes(B, 1, 2) @ _solve(Z, B)
+    if not np.isfinite(S).all():
+        raise np.linalg.LinAlgError("the tree elimination overflowed")
+    rows = (2 ** d - 1) * m
+    if G_mode == "phi0":
+        root = np.empty((s.size, 2 * n, 2 * n))
+        root[:, :n, :n] = S
+        root[:, :n, n:] = np.eye(n)
+        root[:, n:, :n] = np.eye(n)
+        root[:, n:, n:] = -s[:, None, None] * np.eye(n)
+        rows += n
+    else:
+        root = S
+    lams[:, d, :root.shape[1]] = np.linalg.eigvalsh(root)
+    negs = np.count_nonzero(lams < 0.0, axis=2)
+    return negs @ _level_weights(d) - rows, negs, lams
+
+
+def _level_weights(d):
+    """Nodes that share each block of _pivots: 2^j at level j, 1 root."""
+    return np.append(2 ** np.arange(d, dtype=np.int64), 1)
+
+
+def _elimination_condition(model):
+    """How much the elimination of _pivots may amplify rounding.
+
+    It rests on the change of variables (phi_v, sqrt(dt) Phi_v) ->
+    children's phi = E phi_v + (-sqrt(dt) A2^T +- I) sqrt(dt) Phi_v,
+    which is orthogonal up to scale when E = I and A2 = 0.  The product
+    of its condition numbers over the levels stands in for the
+    amplification: on random trees with the product below 1e4 the
+    extremes agree with a dense SVD to 1e-10 relative, and above it
+    they drift to 1e-4.
+    """
+    E = np.swapaxes(model.implicit_step, 1, 2)
+    Q = -model.sqrt_dt * np.swapaxes(model.A2, 1, 2)
+    eye = np.eye(model.n)
+    return float(np.prod(np.linalg.cond(np.block([[E, Q + eye],
+                                                  [E, Q - eye]]))))
+
+
+def _singular_count(model, sigmas, G_mode):
+    """Number of singular values of the estimate map below each shift.
+
+    The map is the one of _estimate_matrix in the mean-square norms (its
+    plain singular values times 2^(d/2)), padded with zeros to the
+    terminal dimension.  Its Jordan-Wielandt form [[-s I, A], [A^T, -s I]]
+    has rows + #{sigma_i < s} negative eigenvalues and does not square s.
+    Written in the node variables (Phi_v, y_v) -- a child's phi is
+    E phi_v - dt A2^T Phi_v +- sqrt(dt) Phi_v with E = (I - dt A1)^T --
+    the form eliminates bottom-up: every node of level j leaves the same
+    block Z_j(s) of size n + m and hands its parent the same Schur form
+    S_j(s) in phi_v.  By Sylvester's law and Haynsworth's inertia
+    additivity
+
+        #{sigma_i < s} = sum_j 2^j neg(Z_j(s)) + neg(root block) - rows,
+
+    at O(d (n + m)^3) per shift whatever 2^d is.
+
+    sigmas : (K,) positive shifts, counted together.
+    """
+    return _pivots(model, sigmas, G_mode)[0]
+
+
+def _rank_within(sig, scale, tol):
+    """rank_mask of sig against the larger of its own max and scale."""
+    return int(np.count_nonzero(rank_mask(np.append(sig, scale), tol)[:-1]))
+
+
+def _structural_kernel(model, G_mode, tol):
+    """Dimension of the exact kernel of the estimate map, level by level.
+
+    The terminal data of a level-j subtree whose outputs vanish on the
+    whole subtree span a space of dimension k_j and reach a subspace R_j
+    of the node's phi (k_d = n, R_d = R^n at a leaf).  A node whose
+    children reach R_{j+1} = range(U) poses phi_children = (U a, U b);
+    the null space of its output map on (a, b) adds to the children's
+    unreached directions, k_j = 2 k_{j+1} - rank(output), and its image
+    under phi_v is R_j.  Ranks are rank_mask decisions on matrices with
+    n or m rows, against the scale of the factors that form them, so a
+    product that cancels to rounding counts as zero.
+    """
+    n, dt, rdt = model.n, model.dt, model.sqrt_dt
+    U = np.eye(n)
+    free = n
+    for j in range(model.d - 1, -1, -1):
+        Phi_ab = np.hstack([U, -U]) / (2.0 * rdt)
+        phi_ab = np.linalg.solve(model.implicit_step[j].T,
+                                 np.hstack([U, U]) / 2.0
+                                 + dt * model.A2[j].T @ Phi_ab)
+        coef = np.hstack([model.C1[j].T, model.C2[j].T])
+        lift = np.vstack([phi_ab, Phi_ab])
+        _, sig, Vt = np.linalg.svd(coef @ lift)
+        rank = _rank_within(sig, np.linalg.norm(coef) * np.linalg.norm(lift),
+                            tol)
+        free = 2 * free - rank
+        Ur, sig, _ = np.linalg.svd(phi_ab @ Vt[rank:].T, full_matrices=False)
+        U = Ur[:, :_rank_within(sig, np.linalg.norm(phi_ab), tol)]
+    if G_mode == "phi0":
+        free -= U.shape[1]
+    return free
+
+
+def _crossing(lo, hi, level, at_lo, at_hi):
+    """Where the count reaches level in (lo, hi), by interpolation, or None.
+
+    at_lo and at_hi are the _pivots rows at the ends.  The count steps
+    where an eigenvalue of a block turns negative, by 2^j at level j and
+    by 1 at the root; between two shifts each such eigenvalue is smooth
+    unless a block count falls (a pole), and its linear interpolant
+    places its zero.  The guess is the zero at which the count so
+    interpolated reaches level.
+    """
+    if at_lo is None or at_hi is None:
+        return None
+    (count, neg_lo, lam_lo), (_, neg_hi, lam_hi) = at_lo, at_hi
+    rise = neg_hi - neg_lo
+    if np.any(rise < 0):
+        return None
+    weights = _level_weights(rise.size - 1)
+    zeros, steps = [], []
+    for j in np.flatnonzero(rise):
+        a = lam_lo[j, neg_lo[j]:neg_hi[j]]
+        b = lam_hi[j, neg_lo[j]:neg_hi[j]]
+        zeros.append(lo + (hi - lo) * (a / (a - b)))
+        steps.append(np.full(a.size, weights[j]))
+    if not zeros:
+        return None
+    zeros = np.concatenate(zeros)
+    order = np.argsort(zeros)
+    reach = count + np.cumsum(np.concatenate(steps)[order])
+    k = int(np.searchsorted(reach, level))
+    if k == reach.size:
+        return None
+    guess = zeros[order[k]]
+    return guess if lo < guess < hi else None
+
+
+def _shifts(lo, hi, guess, shrink):
+    """The shifts one pass counts inside (lo, hi), sorted and distinct.
+
+    A bracket of at most _SHIFTS_PER_PASS + 1 ulps counts every double
+    inside.  Without a guess they are geometric while hi > 2 lo and even
+    after.  With a guess from _crossing they take the guess and, while
+    the last pass shrank the bracket by less than 100x, mostly even
+    points; after that the interpolation converges quadratically, so
+    the guess is off by about width * shrink, and the shifts cluster at
+    multiples 100 ... 1e-6 of that around it.
+    """
+    width = hi - lo
+    ulp = np.spacing(lo)
+    if width <= (_SHIFTS_PER_PASS + 1) * ulp:
+        # every double inside
+        pts = lo + ulp * np.arange(1.0, _SHIFTS_PER_PASS + 1.0)
+    elif guess is None:
+        space = np.geomspace if hi > 2.0 * lo else np.linspace
+        pts = space(lo, hi, _SHIFTS_PER_PASS + 2)
+    else:
+        if shrink is None or shrink > 1e-2:
+            offs = width * _EARLY_OFFSETS
+        else:
+            offs = width * shrink * _LATE_OFFSETS
+        even = _SHIFTS_PER_PASS - 1 - 2 * offs.size
+        pts = np.concatenate([[guess], guess - offs, guess + offs,
+                              np.linspace(lo, hi, even + 2)])
+    pts = np.sort(pts[(pts > lo) & (pts < hi)])
+    return pts[np.append(True, pts[1:] > pts[:-1])]
+
+
+def _row(pivots, k):
+    """The _pivots data of shift k."""
+    return tuple(part[k] for part in pivots)
+
+
+class _Bracket:
+    """count(lo) < level <= count(hi), with the _pivots rows at the ends
+    (None where not counted) and the width ratio of the last pass."""
+
+    def __init__(self, lo, hi, level, at_lo, at_hi):
+        self.lo, self.hi, self.level = lo, hi, level
+        self.at_lo, self.at_hi = at_lo, at_hi
+        self.shrink = None
+
+    def shifts(self):
+        if np.nextafter(self.lo, np.inf) >= self.hi:
+            return np.empty(0)
+        guess = _crossing(self.lo, self.hi, self.level, self.at_lo,
+                          self.at_hi)
+        return _shifts(self.lo, self.hi, guess, self.shrink)
+
+    def narrow(self, pts, pivots, at):
+        """Move the ends to the counted shifts pts (rows at + k)."""
+        width = self.hi - self.lo
+        above = pivots[0][at:at + pts.size] >= self.level
+        i = int(np.argmax(above)) if above.any() else pts.size
+        if i > 0:
+            self.lo, self.at_lo = pts[i - 1], _row(pivots, at + i - 1)
+        if i < pts.size:
+            self.hi, self.at_hi = pts[i], _row(pivots, at + i)
+        self.shrink = (self.hi - self.lo) / width
+
+
+def _multisect(model, G_mode, brackets):
+    """Narrow each _Bracket to adjacent doubles.
+
+    Every pass counts the shifts of all open brackets in one _pivots
+    call.
+    """
+    while True:
+        grids = [br.shifts() for br in brackets]
+        if not any(g.size for g in grids):
+            return
+        pivots = _pivots(model, np.concatenate(grids), G_mode)
+        at = 0
+        for br, pts in zip(brackets, grids):
+            if pts.size:
+                br.narrow(pts, pivots, at)
+            at += pts.size
+
+
+def _rayleigh_quotients(model, G_mode, batch=4):
+    """|A x| / |x| of the estimate map on a fixed-seed batch of terminals.
+
+    Applies the map itself: tree_bsde_solve on the batch, then
+    output_process, in the mean-square norms.
+    """
+    rng = np.random.default_rng(0)
+    term = rng.standard_normal((model.leaf_count, model.n, batch))
+    phi, Phi = tree_bsde_solve(model, terminal=term)
+    # batch axis first so that output_process multiplies per node
+    first = [np.moveaxis(p, -1, 0) for p in phi]
+    outs = output_process(model, first, [np.moveaxis(p, -1, 0) for p in Phi])
+    energy = sum(model.dt * np.mean(np.sum(out ** 2, axis=2), axis=1)
+                 for out in outs)
+    if G_mode == "phi0":
+        energy = energy + np.sum(first[0][:, 0] ** 2, axis=1)
+    return np.sqrt(energy / np.mean(np.sum(term ** 2, axis=1), axis=0))
+
+
+def _count_extremes(model, G_mode, rq, tol):
+    """(sigma_max, sigma_min, kernel) from counts, or None if uncertified.
+
+    ``rq`` are Rayleigh quotients of the map, so they lie in
+    [sigma_min, sigma_max]; the first pass counts shifts around the
+    smallest and the largest of them, fine near and coarse away.
+    """
+    dim = model.leaf_count * model.n
+    low = rq.min() if rq.min() > 0.0 else rq.max()
+    grid = np.unique(np.concatenate([low * _LOW_GRID, rq.max() * _HIGH_GRID]))
+    pivots = _pivots(model, grid, G_mode)
+    i = int(np.argmax(pivots[0] >= dim))
+    if i == 0:
+        # sigma_max outside (grid[0], grid[-1]]: a Rayleigh quotient
+        # 4096 times below it is as unlikely as a wrong count
+        return None
+    brackets = [_Bracket(grid[i - 1], grid[i], dim, _row(pivots, i - 1),
+                         _row(pivots, i))]
+    kernel = _structural_kernel(model, G_mode, tol)
+    if kernel == 0:
+        # once certified below, sigma_min >= 1e-6 sigma_max
+        k = int(np.argmax(pivots[0] >= 1))
+        if k > 0:
+            brackets.append(_Bracket(grid[k - 1], grid[k], 1,
+                                     _row(pivots, k - 1), _row(pivots, k)))
+        elif grid[0] > _CERTIFY_RTOL * grid[i - 1]:
+            brackets.append(_Bracket(_CERTIFY_RTOL * grid[i - 1], grid[0], 1,
+                                     None, _row(pivots, 0)))
+        else:
+            # sigma_min < grid[0] <= 1e-6 sigma_max: no certificate
+            return None
+    _multisect(model, G_mode, brackets)
+    smax = brackets[0].lo
+    floor = np.array([_CERTIFY_RTOL * smax])
+    if _singular_count(model, floor, G_mode)[0] != kernel:
+        return None
+    return smax, (brackets[1].lo if kernel == 0 else 0.0), kernel
+
+
+def _dense_extremes(model, G_mode, tol):
+    """(sigma_max, sigma_min, kernel) from the SVD of _estimate_matrix."""
+    dim = model.leaf_count * model.n
+    sig = np.linalg.svd(_estimate_matrix(model, G_mode), compute_uv=False)
+    # terminal gram is 2^-d * identity: rescale plain singular values;
+    # fewer rows than terminal dimensions leave structural zeros
+    sig = np.sqrt(float(model.leaf_count)) * sig
+    kernel = dim - int(np.count_nonzero(rank_mask(sig, tol)))
+    smax = float(sig[0]) if sig.size else 0.0
+    return smax, (0.0 if kernel else float(sig[-1])), kernel
+
+
+def sde_estimate_constant(model, G_mode="phi0", tol=RANK_RTOL):
     """Best constant C with |phi_T| <= C |(output process, phi(0))|.
 
-    Builds the linear map phi_T -> (sqrt(dt 2^-j)-weighted outputs
+    The linear map phi_T -> (sqrt(dt 2^-j)-weighted outputs
     C1^T phi + C2^T Phi at every node, and with G_mode "phi0" the extra
-    block phi(0)) on the 2^d * n dimensional terminal space, and returns
-    C = 1 / sigma_min of that map; phi_T carries the mean-square norm
-    (leaf weight 2^-d).  A numerically rank-deficient map means the
-    estimate fails on a subspace: the constant is reported as inf
-    together with the kernel dimension.
+    block phi(0)) acts on the 2^d * n dimensional terminal space, with
+    phi_T in the mean-square norm (leaf weight 2^-d); C = 1 / sigma_min
+    of that map.  A numerically rank-deficient map means the estimate
+    fails on a subspace: the constant is reported as inf together with
+    the kernel dimension.
+
+    The map is never formed.  _singular_count counts its singular values
+    below a batch of shifts by inertia on the tree; sigma_max (and
+    sigma_min) are bracketed around Rayleigh quotients of the map and
+    multisected to adjacent doubles, about 15 shifts per pass.  The
+    count at 1e-6 sigma_max must equal the exact kernel dimension of
+    _structural_kernel; that certifies the numerical kernel at
+    tol * sigma_max (tol < 1e-6) as the same number, and a trivial
+    kernel then has sigma_min >= 1e-6 sigma_max.  Two kinds of map take
+    the dense SVD of _estimate_matrix instead, up to DENSE_MAX_DIM
+    terminal dimensions (ValueError beyond): one that fails the
+    certificate (ill-conditioned, not structurally deficient), and one
+    whose tree elimination would amplify rounding too much to be trusted
+    (_elimination_condition above 1e4: a near-singular implicit step or
+    a strong noise coefficient A2).  Last, the map is applied through
+    tree_bsde_solve and output_process to a fixed-seed batch of
+    terminals, and every Rayleigh quotient must lie in
+    [sigma_min, sigma_max] up to a relative 1e-10 (RuntimeError
+    otherwise).
 
     Parameters
     ----------
     model : TreeModel
     G_mode : str
         "phi0" includes the phi(0) block, "none" drops it.
-    cap : int
-        Resource guard on the terminal dimension 2^d * n.
     tol : float
-        Relative rank cutoff.
+        Relative rank cutoff, in (0, 1e-6).
+
+    Returns
+    -------
+    EstimateReport
+        sigma_profile is [sigma_max, sigma_min]; sigma_min is 0.0 when
+        the kernel is not trivial.
     """
     if G_mode not in ("phi0", "none"):
         raise ValueError("G_mode must be 'phi0' or 'none', got %r" % G_mode)
+    if not 0.0 < tol < _CERTIFY_RTOL:
+        raise ValueError("tol must lie in (0, %g), got %r"
+                         % (_CERTIFY_RTOL, tol))
     dim = model.leaf_count * model.n
-    if dim > cap:
-        raise ValueError(
-            "terminal space dimension 2^d * n = %d exceeds the cap %d; "
-            "use a smaller depth" % (dim, cap))
-    mat = _estimate_matrix(model, G_mode)
-    sig = np.linalg.svd(mat, compute_uv=False)
-    if sig.size < dim:
-        # fewer output rows than terminal dimensions: the remaining
-        # singular values are structural zeros
-        sig = np.concatenate([sig, np.zeros(dim - sig.size)])
-    # terminal gram is 2^-d * identity: rescale plain singular values
-    sig = sig * np.sqrt(float(model.leaf_count))
-    smax = sig[0] if sig.size else 0.0
-    kernel = dim - int(np.sum(rank_mask(sig, tol)))
+    rq = _rayleigh_quotients(model, G_mode)
+    found = None
+    if (rq.max() > 0.0
+            and _elimination_condition(model) <= _ELIMINATION_COND_MAX):
+        try:
+            with np.errstate(all="ignore"):
+                found = _count_extremes(model, G_mode, rq, tol)
+        except np.linalg.LinAlgError:
+            found = None
+    if found is None:
+        if dim > DENSE_MAX_DIM:
+            raise ValueError(
+                "the singular-value count of the depth-%d estimate map is "
+                "not certified (an ill-conditioned map or tree elimination) "
+                "and its terminal dimension %d exceeds the dense limit %d; "
+                "use a smaller depth"
+                % (model.d, dim, DENSE_MAX_DIM))
+        found = _dense_extremes(model, G_mode, tol)
+    smax, smin, kernel = found
+    if (np.any(rq > smax * (1.0 + _RAYLEIGH_RTOL))
+            or np.any(rq < smin * (1.0 - _RAYLEIGH_RTOL))):
+        raise RuntimeError(
+            "Rayleigh quotients [%.17g, %.17g] of the estimate map fall "
+            "outside its counted singular values [%.17g, %.17g]"
+            % (rq.min(), rq.max(), smin, smax))
     if kernel > 0:
         constant = np.inf
         note = ("output map is rank deficient on the terminal space; "
                 "no finite constant exists at this depth")
     else:
-        constant = 1.0 / sig[-1]
+        constant = 1.0 / smin
         note = ""
     return EstimateReport(
         constant=constant,
         kernel_dim=kernel,
-        sigma_profile=sig,
+        sigma_profile=[smax, smin],
         verdict="inconclusive",
         note=note,
         extras={"G_mode": G_mode, "depth": model.d, "dim": dim,
-                "sigma_min": float(sig[-1]), "sigma_max": float(smax)})
+                "sigma_min": smin, "sigma_max": smax})
 
 
-def sde_estimate_sweep(models, G_mode="phi0", cap=4096, growth_factor=2.0):
+def sde_estimate_sweep(models, G_mode="phi0", growth_factor=2.0):
     """Estimate constants over trees of increasing depth plus a verdict.
 
     Parameters
@@ -372,7 +789,7 @@ def sde_estimate_sweep(models, G_mode="phi0", cap=4096, growth_factor=2.0):
     """
     def build(mod):
         return (mod.leaf_count * mod.n,
-                sde_estimate_constant(mod, G_mode=G_mode, cap=cap))
+                sde_estimate_constant(mod, G_mode=G_mode))
 
     return _sweep(models, build, growth_factor, "depths",
                   key=lambda mod: mod.d)

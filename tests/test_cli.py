@@ -162,6 +162,15 @@ def test_example_sde_rank_identity(tmp_path):
     assert payload["results"]["verdict"] == "bounded"
 
 
+@pytest.mark.parametrize("c2", ["identity", "deficient"])
+def test_example_sde_rank_deepest_documented_depths(tmp_path, c2):
+    rc = main(["example", "sde-rank", "--set", "depths=12,13,14", "--c2",
+               c2, "--out", str(tmp_path / "r.json")])
+    assert rc == 0
+    payload = json.loads((tmp_path / "r.json").read_text())
+    assert payload["passed"] is True
+
+
 def test_example_criterion_failure_exit_1(tmp_path, capsys):
     # forcing the bounded criteria onto a short-horizon sweep must fail
     rc = main(["example", "wave-obs", "--modes", "8,16,32", "--T", "0.2",

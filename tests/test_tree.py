@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fcopt.tree as tree
+from fcopt.spaces import rank_mask
 from fcopt.tree import (TreeModel, rank_deficiency_witness,
                         sde_duality_residual, sde_estimate_constant,
                         sde_estimate_sweep, simulate_variation_tree,
@@ -265,15 +267,21 @@ def test_estimate_isometry_full_noise_injection():
     mod = TreeModel(1.0, 5, _Z2, _Z2, _Z2, np.eye(2))
     rep = sde_estimate_constant(mod, G_mode="phi0")
     assert_allclose(rep.constant, 1.0, rtol=1e-10)
-    assert_allclose(rep.sigma_profile, np.ones(64), rtol=1e-10)
+    # sigma_max = sigma_min = 1: all 64 singular values are one
+    assert_allclose(rep.sigma_profile, [1.0, 1.0], rtol=1e-10)
 
 
 def test_estimate_cap_and_mode_validation():
     mod = TreeModel(1.0, 4, _Z2, _Z2, _Z2, np.eye(2))
-    with pytest.raises(ValueError, match="smaller depth"):
-        sde_estimate_constant(mod, cap=16)
     with pytest.raises(ValueError, match="G_mode"):
         sde_estimate_constant(mod, G_mode="phi-zero")
+
+
+def test_estimate_tol_validation():
+    mod = TreeModel(1.0, 3, _Z2, _Z2, _Z2, np.eye(2))
+    for tol in (0.0, 1e-6, 1e-3):
+        with pytest.raises(ValueError, match="tol"):
+            sde_estimate_constant(mod, tol=tol)
 
 
 def _dichotomy_models(C2, depths):
@@ -309,6 +317,131 @@ def test_sweep_validation():
     bad = _dichotomy_models(np.eye(2), [4, 4, 5])
     with pytest.raises(ValueError, match="increasing"):
         sde_estimate_sweep(bad)
+
+
+def _oracle_model(seed):
+    """n, m in 1..3, depth <= 7, per-step or constant coefficients, C1
+    zero or not, and an exactly zero C2 column in some draws."""
+    rng = np.random.default_rng(seed)
+    d, n, m = (int(v) for v in rng.integers([1, 1, 1], [8, 4, 4]))
+    per_step = rng.random() < 0.5
+
+    def draw(rows, cols):
+        return 0.5 * rng.standard_normal((d, rows, cols) if per_step
+                                         else (rows, cols))
+
+    A1, A2, C1, C2 = draw(n, n), draw(n, n), draw(n, m), draw(n, m)
+    if rng.random() < 0.3:
+        C1 = np.zeros_like(C1)
+    if rng.random() < 0.3:
+        C2[..., int(rng.integers(m))] = 0.0
+    return TreeModel(1.0, d, A1, A2, C1, C2)
+
+
+def _dense_sigma(model, G_mode):
+    """All 2^d n singular values from the dense map, zero-padded."""
+    sig = np.linalg.svd(tree._estimate_matrix(model, G_mode),
+                        compute_uv=False) * np.sqrt(model.leaf_count)
+    dim = model.leaf_count * model.n
+    return np.concatenate([sig, np.zeros(dim - sig.size)])
+
+
+def _assert_matches_dense(rep, sig):
+    kernel = sig.size - int(np.sum(rank_mask(sig)))
+    assert rep.kernel_dim == kernel
+    assert_allclose(rep.sigma_profile[0], sig[0], rtol=1e-10)
+    if kernel:
+        assert rep.infinite and rep.sigma_profile[1] == 0.0
+    else:
+        assert_allclose(rep.constant, 1.0 / sig[-1], rtol=1e-10)
+
+
+@pytest.mark.parametrize("G_mode", ["phi0", "none"])
+def test_estimate_matches_dense_oracle_random_family(G_mode):
+    for seed in range(60):
+        mod = _oracle_model(seed)
+        _assert_matches_dense(sde_estimate_constant(mod, G_mode=G_mode),
+                              _dense_sigma(mod, G_mode))
+
+
+@pytest.mark.parametrize("C2", [np.eye(2), np.diag([1.0, 0.0])])
+@pytest.mark.parametrize("G_mode", ["phi0", "none"])
+def test_estimate_matches_dense_oracle_dichotomy(C2, G_mode):
+    for mod in _dichotomy_models(C2, range(3, 9)):
+        _assert_matches_dense(sde_estimate_constant(mod, G_mode=G_mode),
+                              _dense_sigma(mod, G_mode))
+
+
+def test_singular_count_matches_dense_count():
+    for seed in range(20):
+        mod = _oracle_model(seed)
+        for G_mode in ("phi0", "none"):
+            sig = np.sort(_dense_sigma(mod, G_mode))
+            # midpoints of gaps wider than 1e-6 sigma_max, and above all
+            gap = np.diff(sig) > 1e-6 * sig[-1]
+            shifts = np.append((sig[1:] + sig[:-1])[gap] / 2.0,
+                               1.5 * sig[-1])
+            shifts = shifts[shifts > 0.0]
+            want = np.searchsorted(sig, shifts)
+            assert_allclose(tree._singular_count(mod, shifts, G_mode), want,
+                            atol=0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_ill_conditioned_map_takes_dense_fallback(d, monkeypatch):
+    # C2 = 1e-7: no structural kernel, but singular values below 1e-6
+    # sigma_max, so the count is not certified
+    one = np.array([[1.0]])
+    mod = TreeModel(1.0, d, 0.3 * one, 0.2 * one, one, 1e-7 * one)
+    built = []
+    dense = tree._estimate_matrix
+    monkeypatch.setattr(tree, "_estimate_matrix",
+                        lambda *a: built.append(1) or dense(*a))
+    rep = sde_estimate_constant(mod)
+    assert built == [1]
+    smax, smin, kernel = tree._dense_extremes(mod, "phi0", tree.RANK_RTOL)
+    assert rep.kernel_dim == kernel
+    assert list(rep.sigma_profile) == [smax, smin]
+    _assert_matches_dense(rep, _dense_sigma(mod, "phi0"))
+
+
+def test_ill_conditioned_elimination_takes_dense_fallback(monkeypatch):
+    # a strong multiplicative noise makes the change of variables behind
+    # the count too ill-conditioned to trust it
+    one = np.array([[1.0]])
+    mod = TreeModel(1.0, 3, 0.3 * one, 60.0 * one, one, one)
+    assert tree._elimination_condition(mod) > tree._ELIMINATION_COND_MAX
+    want = {G_mode: _dense_sigma(mod, G_mode) for G_mode in ("phi0", "none")}
+    built = []
+    dense = tree._estimate_matrix
+    monkeypatch.setattr(tree, "_estimate_matrix",
+                        lambda *a: built.append(1) or dense(*a))
+    for G_mode, sig in want.items():
+        _assert_matches_dense(sde_estimate_constant(mod, G_mode=G_mode), sig)
+    assert len(built) == 2
+
+
+def test_uncertified_beyond_dense_limit_raises():
+    mod = TreeModel(1.0, 12, _Z2, _Z2, _Z2, np.diag([1.0, 1e-8]))
+    assert mod.leaf_count * mod.n > tree.DENSE_MAX_DIM
+    with pytest.raises(ValueError, match="dense limit"):
+        sde_estimate_constant(mod)
+
+
+def test_estimate_deep_trees_without_dense_path(monkeypatch):
+    monkeypatch.setattr(tree, "_estimate_matrix", None)
+    for C2, kernels in [(np.eye(2), [0, 0, 0]),
+                        (np.diag([1.0, 0.0]), [4095, 8191, 16383])]:
+        swept = sde_estimate_sweep(_dichotomy_models(C2, [12, 13, 14]))
+        assert swept.kernel_dims == kernels
+
+
+def test_rayleigh_check_rejects_wrong_extremes(monkeypatch):
+    mod = TreeModel(1.0, 4, _Z2, _Z2, _Z2, np.eye(2))
+    monkeypatch.setattr(tree, "_count_extremes",
+                        lambda *a: (0.5, 0.25, 0))
+    with pytest.raises(RuntimeError, match="Rayleigh"):
+        sde_estimate_constant(mod)
 
 
 def test_witness_ito_isometry_exact():
