@@ -76,8 +76,8 @@ def _cmd_solve(args):
     eps0 = float(params["eps0"])
     steps = int(params["steps"])
     seed = int(params["seed"])
-    if not 0 < eps0 <= 1.0:
-        raise ValueError("eps0 must lie in (0, 1]")
+    if not 0 < eps0 < 1.0:
+        raise ValueError("eps0 must lie in (0, 1)")
     if not 2 <= steps <= 200:
         raise ValueError("steps must lie in [2, 200]")
 
@@ -279,7 +279,7 @@ def _build_parser():
     ps.add_argument("--problem", required=True,
                     help="problem name or key=value config file")
     ps.add_argument("--eps0", type=float, default=None,
-                    help="initial schedule value (default 0.1)")
+                    help="initial schedule value in (0, 1) (default 0.1)")
     ps.add_argument("--steps", type=int, default=None,
                     help="number of schedule values, halved successively "
                          "(default 15)")
@@ -309,7 +309,7 @@ def _build_parser():
                     help="mesh size (or comma list of mesh levels)")
     pe.add_argument("--T", type=float, default=None, help="time horizon")
     pe.add_argument("--eps0", type=float, default=None,
-                    help="initial schedule value")
+                    help="initial schedule value in (0, 1)")
     pe.add_argument("--steps", type=int, default=None,
                     help="number of schedule values")
     pe.add_argument("--seed", type=int, default=None, help="generator seed")

@@ -6,12 +6,12 @@ vector w with pairing action <w, y> = w' y; for the distance function at an
 infeasible point this is w = G (x - Px) / dist, which has unit dual norm.
 
 Normal-cone and radial-cone questions are answered by deterministic sampling
-(scrambled Sobol points, fixed seed), never by exact polyhedral algebra.
+(a seeded R_d Kronecker sequence), never by exact polyhedral algebra.
 """
 
 import numpy as np
 
-from .spaces import Element, norm, dual_norm, pairing
+from .spaces import Element, _is_diagonal, norm, dual_norm, pairing
 
 __all__ = [
     "ConvexSet",
@@ -34,19 +34,21 @@ __all__ = [
 _MEMBERSHIP_TOL = 1e-8
 
 
-def _is_diagonal(m):
-    return np.count_nonzero(m - np.diag(np.diag(m))) == 0
+def _kronecker(dim, count, seed):
+    """Deterministic quasi-random points in [0,1)^dim: a shifted R_d sequence.
 
-
-def _sobol(dim, count, seed):
-    """Deterministic quasi-random points in [0,1)^dim (power-of-two draw)."""
-    # deferred: scipy.stats is the slowest import fcopt has and only the
-    # variation sample needs it, so commands that never sample skip it
-    from scipy.stats import qmc
-
-    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    n = 1 << max(int(np.ceil(np.log2(max(count, 1)))), 0)
-    return eng.random(n)[:count]
+    Point k is frac(shift + k * alpha) with alpha_j = phi^-j, j = 1..dim,
+    where phi is the positive root of x^(dim+1) = x + 1 (Roberts 2018, "The
+    unreasonable effectiveness of quasirandom sequences"); the
+    Cranley-Patterson shift is drawn from ``seed``.
+    """
+    phi = 2.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    alpha = phi ** -np.arange(1.0, dim + 1)
+    shift = np.random.default_rng(seed).random(dim)
+    k = np.arange(1, max(int(count), 0) + 1, dtype=float)[:, None]
+    return (shift + k * alpha) % 1.0
 
 
 class ConvexSet:
@@ -111,7 +113,7 @@ class NonnegativeCone(ConvexSet):
         dim = self.space.dim
         extremes = [np.zeros(dim)]
         extremes += [radius * row for row in np.eye(dim)]
-        body = radius * _sobol(dim, max(count - len(extremes), 0), seed)
+        body = radius * _kronecker(dim, max(count - len(extremes), 0), seed)
         return np.vstack([np.asarray(extremes), body])[:count]
 
 
@@ -149,7 +151,7 @@ class Box(ConvexSet):
                 if len(verts) >= count:
                     break
         body_n = max(count - len(verts), 0)
-        body = self.lo + (self.hi - self.lo) * _sobol(dim, body_n, seed)
+        body = self.lo + (self.hi - self.lo) * _kronecker(dim, body_n, seed)
         pts = np.vstack([np.asarray(verts), body]) if verts else body
         return pts[:count]
 
@@ -195,7 +197,7 @@ class AffineSubspace(ConvexSet):
             extremes.append(self.offset + radius * col)
             extremes.append(self.offset - radius * col)
         body_n = max(count - len(extremes), 0)
-        coeff = radius * (2.0 * _sobol(k, body_n, seed) - 1.0)
+        coeff = radius * (2.0 * _kronecker(k, body_n, seed) - 1.0)
         body = self.offset + coeff @ self.basis.T
         pts = np.vstack([np.asarray(extremes), body]) if extremes else body
         return pts[:count]
@@ -217,7 +219,7 @@ class WholeSpace(ConvexSet):
             extremes.append(center + radius * row)
             extremes.append(center - radius * row)
         body_n = max(count - len(extremes), 0)
-        body = center + radius * (2.0 * _sobol(dim, body_n, seed) - 1.0)
+        body = center + radius * (2.0 * _kronecker(dim, body_n, seed) - 1.0)
         pts = np.vstack([np.asarray(extremes), body]) if extremes else body
         return pts[:count]
 
@@ -314,7 +316,7 @@ def tangent_cone_sample(E, e, count, seed=0, radius=10.0):
     """
     ecoords = e.coords if isinstance(e, Element) else np.asarray(e, dtype=float)
     pts = E._samples(count, seed + 1, radius, ecoords)
-    alphas = _sobol(1, count, seed + 2)[:, 0]
+    alphas = _kronecker(1, count, seed + 2)[:, 0]
     out = []
     for pt, alpha in zip(pts, alphas):
         d = pt - ecoords

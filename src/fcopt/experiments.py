@@ -273,7 +273,7 @@ def _run_l2_fritz_john(params):
     dim = int(params["dim"])
     _need(dim >= 4, "dim must be >= 4")
     eps0 = float(params["eps0"])
-    _need(0 < eps0 <= 1.0, "eps0 must lie in (0, 1]")
+    _need(0 < eps0 < 1.0, "eps0 must lie in (0, 1)")
     steps = int(params["steps"])
     _need(2 <= steps <= 200, "steps must lie in [2, 200]")
     samples = int(params["samples"])
@@ -321,7 +321,7 @@ def _run_lq_endpoint(params):
     T = float(params["T"])
     _need(T > 0, "T must be positive")
     eps0 = float(params["eps0"])
-    _need(0 < eps0 <= 1.0, "eps0 must lie in (0, 1]")
+    _need(0 < eps0 < 1.0, "eps0 must lie in (0, 1)")
     steps = int(params["steps"])
     _need(2 <= steps <= 200, "steps must lie in [2, 200]")
     seed = int(params["seed"])
@@ -422,6 +422,9 @@ def _run_sde_rank(params):
     T = float(params["T"])
     _need(T > 0, "T must be positive")
     g_mode = str(params["g_mode"])
+    # without the phi(0) block constant terminal data span a kernel at every
+    # depth, so the criteria below (trivial kernels for C2 = I) cannot hold
+    _need(g_mode == "phi0", "g_mode must be 'phi0'")
 
     models = _rank_models(depths, c2, seed, scale, T)
     swept = sde_estimate_sweep(models, G_mode=g_mode)

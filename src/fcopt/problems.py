@@ -19,13 +19,12 @@ attached as ``p.u_bar`` (an Element) and oracle data in ``p.extras``:
 """
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .convex import Singleton
 from .evolution import (EvolutionSystem, _crank_nicolson, endpoint_map,
                         simulate_variation_evolution)
 from .penalty import ConstrainedProblem, default_schedule
-from .spaces import Element, SpaceDescriptor
+from .spaces import Element, SpaceDescriptor, rank_mask
 
 __all__ = [
     "scalar_problem",
@@ -33,6 +32,19 @@ __all__ = [
     "equality_qp",
     "lq_endpoint_problem",
 ]
+
+
+def null_space(A):
+    """Orthonormal basis of the null space of A, as columns, from its SVD.
+
+    A singular value counts as zero when it is at most
+    eps * max(A.shape) times the largest one, the cutoff of
+    ``scipy.linalg.null_space``.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    rank = np.count_nonzero(rank_mask(s, np.finfo(float).eps * max(A.shape)))
+    return vh[rank:].T
 
 
 def scalar_problem():

@@ -13,7 +13,6 @@ and singular values are always taken in the gram-induced geometry.
 import re
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 __all__ = [
     "RANK_RTOL",
@@ -33,6 +32,36 @@ __all__ = [
 
 # numerical rank cutoff: singular values <= RANK_RTOL * sigma_max count as zero
 RANK_RTOL = 1e-10
+
+# diagonal block size of the triangular substitution: large enough that the
+# off-diagonal updates run as matrix products, small enough that the LU of a
+# diagonal block costs little next to them
+_TRI_BLOCK = 64
+
+
+def _is_diagonal(m):
+    # no nonzero off the diagonal; counts without forming m - diag(m)
+    return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
+
+
+def _solve_triangular(t, b, lower):
+    """Solve t x = b for a square triangular t by blocked substitution.
+
+    b is a vector or a matrix of right-hand sides.  Each block row first
+    subtracts the already solved blocks with one matrix product, then
+    solves its own diagonal block with ``np.linalg.solve``.
+    """
+    n = t.shape[0]
+    x = np.array(b, dtype=float)
+    starts = range(0, n, _TRI_BLOCK)
+    for i in (starts if lower else reversed(starts)):
+        j = min(i + _TRI_BLOCK, n)
+        if lower and i > 0:
+            x[i:j] -= t[i:j, :i] @ x[:i]
+        elif not lower and j < n:
+            x[i:j] -= t[i:j, j:] @ x[j:]
+        x[i:j] = np.linalg.solve(t[i:j, i:j], x[i:j])
+    return x
 
 
 class SpaceDescriptor:
@@ -65,13 +94,23 @@ class SpaceDescriptor:
         if scale == 0.0 or np.abs(gram - gram.T).max() > 1e-12 * max(scale, 1.0):
             raise ValueError("gram of space %r is not symmetric" % self.name)
         self.gram = 0.5 * (gram + gram.T)
-        try:
-            # lower Cholesky factor; existence certifies positive definiteness
-            self._chol = np.linalg.cholesky(self.gram)
-        except np.linalg.LinAlgError:
-            raise ValueError(
-                "gram of space %r is not positive definite" % self.name
-            ) from None
+        # a diagonal gram (identity, lumped mass) has the square root of its
+        # diagonal as Cholesky factor, and every solve with it is a division
+        self._chol_diag = None
+        if _is_diagonal(self.gram):
+            d = np.diagonal(self.gram)
+            if np.all(d > 0.0):
+                self._chol_diag = np.sqrt(d)
+                self._chol = np.diag(self._chol_diag)
+        if self._chol_diag is None:
+            try:
+                # lower Cholesky factor; existence certifies positive
+                # definiteness
+                self._chol = np.linalg.cholesky(self.gram)
+            except np.linalg.LinAlgError:
+                raise ValueError(
+                    "gram of space %r is not positive definite" % self.name
+                ) from None
 
     @property
     def chol_lower(self):
@@ -88,7 +127,26 @@ class SpaceDescriptor:
 
     def apply_gram_inverse(self, coords):
         """Return G^-1 phi for a coordinate array."""
-        return cho_solve((self._chol, True), np.asarray(coords, dtype=float))
+        return self._factor_solve(self._factor_solve(coords), transpose=True)
+
+    def _diag_rows(self, coords):
+        # the diagonal factor shaped to scale the rows of coords
+        return self._chol_diag.reshape((-1,) + (1,) * (coords.ndim - 1))
+
+    def _factor_solve(self, coords, transpose=False):
+        """Solve L y = x (or L' y = x with ``transpose``) for y."""
+        coords = np.asarray(coords, dtype=float)
+        if self._chol_diag is not None:
+            return coords / self._diag_rows(coords)
+        if transpose:
+            return _solve_triangular(self._chol.T, coords, lower=False)
+        return _solve_triangular(self._chol, coords, lower=True)
+
+    def _factor_transpose_apply(self, coords):
+        """Return L' x."""
+        if self._chol_diag is not None:
+            return coords * self._diag_rows(coords)
+        return self._chol.T @ coords
 
     def element(self, coords):
         """Wrap a coordinate array as an Element of this space."""
@@ -232,22 +290,18 @@ def singular_triplets(F, compute_uv=True):
     1-D ndarray of length min(domain.dim, codomain.dim), with no vectors
     formed and none un-whitened.
     """
-    lv = F.domain.chol_lower
-    lx = F.codomain.chol_lower
     # M L_dom'^-1  ==  solve (L_dom X' = M') transposed
-    tmp = solve_triangular(lv, F.matrix.T, lower=True).T
-    c = lx.T @ tmp
+    tmp = F.domain._factor_solve(F.matrix.T).T
+    c = F.codomain._factor_transpose_apply(tmp)
     if not compute_uv:
         return np.linalg.svd(c, compute_uv=False)
     u, s, wt = np.linalg.svd(c, full_matrices=False)
-    triplets = []
-    for i in range(s.size):
-        left = solve_triangular(lx.T, u[:, i], lower=False)
-        right = solve_triangular(lv.T, wt[i, :], lower=False)
-        triplets.append((float(s[i]),
-                         Element(left, F.codomain),
-                         Element(right, F.domain)))
-    return triplets
+    lefts = F.codomain._factor_solve(u, transpose=True)
+    rights = F.domain._factor_solve(wt.T, transpose=True)
+    return [(float(s[i]),
+             Element(lefts[:, i], F.codomain),
+             Element(rights[:, i], F.domain))
+            for i in range(s.size)]
 
 
 _STIFF_RE = re.compile(r"^stiffness1d\(\s*([0-9.eE+-]+)\s*\)$")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fcopt.cli import main
+from fcopt.penalty import default_schedule
 
 
 # -------------------------------------------------------------------- list
@@ -81,6 +82,19 @@ def test_solve_bad_eps0(tmp_path):
     rc = main(["solve", "--problem", "scalar", "--eps0", "3.0",
                "--out", str(tmp_path / "t.json")])
     assert rc == 2
+
+
+def test_eps0_one_rejected_up_front(tmp_path, capsys):
+    # the penalty schedule lives in (0, 1); its closed end is refused
+    # before any work, with the range every check states
+    for args in (["solve", "--problem", "scalar"],
+                 ["example", "l2-fritz-john"], ["example", "lq-endpoint"]):
+        out = tmp_path / "t.json"
+        assert main(args + ["--eps0", "1", "--out", str(out)]) == 2
+        assert "eps0 must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        default_schedule(1.0)
 
 
 # ---------------------------------------------------------------- diagnose
@@ -171,6 +185,16 @@ def test_example_sde_rank_deepest_documented_depths(tmp_path, c2):
     assert payload["passed"] is True
 
 
+@pytest.mark.parametrize("c2", ["identity", "deficient"])
+def test_example_sde_rank_rejects_g_mode_up_front(tmp_path, c2):
+    out = tmp_path / "r.json"
+    rc = main(["example", "sde-rank", "--set", "g_mode=none", "--c2", c2,
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_example_criterion_failure_exit_1(tmp_path, capsys):
     # forcing the bounded criteria onto a short-horizon sweep must fail
     rc = main(["example", "wave-obs", "--modes", "8,16,32", "--T", "0.2",
@@ -232,15 +256,35 @@ def test_installed_entry_point():
     assert "wave-obs" in proc.stdout
 
 
-def test_cli_import_leaves_optional_scipy_unloaded():
-    # scipy.stats and scipy.optimize are imported where they are used, so
-    # start-up and a run that never samples variations do not load them
-    code = ("import sys, fcopt.cli\n"
-            "from fcopt.experiments import run_experiment\n"
-            "run_experiment('elliptic-l2')\n"
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize')\n"
-            "             if m in sys.modules))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=_checkout_env())
+# the 15 commands a user types most: list, every solve problem, every
+# diagnose family and every example at its defaults
+COLD_COMMANDS = (
+    [["list"]]
+    + [["solve", "--problem", p]
+       for p in ("scalar", "l2-fritz-john", "equality-qp", "lq-endpoint")]
+    + [["diagnose", "--family", f]
+       for f in ("diag", "elliptic-l2", "elliptic-h1")]
+    + [["example", e]
+       for e in ("l2-fritz-john", "lq-endpoint", "elliptic-l2", "elliptic-h1",
+                 "sde-rank", "sde-witness", "wave-obs")])
+
+
+def test_cli_import_leaves_optional_scipy_unloaded(tmp_path):
+    # every command runs on numpy alone; scipy.optimize is imported only
+    # on paths no registered command reaches (non-diagonal grams, L-BFGS)
+    code = ("import json, sys\n"
+            "from fcopt.cli import main\n"
+            "out, cmds = sys.argv[1], json.loads(sys.argv[2])\n"
+            "codes = [main(c if c == ['list'] else\n"
+            "              c + ['--out', '%s/%d.json' % (out, i)])\n"
+            "         for i, c in enumerate(cmds)]\n"
+            "loaded = sorted(m for m in ('scipy.linalg', 'scipy.stats',\n"
+            "                            'scipy.optimize') if m in sys.modules)\n"
+            "print(json.dumps([codes, loaded]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), json.dumps(COLD_COMMANDS)],
+        capture_output=True, text=True, env=_checkout_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    codes, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(COLD_COMMANDS)
+    assert loaded == []

@@ -19,6 +19,7 @@ from fcopt.convex import (
     tangent_cone_sample,
     directional_variation,
     convex_set_from_config,
+    _kronecker,
 )
 
 
@@ -279,6 +280,27 @@ def test_bepsilon_vector_in_normal_cone():
 
 
 # ---------------------------------------------------------------- radial cone
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7])
+def test_kronecker_points_deterministic_and_in_unit_cube(dim):
+    a, b = _kronecker(dim, 300, 11), _kronecker(dim, 300, 11)
+    assert a.shape == (300, dim)
+    assert_allclose(a, b, rtol=0, atol=0)
+    assert a.min() >= 0.0 and a.max() < 1.0
+    assert not np.array_equal(a, _kronecker(dim, 300, 12))
+    # a shorter draw is a prefix of a longer one
+    assert_allclose(_kronecker(dim, 40, 11), a[:40], rtol=0, atol=0)
+    assert _kronecker(dim, 0, 11).shape == (0, dim)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kronecker_points_fill_every_grid_cell(seed, dim):
+    pts = _kronecker(dim, 256, seed)
+    cells = np.floor(4 * pts).astype(int)
+    hit = np.unique(np.ravel_multi_index(cells.T, (4,) * dim))
+    assert hit.size == 4 ** dim
 
 
 def test_tangent_cone_sample_singleton_all_zero():

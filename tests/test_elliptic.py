@@ -1,10 +1,13 @@
 """Tests for the elliptic operator assembly and estimate constants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fcopt.elliptic import (EllipticSystem, elliptic_estimate_constant,
+from fcopt.elliptic import (EllipticSystem, _sturm_count,
+                            elliptic_estimate_constant,
                             elliptic_operator_map, elliptic_sweep)
 from fcopt.spaces import Element, norm
 
@@ -121,6 +124,66 @@ def test_indefinite_potential_reported():
     rep = elliptic_estimate_constant(s)
     assert "not positive definite" in rep.note
     assert np.isfinite(rep.constant)
+
+
+def _count_below(diag, off, shift):
+    off2 = [0.0] + (np.asarray(off) ** 2).tolist()
+    pivmin = np.finfo(float).tiny * max(1.0, max(off2))
+    return _sturm_count(list(diag), off2, shift, pivmin)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [1, 2, 17, 100])
+def test_sturm_count_matches_eigvalsh(seed, n):
+    # SPD (diagonally dominant) for even seeds, indefinite for odd ones
+    rng = np.random.default_rng(1000 * n + seed)
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    diag = rng.uniform(2.1, 3.0, n) if seed % 2 == 0 else rng.normal(size=n)
+    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    lam = np.linalg.eigvalsh(T)
+    gaps = np.diff(lam)
+    mids = (lam[:-1] + 0.5 * gaps)[gaps > 1e-6]
+    shifts = np.concatenate([[lam[0] - 1.0, lam[-1] + 1.0, 0.0], mids])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sh in shifts:
+            assert _count_below(diag, off, sh) == np.count_nonzero(lam < sh)
+
+
+def test_sturm_count_guards_zero_pivot():
+    # the first pivot of T - 1*I is exactly 0, and so is an eigenvalue of
+    # [[1, 1], [1, 1]]: the guarded pivot counts it as below the shift
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _count_below([1.0, 1.0], [1.0], 1.0) == 1
+        assert _count_below([1.0, 1.0], [1.0], 0.0) == 1
+        assert _count_below([0.0, 0.0, 0.0], [0.0, 0.0], 0.0) == 3
+        assert _count_below([1.0, 1.0, 1.0], [1.0, 1.0], 1.0) == 2
+
+
+@pytest.mark.parametrize("N, c", [(1, 0.0), (30, 0.0), (64, 50.0),
+                                  (100, 1e6), (127, 3e7), (255, 9.5)])
+def test_min_eig_and_inertia_match_eigvalsh(N, c):
+    # a large potential makes the operator strongly indefinite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = EllipticSystem(N, a=lambda x: 1.0 + x, c=c)
+        lam = np.linalg.eigvalsh(s.matrix)
+        scale = np.abs(lam).max()
+        assert abs(s.min_eig - lam[0]) <= 1e-13 * scale
+        assert s.positive_definite == (lam[0] > 0.0)
+        assert s.shifted_spd == (lam[0] + s.shift > 0.0)
+        rep = elliptic_estimate_constant(s)
+    assert ("not positive definite" in rep.note) == (lam[0] <= 0.0)
+
+
+def test_min_eig_of_zero_matrix_terminates():
+    # a = 1, c = 8 on one node gives the 1 x 1 zero matrix: the Gershgorin
+    # interval has width 0, so the bisection must stop at adjacent doubles
+    s = EllipticSystem(1, a=1.0, c=8.0)
+    assert s.matrix[0, 0] == 0.0
+    assert not s.positive_definite
+    assert abs(s.min_eig) <= np.finfo(float).tiny
 
 
 def test_sweep_l2_growing():

@@ -10,8 +10,25 @@ from fcopt.evolution import (adjoint_evolution, adjoint_midpoints,
 from fcopt.penalty import (MultiplierPair, extract_multiplier,
                            fritz_john_residual, kkt_check)
 from fcopt.problems import (equality_qp, l2_example, lq_endpoint_problem,
-                            scalar_problem, _LQ_A, _LQ_B)
+                            null_space, scalar_problem, _LQ_A, _LQ_B)
 from fcopt.spaces import Element
+
+
+@pytest.mark.parametrize("shape, rank", [((3, 7), 3), ((4, 9), 2),
+                                         ((6, 6), 6), ((5, 5), 3),
+                                         ((2, 3), 0)])
+def test_null_space_matches_scipy(shape, rank):
+    from scipy.linalg import null_space as scipy_null_space
+
+    rng = np.random.default_rng(sum(shape) + rank)
+    A = (rng.standard_normal((shape[0], rank))
+         @ rng.standard_normal((rank, shape[1])))
+    ns, ref = null_space(A), scipy_null_space(A)
+    assert ns.shape == ref.shape == (shape[1], shape[1] - rank)
+    # same subspace (bases may differ by an orthogonal change of basis)
+    assert_allclose(ns @ ns.T, ref @ ref.T, atol=1e-12)
+    assert_allclose(ns.T @ ns, np.eye(ns.shape[1]), atol=1e-12)
+    assert_allclose(A @ ns, 0.0, atol=1e-12)
 
 
 def test_scalar_problem_shape():

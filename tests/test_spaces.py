@@ -20,6 +20,7 @@ from fcopt.spaces import (
     gram_from_config,
     space_from_config,
     stiffness1d,
+    _solve_triangular,
 )
 
 
@@ -78,8 +79,10 @@ def test_gram_must_be_symmetric():
 
 
 def test_gram_must_be_positive_definite():
-    with pytest.raises(ValueError):
-        SpaceDescriptor("X", 2, [[1.0, 0.0], [0.0, -1.0]])
+    for gram in ([[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 0.0]],
+                 [[1.0, 2.0], [2.0, 1.0]]):
+        with pytest.raises(ValueError, match="not positive definite"):
+            SpaceDescriptor("X", 2, gram)
 
 
 def test_gram_config_rows_and_errors():
@@ -223,6 +226,31 @@ def test_singular_triplets_charpoly_oracle():
     assert_allclose(got, expected, atol=1e-10)
     assert_sigma_only_matches(f, got)
     assert_allclose(expected, [2.0, np.sqrt(2.0), 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("lower", [True, False])
+def test_blocked_triangular_solve_matches_dense_solve(n, lower):
+    # sizes around the block edge: one partial block, exactly one block,
+    # one block plus one row, two full blocks plus two rows
+    rng = np.random.default_rng(n)
+    L = np.linalg.cholesky(random_spd(rng, n))
+    t = L if lower else L.T
+    for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+        x = _solve_triangular(t, b, lower=lower)
+        assert x.shape == b.shape
+        assert_allclose(x, np.linalg.solve(t, b), rtol=1e-10, atol=1e-12)
+        assert_allclose(t @ x, b, rtol=1e-10, atol=1e-12)
+
+
+def test_apply_gram_inverse_matches_dense_solve():
+    rng = np.random.default_rng(5)
+    for gram in (random_spd(rng, 70), np.diag(rng.uniform(0.5, 2.0, 70))):
+        s = SpaceDescriptor("X", 70, gram=gram)
+        assert np.array_equal(s.chol_lower, np.linalg.cholesky(gram))
+        phi = rng.normal(size=70)
+        assert_allclose(s.apply_gram_inverse(phi), np.linalg.solve(gram, phi),
+                        rtol=1e-10, atol=1e-12)
 
 
 def test_rank_mask_cutoff():
