@@ -106,10 +106,9 @@ class EllipticSystem:
     positive_definite : bool
         Whether the operator matrix is positive definite.
     shift : float
-        max |c| over interior nodes; the shifted matrix is
-        ``matrix + shift * I``.
-    shifted_spd : bool
-        Whether the shifted matrix is positive definite.
+        max |c| over interior nodes; the shifted matrix
+        ``matrix + shift * I`` is the SPD diffusion stiffness plus the
+        nonnegative diagonal ``shift - c``, so it is always SPD.
     """
 
     def __init__(self, N, a=1.0, c=0.0, tag="L2L2", name="elliptic"):
@@ -137,17 +136,14 @@ class EllipticSystem:
                        + np.diag(off, 1)
                        + np.diag(off, -1))
 
-        # the two inertia questions the estimate asks are answered by a
-        # Sturm count; the smallest eigenvalue itself is bisected only
-        # when it is read
+        # definiteness is answered by a Sturm count; the smallest
+        # eigenvalue itself is bisected only when it is read
         self._diag = main.tolist()
         self._off2 = [0.0] + (off * off).tolist()
         self._pivmin = np.finfo(float).tiny * max(1.0, max(self._off2))
         self._min_eig = None
         self.shift = float(np.max(np.abs(self.c_nodes), initial=0.0))
         self.positive_definite = self._count_below(0.0) == 0
-        self.shifted_spd = (self.positive_definite if self.shift == 0.0
-                            else self._count_below(-self.shift) == 0)
 
     def _count_below(self, shift):
         return _sturm_count(self._diag, self._off2, shift, self._pivmin)
@@ -201,8 +197,7 @@ class EllipticSystem:
         return T / self.h
 
     def __repr__(self):
-        return ("EllipticSystem(N=%d, tag=%r, shifted_spd=%r)"
-                % (self.N, self.tag, self.shifted_spd))
+        return "EllipticSystem(N=%d, tag=%r)" % (self.N, self.tag)
 
 
 def elliptic_operator_map(sys):
@@ -217,26 +212,23 @@ def elliptic_estimate_constant(sys):
     Equivalently: the smallest C so that every solution of L phi = h
     obeys |h| <= C |phi|.  Computed as the largest singular value of the
     forward map in the tagged grams.  An indefinite operator (potential
-    overpowering the diffusion) is reported in the notes; the
+    overpowering the diffusion) is reported in the note; the
     computation proceeds on the assembled matrix regardless.
     """
     F = elliptic_operator_map(sys)
     sig = singular_triplets(F, compute_uv=False)
-    notes = []
+    note = ""
     if not sys.positive_definite:
-        notes.append("operator matrix is not positive definite "
-                     "(min eigenvalue %.3e)" % sys.min_eig)
-    if not sys.shifted_spd:
-        notes.append("matrix stays indefinite even after shifting by "
-                     "max|c| = %.3e" % sys.shift)
+        note = ("operator matrix is not positive definite "
+                "(min eigenvalue %.3e)" % sys.min_eig)
     return EstimateReport(
         constant=sig[0],
         kernel_dim=kernel_dimension(F, sigma=sig),
         sigma_profile=sig,
         verdict="inconclusive",
-        note="; ".join(notes),
+        note=note,
         extras={"tag": sys.tag, "N": sys.N, "h": sys.h,
-                "shift": sys.shift, "shifted_spd": sys.shifted_spd})
+                "shift": sys.shift})
 
 
 def elliptic_sweep(levels, tag="L2L2", a=1.0, c=0.0, growth_factor=2.0):

@@ -117,24 +117,53 @@ def mode_overlap_matrix(model):
     return S
 
 
+def _trapezoid_cos_sin(nu, h, T):
+    """Trapezoidal sums of cos(nu t) and sin(nu t) over t = 0, h, ..., T.
+
+    With half weights at both ends, the geometric sum of exp(i nu t_j)
+    gives C = (h/2) cot(nu h/2) sin(nu T) and S = h cot(nu h/2)
+    sin^2(nu T/2), with C(0) = T and S(0) = 0.  tan(nu h/2) vanishes
+    only when nu h is a multiple of 2 pi, which the resolution check of
+    observation_gramian rules out (|nu| h <= 0.4 pi).
+    """
+    C = np.full(nu.shape, T)
+    S = np.zeros(nu.shape)
+    nz = nu != 0.0
+    cot = 1.0 / np.tan(0.5 * h * nu[nz])
+    C[nz] = 0.5 * h * cot * np.sin(nu[nz] * T)
+    S[nz] = h * cot * np.sin(0.5 * T * nu[nz]) ** 2
+    return C, S
+
+
 def observation_gramian(model):
     """Gramian of c -> w restricted to the observation patch and horizon.
 
     Entries are int_0^T int_obs w_k w_l dx dt for the 2M basis solutions
-    (cosine and sine time factors per mode); assembled as spatial
-    overlaps times trapezoidal time quadratures of the oscillation
-    products.  Symmetric positive semidefinite by construction.
+    (cosine and sine time factors per mode): spatial overlaps times the
+    trapezoidal time quadratures of the oscillation products.  The
+    trapezoidal rule on time_grid() is summed in closed form, O(M^2),
+    through the product formulas at the frequencies omega_k +- omega_l.
+    Symmetric positive semidefinite by construction.
+
+    Raises if the model's quadrature step resolves the fastest mode
+    with fewer than 10 points per period.
     """
+    if model.points_per_period() < 10.0 - 1e-12:
+        raise ValueError(
+            "quadrature step %.3e is too coarse for mode frequency %.3e: "
+            "need at least 10 points per shortest period"
+            % (model.quad_step, model.omega[-1]))
     t = model.time_grid()
-    w = np.full(t.size, t[1] - t[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    phase = np.outer(t, model.omega)
-    cos, sin = np.cos(phase), np.sin(phase)
-    wc = w[:, None] * cos
-    Icc = wc.T @ cos
-    Ics = wc.T @ sin
-    Iss = (w[:, None] * sin).T @ sin
+    h, T = t[1] - t[0], t[-1]
+    omega = model.omega
+    cos_diff, sin_diff = _trapezoid_cos_sin(np.subtract.outer(omega, omega),
+                                            h, T)
+    cos_sum, sin_sum = _trapezoid_cos_sin(np.add.outer(omega, omega), h, T)
+    Icc = 0.5 * (cos_diff + cos_sum)
+    Iss = 0.5 * (cos_diff - cos_sum)
+    # cos(w_k t) sin(w_l t) = (sin((w_l + w_k) t) + sin((w_l - w_k) t)) / 2,
+    # and the sine sum is odd in nu: at w_l - w_k it is -sin_diff[k, l]
+    Ics = 0.5 * (sin_sum - sin_diff)
     S = mode_overlap_matrix(model)
     G = np.block([[S * Icc, S * Ics],
                   [S * Ics.T, S * Iss]])
@@ -158,11 +187,6 @@ def wave_observability_constant(model, complement=0):
     complement = int(complement)
     if complement < 0 or complement >= 2 * model.modes:
         raise ValueError("complement must lie in [0, 2*modes)")
-    if model.points_per_period() < 10.0 - 1e-12:
-        raise ValueError(
-            "quadrature step %.3e is too coarse for mode frequency %.3e: "
-            "need at least 10 points per shortest period"
-            % (model.quad_step, model.omega[-1]))
     G = observation_gramian(model)
     eigvals, eigvecs = np.linalg.eigh(G)
     eigvals = np.clip(eigvals, 0.0, None)

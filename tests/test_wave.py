@@ -79,6 +79,16 @@ def test_quadrature_coarseness_guard():
     wave_observability_constant(fine)  # exactly at the limit: accepted
 
 
+def test_gramian_rejects_coarse_quadrature():
+    # the closed form divides by tan(nu h / 2), so the public Gramian
+    # runs the resolution check itself
+    period = 2.0 * np.pi / (16 * np.pi)
+    coarse = WaveModel(16, quad_step=period / 5.0)
+    with pytest.raises(ValueError, match="10 points"):
+        observation_gramian(coarse)
+    observation_gramian(WaveModel(16, quad_step=period / 10.0))
+
+
 def test_sweep_long_horizon_bounded():
     swept = wave_sweep([8, 16, 32, 64], interval=(0.4, 0.6), T=3.0)
     assert swept.verdict == "bounded"
@@ -149,3 +159,39 @@ def test_validation_errors():
         wave_sweep([8, 16])
     with pytest.raises(ValueError, match="increasing"):
         wave_sweep([8, 8, 16])
+
+
+def _direct_sum_gramian(model):
+    # the trapezoidal rule summed term by term: time samples of every
+    # mode times the weights, through matrix products
+    t = model.time_grid()
+    w = np.full(t.size, t[1] - t[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    phase = np.outer(t, model.omega)
+    cos, sin = np.cos(phase), np.sin(phase)
+    wc = w[:, None] * cos
+    Icc = wc.T @ cos
+    Ics = wc.T @ sin
+    Iss = (w[:, None] * sin).T @ sin
+    S = mode_overlap_matrix(model)
+    G = np.block([[S * Icc, S * Ics],
+                  [S * Ics.T, S * Iss]])
+    return 0.5 * (G + G.T)
+
+
+@pytest.mark.parametrize("interval", [(0.4, 0.6), (0.3, 0.8), (0.0, 1.0)])
+@pytest.mark.parametrize("a", [0.0, 2.5, -5.0])
+@pytest.mark.parametrize("T", [0.2, 1.0, 3.0, 0.002])
+@pytest.mark.parametrize("modes", [1, 3, 16, 40])
+def test_gramian_matches_direct_trapezoidal_sum(modes, T, a, interval):
+    m = WaveModel(modes, interval=interval, T=T, a=a)
+    if T == 0.002:  # shorter than the default step at every M <= 40
+        assert m.time_grid().size == 2
+    # a user step of 1/13.3 period, which does not divide T
+    user = WaveModel(modes, interval=interval, T=T, a=a,
+                     quad_step=m.shortest_period / 13.3)
+    for model in (m, user):
+        G = observation_gramian(model)
+        ref = _direct_sum_gramian(model)
+        assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
