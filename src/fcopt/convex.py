@@ -51,8 +51,31 @@ def _kronecker(dim, count, seed):
     return (shift + k * alpha) % 1.0
 
 
+def _gram_bvls(space, coords, lo, hi):
+    """Projection onto the box [lo, hi] in a non-diagonal gram metric.
+
+    Solves the bound-constrained least-squares problem min |L'(x - coords)|
+    by BVLS, one row at a time for a (k, dim) stack.
+    """
+    # deferred: scipy.optimize is only needed for a non-diagonal gram,
+    # which no registered problem has
+    from scipy.optimize import lsq_linear
+
+    if coords.ndim == 2:
+        return np.array([_gram_bvls(space, row, lo, hi) for row in coords]
+                        ).reshape(coords.shape)
+    lt = space.norm_factor()
+    res = lsq_linear(lt, lt @ coords, bounds=(lo, hi), method="bvls",
+                     tol=1e-14)
+    return res.x
+
+
 class ConvexSet:
-    """Base class; concrete sets implement ``_project`` and ``_samples``."""
+    """Base class; concrete sets implement ``_project`` and ``_samples``.
+
+    ``_project`` takes one point (a (dim,) array) or a (k, dim) stack of
+    points and projects each row.
+    """
 
     kind = "abstract"
 
@@ -85,7 +108,7 @@ class Singleton(ConvexSet):
             raise ValueError("singleton point does not fit space %r" % space.name)
 
     def _project(self, coords):
-        return self.point.copy()
+        return np.broadcast_to(self.point, np.shape(coords)).copy()
 
     def _samples(self, count, seed, radius, around):
         return np.repeat(self.point[None, :], max(count, 1), axis=0)
@@ -100,14 +123,7 @@ class NonnegativeCone(ConvexSet):
         g = self.space.gram
         if _is_diagonal(g):
             return np.clip(coords, 0.0, None)
-        # deferred: scipy.optimize is only needed for a non-diagonal gram,
-        # which no registered problem has
-        from scipy.optimize import lsq_linear
-
-        lt = self.space.norm_factor()
-        res = lsq_linear(lt, lt @ coords, bounds=(0.0, np.inf),
-                         method="bvls", tol=1e-14)
-        return res.x
+        return _gram_bvls(self.space, coords, 0.0, np.inf)
 
     def _samples(self, count, seed, radius, around):
         dim = self.space.dim
@@ -133,13 +149,7 @@ class Box(ConvexSet):
         g = self.space.gram
         if _is_diagonal(g):
             return np.clip(coords, self.lo, self.hi)
-        # deferred: see NonnegativeCone._project
-        from scipy.optimize import lsq_linear
-
-        lt = self.space.norm_factor()
-        res = lsq_linear(lt, lt @ coords, bounds=(self.lo, self.hi),
-                         method="bvls", tol=1e-14)
-        return res.x
+        return _gram_bvls(self.space, coords, self.lo, self.hi)
 
     def _samples(self, count, seed, radius, around):
         dim = self.space.dim
@@ -187,8 +197,11 @@ class AffineSubspace(ConvexSet):
                        else np.asarray(offset, dtype=float))
 
     def _project(self, coords):
-        d = coords - self.offset
-        return self.offset + self.basis @ (self.basis.T @ self.space.apply_gram(d))
+        # (M @ d.T).T is M @ d for one point and applies M to each row of a
+        # stack
+        d = (coords - self.offset).T
+        return self.offset + (
+            self.basis @ (self.basis.T @ self.space.apply_gram(d))).T
 
     def _samples(self, count, seed, radius, around):
         k = self.basis.shape[1]

@@ -99,6 +99,13 @@ class ConstrainedProblem:
     f, f_jac : callable
         Constraint map u -> (X.dim,) array and its Jacobian
         u -> (X.dim, V.dim) array.
+
+        f0 and f must also accept a (k, V.dim) stack of points, one per
+        row, and return f0 as a (k,) array and f as a (k, X.dim) array
+        (the Ekeland probe and the local-optimality spot check evaluate
+        their points as one stack).  A stacked result of another shape,
+        such as the first row that ``lambda u: u[0]`` returns, raises
+        ValueError; ``u[..., 0]`` or ``u.T[0]`` works for both.
     E : ConvexSet
         Target set in X.
     domain : ConvexSet or None
@@ -132,16 +139,36 @@ class ConstrainedProblem:
         self.name = name
 
     def objective(self, u):
-        """Evaluate f0 at u (Element or coordinate array)."""
-        return float(self._f0(_coords(u)))
+        """Evaluate f0 at u: a float for one point, (k,) for a (k, V.dim) stack.
+
+        u is an Element or a coordinate array.
+        """
+        u = _coords(u)
+        if u.ndim == 1:
+            return float(self._f0(u))
+        return self._stacked(self._f0(u), "f0", (u.shape[0],))
 
     def gradient(self, u):
         """Gradient of f0 at u as a (V.dim,) array."""
         return np.asarray(self._f0_grad(_coords(u)), dtype=float)
 
     def constraint(self, u):
-        """Evaluate f at u as an (X.dim,) array."""
-        return np.asarray(self._f(_coords(u)), dtype=float)
+        """Evaluate f at u as an (X.dim,) array, or (k, X.dim) for a stack."""
+        u = _coords(u)
+        if u.ndim == 1:
+            return np.asarray(self._f(u), dtype=float)
+        return self._stacked(self._f(u), "f", (u.shape[0], self.X.dim))
+
+    def _stacked(self, val, name, shape):
+        # a single-point callable handed a stack returns one row, or one
+        # column, without complaint; the shape is what tells
+        val = np.asarray(val, dtype=float)
+        if val.shape != shape:
+            raise ValueError(
+                "%s of problem %r returned shape %r for a stack of %d points; "
+                "expected %r (f0 and f must evaluate each row of a stack)"
+                % (name, self.name, val.shape, shape[0], shape))
+        return val
 
     def jacobian(self, u):
         """Jacobian of f at u as an (X.dim, V.dim) array."""
@@ -357,13 +384,16 @@ class PenaltyTrace:
 
 
 def _phi_parts(p, u, f0_bar, eps):
-    """Values entering Phi_eps at coordinates u: (phi2, dist, gap+, f, Pf)."""
+    """Values entering Phi_eps at coordinates u: (phi2, dist, gap+, f, Pf).
+
+    u is one point or a (k, V.dim) stack of points; for a stack each value
+    has one entry (or row) per point.
+    """
     fx = p.constraint(u)
     pe = p.E._project(fx)
     diff = fx - pe
-    d2 = max(float(diff @ p.X.apply_gram(diff)), 0.0)
-    gap = p.objective(u) - f0_bar + eps
-    gp = max(gap, 0.0)
+    d2 = np.maximum(p.X.quadratic_form(diff), 0.0)
+    gp = np.maximum(p.objective(u) - f0_bar + eps, 0.0)
     return d2 + gp * gp, np.sqrt(d2), gp, fx, pe
 
 
@@ -544,22 +574,24 @@ def _lbfgs_minimize(p, u0, f0_bar, eps, cfg, tol):
 
 
 def _ekeland_residual(p, u, f0_bar, eps, cfg):
-    """Max over probes of Phi(u) - Phi(probe) - sqrt(eps) d(u, probe); <= 0 ideally."""
+    """Max over probes of Phi(u) - Phi(probe) - sqrt(eps) d(u, probe); <= 0 ideally.
+
+    The probes are u + t d for ekeland_probes random gram-unit directions d
+    and t in (0.25, 0.05, 0.01) sqrt(eps); Phi is evaluated at all of them
+    as one stack.
+    """
     rng = np.random.default_rng([cfg.seed, 1009, int(round(1.0 / eps))])
     se = np.sqrt(eps)
     phi_u = np.sqrt(_phi_parts(p, u, f0_bar, eps)[0])
-    dirs = list(rng.standard_normal((cfg.ekeland_probes, u.size)))
-    worst = -np.inf
-    for d in dirs:
-        dn = norm(p.V, Element(d, p.V))
-        if dn <= 0.0:
-            continue
-        d = d / dn
-        for t in (0.25 * se, 0.05 * se, 0.01 * se):
-            probe = u + t * d
-            phi_probe = np.sqrt(_phi_parts(p, probe, f0_bar, eps)[0])
-            worst = max(worst, phi_u - phi_probe - se * t)
-    return worst
+    dirs = rng.standard_normal((cfg.ekeland_probes, u.size))
+    dn = np.sqrt(np.maximum(p.V.quadratic_form(dirs), 0.0))
+    keep = dn > 0.0
+    dirs = dirs[keep] / dn[keep, None]
+    t = np.array([0.25 * se, 0.05 * se, 0.01 * se])
+    # row 3 i + j of the stack is the probe u + t_j d_i
+    probes = (u + t[:, None] * dirs[:, None, :]).reshape(-1, u.size)
+    phi_probe = np.sqrt(_phi_parts(p, probes, f0_bar, eps)[0]).reshape(-1, 3)
+    return np.max(phi_u - phi_probe - se * t, initial=-np.inf)
 
 
 def _verify_local_solution(p, ub, cfg):
@@ -568,12 +600,11 @@ def _verify_local_solution(p, ub, cfg):
     pts = np.atleast_2d(np.asarray(
         p.feasible_sampler(ub, cfg.solution_samples, cfg.seed), dtype=float))
     f0_bar = p.objective(ub)
-    for q in pts:
-        if p.objective(q) < f0_bar - cfg.solution_slack:
-            raise ValueError(
-                "reference point failed the local-optimality spot check: "
-                "a sampled feasible neighbor improves f0 by more than %.1e"
-                % cfg.solution_slack)
+    if np.any(p.objective(pts) < f0_bar - cfg.solution_slack):
+        raise ValueError(
+            "reference point failed the local-optimality spot check: "
+            "a sampled feasible neighbor improves f0 by more than %.1e"
+            % cfg.solution_slack)
 
 
 def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,

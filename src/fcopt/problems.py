@@ -16,6 +16,11 @@ attached as ``p.u_bar`` (an Element) and oracle data in ``p.extras``:
   a fixed endpoint, assembled from a Crank-Nicolson EvolutionSystem; the
   dense KKT solve provides the oracle multiplier and the adjoint equation
   provides an independent stationarity certificate.
+
+Every f0 and f takes one point or a (k, dim) stack of points.  ``u.T[j]``
+is coordinate j of a point or column j of a stack, and ``(M @ u.T).T`` is
+M @ u for a point, so a single point is evaluated with the same arithmetic
+as a plain vector.
 """
 
 import numpy as np
@@ -24,7 +29,7 @@ from .convex import Singleton
 from .evolution import (EvolutionSystem, _crank_nicolson, endpoint_map,
                         simulate_variation_evolution)
 from .penalty import ConstrainedProblem, default_schedule
-from .spaces import Element, SpaceDescriptor, rank_mask
+from .spaces import Element, SpaceDescriptor, _row_dots, rank_mask
 
 __all__ = [
     "scalar_problem",
@@ -58,7 +63,7 @@ def scalar_problem():
     X = SpaceDescriptor("constraint-line", 1)
     p = ConstrainedProblem(
         V, X,
-        f0=lambda u: u[0],
+        f0=lambda u: u.T[0],
         f0_grad=lambda u: np.array([1.0]),
         f=lambda u: u.copy(),
         f_jac=lambda u: np.eye(1),
@@ -94,11 +99,11 @@ def l2_example(dim=6):
     X = SpaceDescriptor("l2-constraints", dim)
 
     def f(u):
-        out = np.zeros(dim)
-        cube = (u[0] - 1.0) ** 3
-        out[0] = u[1] + cube
-        out[1] = -u[1] + cube
-        out[3:] = u[3:]
+        out = np.zeros(u.shape)
+        cube = (u.T[0] - 1.0) ** 3
+        out.T[0] = u.T[1] + cube
+        out.T[1] = -u.T[1] + cube
+        out.T[3:] = u.T[3:]
         return out
 
     def f_jac(u):
@@ -126,7 +131,7 @@ def l2_example(dim=6):
 
     p = ConstrainedProblem(
         V, X,
-        f0=lambda u: u[0],
+        f0=lambda u: u.T[0],
         f0_grad=lambda u: np.eye(dim)[0],
         f=f,
         f_jac=f_jac,
@@ -187,9 +192,9 @@ def equality_qp(dim=8, n_constraints=3, seed=0):
 
     p = ConstrainedProblem(
         V, X,
-        f0=lambda u: 0.5 * float(u @ Q @ u) + float(c @ u),
+        f0=lambda u: 0.5 * _row_dots(u @ Q, u) + c @ u.T,
         f0_grad=lambda u: Q @ u + c,
-        f=lambda u: A @ u - b,
+        f=lambda u: (A @ u.T).T - b,
         f_jac=lambda u: A,
         E=Singleton(X, np.zeros(n_constraints)),
         f0_hess=lambda u: Q,
@@ -260,9 +265,9 @@ def lq_endpoint_problem(N=50, T=1.0, target_amp=0.5):
 
     p = ConstrainedProblem(
         V, X,
-        f0=lambda u: 0.5 * float(u @ H @ u) + float(c @ u) + const,
+        f0=lambda u: 0.5 * _row_dots(u @ H, u) + c @ u.T + const,
         f0_grad=lambda u: H @ u + c,
-        f=lambda u: G @ u + y_free - y_target,
+        f=lambda u: (G @ u.T).T + y_free - y_target,
         f_jac=lambda u: G,
         E=Singleton(X, np.zeros(n)),
         f0_hess=lambda u: H,

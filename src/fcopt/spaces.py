@@ -44,6 +44,13 @@ def _is_diagonal(m):
     return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
 
 
+def _row_dots(x, y):
+    """x . y for two vectors; the dot product of each pair of rows for stacks."""
+    if x.ndim == 1:
+        return x @ y
+    return np.einsum("ij,ij->i", x, y)
+
+
 def _solve_triangular(t, b, lower):
     """Solve t x = b for a square triangular t by blocked substitution.
 
@@ -91,13 +98,17 @@ class SpaceDescriptor:
                 % (self.name, self.dim, self.dim, gram.shape)
             )
         scale = np.abs(gram).max()
-        if scale == 0.0 or np.abs(gram - gram.T).max() > 1e-12 * max(scale, 1.0):
+        diagonal = _is_diagonal(gram)
+        if scale == 0.0 or (not diagonal and np.abs(gram - gram.T).max()
+                            > 1e-12 * max(scale, 1.0)):
             raise ValueError("gram of space %r is not symmetric" % self.name)
-        self.gram = 0.5 * (gram + gram.T)
+        # a diagonal gram is its own symmetrization, so it skips both passes
+        # over the transpose
+        self.gram = gram.copy() if diagonal else 0.5 * (gram + gram.T)
         # a diagonal gram (identity, lumped mass) has the square root of its
         # diagonal as Cholesky factor, and every solve with it is a division
         self._chol_diag = None
-        if _is_diagonal(self.gram):
+        if diagonal:
             d = np.diagonal(self.gram)
             if np.all(d > 0.0):
                 self._chol_diag = np.sqrt(d)
@@ -124,6 +135,11 @@ class SpaceDescriptor:
     def apply_gram(self, coords):
         """Return G x for a coordinate array."""
         return self.gram @ np.asarray(coords, dtype=float)
+
+    def quadratic_form(self, coords):
+        """Return x' G x for a coordinate vector, or per row of a (k, dim) stack."""
+        coords = np.asarray(coords, dtype=float)
+        return _row_dots(coords, self.apply_gram(coords.T).T)
 
     def apply_gram_inverse(self, coords):
         """Return G^-1 phi for a coordinate array."""
@@ -234,7 +250,7 @@ def _check_space(space, x, what):
 def norm(space, x):
     """Gram norm sqrt(x' G x) of an element."""
     _check_space(space, x, "norm")
-    val = float(x.coords @ space.apply_gram(x.coords))
+    val = float(space.quadratic_form(x.coords))
     return np.sqrt(max(val, 0.0))
 
 

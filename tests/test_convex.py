@@ -103,12 +103,8 @@ def test_project_box_nondiagonal_gram_matches_bruteforce():
     assert np.abs(got - oracle).max() <= 5e-3
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.integers(0, 10**6), st.sampled_from(["singleton", "nonneg", "box", "affine", "whole"]))
-def test_projection_invariants(seed, kind):
-    rng = np.random.default_rng(seed)
-    dim = 3
-    s = SpaceDescriptor("X", dim, random_spd(rng, dim))
+def _random_set(rng, s, kind):
+    dim = s.dim
     if kind == "affine":
         raw = rng.normal(size=(dim, 2))
         # gram-orthonormalize the columns
@@ -128,6 +124,16 @@ def test_projection_invariants(seed, kind):
         E = NonnegativeCone(s)
     else:
         E = WholeSpace(s)
+    return E
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10**6), st.sampled_from(["singleton", "nonneg", "box", "affine", "whole"]))
+def test_projection_invariants(seed, kind):
+    rng = np.random.default_rng(seed)
+    dim = 3
+    s = SpaceDescriptor("X", dim, random_spd(rng, dim))
+    E = _random_set(rng, s, kind)
     x = s.element(rng.normal(scale=2.0, size=dim))
     p = project(E, x)
     # membership and idempotence
@@ -140,6 +146,23 @@ def test_projection_invariants(seed, kind):
     for e in members[:: max(1, len(members) // 100)]:
         de = norm(s, s.element(x.coords - e))
         assert d <= de + 1e-8
+
+
+@pytest.mark.parametrize("gram", ["diagonal", "spd"])
+@pytest.mark.parametrize("kind", ["singleton", "nonneg", "box", "affine", "whole"])
+def test_project_stack_matches_row_by_row(kind, gram):
+    # a non-diagonal gram sends the cone and the box through BVLS, which
+    # projects a stack one row at a time
+    rng = np.random.default_rng(4)
+    dim = 3
+    g = np.diag([1.0, 2.0, 0.5]) if gram == "diagonal" else random_spd(rng, dim)
+    s = SpaceDescriptor("X", dim, g)
+    E = _random_set(rng, s, kind)
+    stack = rng.normal(scale=2.0, size=(7, dim))
+    got = E._project(stack)
+    assert got.shape == stack.shape
+    rows = np.array([E._project(x) for x in stack])
+    assert_allclose(got, rows, rtol=1e-14, atol=1e-14)
 
 
 # ---------------------------------------------------------------- distance

@@ -6,16 +6,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fcopt.convex import (NonnegativeCone, Singleton, WholeSpace,
-                          normal_cone_residual, project)
+from fcopt.convex import (AffineSubspace, Box, NonnegativeCone, Singleton,
+                          WholeSpace, normal_cone_residual, project)
 from fcopt.penalty import (ConstrainedProblem, DegeneratePenaltyError,
                            InapplicableBranchError, InnerConvergenceError,
                            MultiplierPair, PenaltyConfig, default_schedule,
                            enhanced_sequence_report, extract_multiplier,
                            fritz_john_residual, kkt_check, minimize_penalty,
                            multiplier_at, penalty_value)
-from fcopt.problems import equality_qp, l2_example, scalar_problem
-from fcopt.spaces import Element, SpaceDescriptor, dual_norm
+from fcopt.problems import (equality_qp, l2_example, lq_endpoint_problem,
+                            scalar_problem)
+from fcopt.spaces import Element, SpaceDescriptor, dual_norm, norm
 
 
 def _unconstrained_quadratic():
@@ -24,7 +25,7 @@ def _unconstrained_quadratic():
     X = SpaceDescriptor("image", 2)
     p = ConstrainedProblem(
         V, X,
-        f0=lambda u: (u[0] - 1.0) ** 2 + u[1] ** 2,
+        f0=lambda u: (u[..., 0] - 1.0) ** 2 + u[..., 1] ** 2,
         f0_grad=lambda u: np.array([2.0 * (u[0] - 1.0), 2.0 * u[1]]),
         f=lambda u: u.copy(),
         f_jac=lambda u: np.eye(2),
@@ -45,7 +46,7 @@ def _cone_problem():
     cost = np.array([1.0, 2.0])
     p = ConstrainedProblem(
         V, X,
-        f0=lambda u: float(cost @ u),
+        f0=lambda u: u @ cost,
         f0_grad=lambda u: cost.copy(),
         f=lambda u: u.copy(),
         f_jac=lambda u: np.eye(2),
@@ -55,6 +56,37 @@ def _cone_problem():
             np.abs(np.random.default_rng(seed).standard_normal((count, 2))),
         name="cone")
     p.u_bar = Element(np.zeros(2), V)
+    return p
+
+
+def _target_problem(kind):
+    """f0 = c.u + |u|^2/2, f(u) = M u + m into a target of the given kind.
+
+    The control space has a non-diagonal gram, so the probe directions are
+    normalized in a metric other than the Euclidean one.  u_bar = -c
+    minimizes f0, so Phi_eps >= eps everywhere; it need not be feasible,
+    since only the probe arithmetic is under test.
+    """
+    rng = np.random.default_rng(11)
+    V = SpaceDescriptor("controls", 3, [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2],
+                                        [0.0, 0.2, 1.5]])
+    X = SpaceDescriptor("targets", 3)
+    M = rng.standard_normal((3, 3))
+    m = rng.standard_normal(3)
+    c = rng.standard_normal(3)
+    E = {"whole": WholeSpace(X), "nonneg": NonnegativeCone(X),
+         "box": Box(X, -0.2, 0.3),
+         "affine": AffineSubspace(X, np.eye(3)[:, :2] @ [[0.6, 0.8],
+                                                         [-0.8, 0.6]],
+                                  offset=[0.0, 0.0, 0.4])}[kind]
+    p = ConstrainedProblem(
+        V, X,
+        f0=lambda u: u @ c + 0.5 * np.sum(u * u, axis=-1),
+        f0_grad=lambda u: c + u,
+        f=lambda u: u @ M.T + m,
+        f_jac=lambda u: M,
+        E=E, f0_hess=lambda u: np.eye(3), name="target-" + kind)
+    p.u_bar = Element(-c, V)
     return p
 
 
@@ -223,7 +255,7 @@ def test_minimize_quasi_newton_fallback():
     X = SpaceDescriptor("image", 1)
     p = ConstrainedProblem(
         V, X,
-        f0=lambda u: u[0],
+        f0=lambda u: u[..., 0],
         f0_grad=lambda u: np.array([1.0]),
         f=lambda u: u.copy(),
         f_jac=lambda u: np.eye(1),
@@ -232,6 +264,67 @@ def test_minimize_quasi_newton_fallback():
     el = minimize_penalty(p, Element(np.zeros(1), V), 0.01,
                           PenaltyConfig(verify_solution=False))
     assert abs(el.coords[0] + 0.005) < 1e-6
+
+
+def test_stacked_evaluation_rejects_single_point_callables():
+    # lambda u: u[0] returns the first row of a stack; the shape guard
+    # turns that into an error naming the callable and the expected shape
+    V = SpaceDescriptor("plane", 2)
+    X = SpaceDescriptor("image", 2)
+    p = ConstrainedProblem(
+        V, X,
+        f0=lambda u: u[0],
+        f0_grad=lambda u: np.array([1.0, 0.0]),
+        f=lambda u: np.array([u[0], u[1]]),
+        f_jac=lambda u: np.eye(2),
+        E=Singleton(X, np.zeros(2)),
+        f0_hess=lambda u: np.zeros((2, 2)),
+        name="single-point")
+    assert p.objective(np.array([3.0, 4.0])) == 3.0
+    stack = np.arange(10.0).reshape(5, 2)
+    with pytest.raises(ValueError, match=r"f0 .*'single-point'.*\(5,\)"):
+        p.objective(stack)
+    with pytest.raises(ValueError, match=r"^f .*\(5, 2\)"):
+        p.constraint(stack)
+    # the Ekeland probe is the first stacked evaluation of a solve
+    with pytest.raises(ValueError, match=r"^f .*\(48, 2\)"):
+        minimize_penalty(p, Element(np.zeros(2), V), 0.01)
+
+
+def _per_point_ekeland_residual(p, u, eps, cfg):
+    # the probe as a loop of single-point penalty values: same directions,
+    # same gram normalization, same radii
+    rng = np.random.default_rng([cfg.seed, 1009, int(round(1.0 / eps))])
+    se = np.sqrt(eps)
+    phi_u = penalty_value(p, p.u_bar, eps, u)
+    worst = -np.inf
+    for d in rng.standard_normal((cfg.ekeland_probes, u.size)):
+        d = d / norm(p.V, Element(d, p.V))
+        for t in (0.25 * se, 0.05 * se, 0.01 * se):
+            phi = penalty_value(p, p.u_bar, eps, u + t * d)
+            worst = max(worst, phi_u - phi - se * t)
+    return worst, phi_u
+
+
+@pytest.mark.parametrize("make", [
+    scalar_problem, l2_example, equality_qp,
+    lambda: lq_endpoint_problem(20),
+    lambda: _target_problem("whole"), lambda: _target_problem("nonneg"),
+    lambda: _target_problem("box"), lambda: _target_problem("affine"),
+], ids=["scalar", "l2", "equality-qp", "lq-endpoint", "whole", "nonneg",
+        "box", "affine"])
+def test_stacked_ekeland_residual_matches_per_point_probes(make):
+    from fcopt.penalty import _ekeland_residual
+    p = make()
+    cfg = PenaltyConfig(seed=3)
+    rng = np.random.default_rng(2)
+    for eps in (0.05, 1e-3):
+        # a point off the reference, so constraint, projection and gap all
+        # vary over the probes
+        u = p.u_bar.coords + 0.1 * np.sqrt(eps) * rng.standard_normal(p.V.dim)
+        stacked = _ekeland_residual(p, u, p.objective(p.u_bar), eps, cfg)
+        oracle, phi_u = _per_point_ekeland_residual(p, u, eps, cfg)
+        assert abs(stacked - oracle) <= 1e-12 * max(1.0, phi_u)
 
 
 def test_minimize_rejects_non_optimal_reference():
@@ -578,19 +671,25 @@ def test_qp_sweep_matches_direct_kkt_solve(seed):
 
 
 def test_default_qp_schedule_phi_evaluation_budget(monkeypatch):
-    # the default schedule on the default instance takes 823 evaluations
-    # of Phi_eps^2, Ekeland probes included; a line search that judges
-    # steps by changes of Phi_eps^2 below its roundoff makes over 12,000
-    # and stalls
+    # the default schedule on the default instance evaluates Phi_eps^2 at
+    # 823 points, the 14 x 48 Ekeland probe points included; a line search
+    # that judges steps by changes of Phi_eps^2 below its roundoff
+    # evaluates over 12,000 and stalls
     import fcopt.penalty as penalty
-    calls = [0]
+    points = [0]
+    stacks = []
     parts = penalty._phi_parts
 
-    def counting(*args):
-        calls[0] += 1
-        return parts(*args)
+    def counting(p, u, *args):
+        u = np.asarray(u)
+        points[0] += 1 if u.ndim == 1 else len(u)
+        if u.ndim == 2:
+            stacks.append(len(u))
+        return parts(p, u, *args)
 
     monkeypatch.setattr(penalty, "_phi_parts", counting)
     p = equality_qp()
     extract_multiplier(p, p.u_bar, default_schedule(0.1, 14))
-    assert 0 < calls[0] <= 2000
+    assert 0 < points[0] <= 2000
+    # each Ekeland check evaluates its 16 x 3 probe points as one stack
+    assert stacks == [48] * 14

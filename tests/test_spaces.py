@@ -76,6 +76,27 @@ def test_element_length_checked():
 def test_gram_must_be_symmetric():
     with pytest.raises(ValueError):
         SpaceDescriptor("X", 2, [[1.0, 0.5], [0.0, 1.0]])
+    # the zero gram is diagonal, and still reported here
+    with pytest.raises(ValueError, match="not symmetric"):
+        SpaceDescriptor("X", 2, np.zeros((2, 2)))
+
+
+def test_diagonal_gram_kept_bitwise_and_owned():
+    g = np.diag([3.0, 1e-300, 7.0])
+    s = SpaceDescriptor("X", 3, g)
+    assert np.array_equal(s.gram, 0.5 * (g + g.T))
+    g[0, 0] = 5.0
+    assert s.gram[0, 0] == 3.0
+
+
+def test_quadratic_form_rows_match_norms():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 4))
+    s = SpaceDescriptor("X", 4, a.T @ a + np.eye(4))
+    stack = rng.normal(size=(6, 4))
+    rows = [norm(s, s.element(x)) ** 2 for x in stack]
+    assert_allclose(s.quadratic_form(stack), rows, rtol=1e-13)
+    assert s.quadratic_form(stack[0]) == stack[0] @ (s.gram @ stack[0])
 
 
 def test_gram_must_be_positive_definite():
