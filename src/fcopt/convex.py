@@ -108,7 +108,9 @@ class Singleton(ConvexSet):
             raise ValueError("singleton point does not fit space %r" % space.name)
 
     def _project(self, coords):
-        return np.broadcast_to(self.point, np.shape(coords)).copy()
+        out = np.empty(np.shape(coords))
+        out[...] = self.point
+        return out
 
     def _samples(self, count, seed, radius, around):
         return np.repeat(self.point[None, :], max(count, 1), axis=0)

@@ -163,11 +163,14 @@ def endpoint_map(sys):
     equivalent to propagating unit impulses.
     """
     mat = np.zeros((sys.n, sys.N * sys.m))
+    # one stacked solve per factor: the same LU solve of each step's
+    # system as a per-step call, without 2N Python round trips
+    S = sys.dt * np.linalg.solve(sys._R, sys.Bc)
+    step = np.linalg.solve(sys._R, sys._P)
     acc = np.eye(sys.n)
     for k in range(sys.N - 1, -1, -1):
-        S = sys.dt * np.linalg.solve(sys._R[k], sys.Bc[k])
-        mat[:, k * sys.m:(k + 1) * sys.m] = acc @ S
-        acc = acc @ np.linalg.solve(sys._R[k], sys._P[k])
+        mat[:, k * sys.m:(k + 1) * sys.m] = acc @ S[k]
+        acc = acc @ step[k]
     return LinearMap(mat, domain=sys.control_path_space,
                      codomain=sys.state_space)
 

@@ -81,6 +81,13 @@ class InapplicableBranchError(ValueError):
     """Raised when the degenerate-branch report is requested but z = 0."""
 
 
+# Allowed relative disagreement between a stacked row and the same point
+# evaluated alone: summing the same terms in another order moves a value
+# by a few ulps of their size, while a callable that reads the first row
+# of a stack returns data of another point.
+_ROW_RTOL = 1e-9
+
+
 def _coords(u):
     if isinstance(u, Element):
         return np.asarray(u.coords, dtype=float)
@@ -105,7 +112,10 @@ class ConstrainedProblem:
         (the Ekeland probe and the local-optimality spot check evaluate
         their points as one stack).  A stacked result of another shape,
         such as the first row that ``lambda u: u[0]`` returns, raises
-        ValueError; ``u[..., 0]`` or ``u.T[0]`` works for both.
+        ValueError; ``u[..., 0]`` or ``u.T[0]`` works for both.  A stack
+        of exactly V.dim rows, where that first row has the expected
+        shape, has its last row evaluated on its own as well, and a
+        disagreement beyond roundoff raises the same ValueError.
     E : ConvexSet
         Target set in X.
     domain : ConvexSet or None
@@ -146,7 +156,7 @@ class ConstrainedProblem:
         u = _coords(u)
         if u.ndim == 1:
             return float(self._f0(u))
-        return self._stacked(self._f0(u), "f0", (u.shape[0],))
+        return self._stacked(self._f0, u, "f0", (u.shape[0],))
 
     def gradient(self, u):
         """Gradient of f0 at u as a (V.dim,) array."""
@@ -157,16 +167,23 @@ class ConstrainedProblem:
         u = _coords(u)
         if u.ndim == 1:
             return np.asarray(self._f(u), dtype=float)
-        return self._stacked(self._f(u), "f", (u.shape[0], self.X.dim))
+        return self._stacked(self._f, u, "f", (u.shape[0], self.X.dim))
 
-    def _stacked(self, val, name, shape):
+    def _stacked(self, fn, u, name, shape):
         # a single-point callable handed a stack returns one row, or one
-        # column, without complaint; the shape is what tells
-        val = np.asarray(val, dtype=float)
-        if val.shape != shape:
+        # column, without complaint; the shape tells, except when the stack
+        # has V.dim rows and the first row has the shape of the result:
+        # then the last row evaluated on its own tells
+        val = np.asarray(fn(u), dtype=float)
+        ok = val.shape == shape
+        if ok and len(u) == self.V.dim > 1:
+            last = np.asarray(fn(u[-1]), dtype=float)
+            ok = np.allclose(val[-1], last, rtol=_ROW_RTOL, atol=_ROW_RTOL)
+        if not ok:
             raise ValueError(
                 "%s of problem %r returned shape %r for a stack of %d points; "
-                "expected %r (f0 and f must evaluate each row of a stack)"
+                "expected %r with row i the value at point i "
+                "(f0 and f must evaluate each row of a stack)"
                 % (name, self.name, val.shape, shape[0], shape))
         return val
 
@@ -419,14 +436,15 @@ def penalty_value(p, u_bar, eps, u):
 
 
 def _grad_phi2(p, u, f0_bar, eps):
-    phi2, dist, gp, fx, pe = _phi_parts(p, u, f0_bar, eps)
+    parts = _phi_parts(p, u, f0_bar, eps)
+    _, dist, gp, fx, pe = parts
     jac = p.jacobian(u)
     g = 2.0 * (jac.T @ p.X.apply_gram(fx - pe))
     g0 = None
     if gp > 0.0:
         g0 = p.gradient(u)
         g = g + 2.0 * gp * g0
-    return phi2, g, (dist, gp, fx, pe, jac, g0)
+    return parts, g, (dist, gp, fx, pe, jac, g0)
 
 
 def _hess_phi2(p, u, aux):
@@ -479,14 +497,15 @@ def _newton_minimize(p, u0, f0_bar, eps, cfg, tol):
     -0.9 |g.s| <= grad Phi2(u + t s).s <= 0.8 |g.s|.  The gradient that
     test computed is reused for the next iteration.
 
-    Returns (u, phi2, stats); stats holds inner_iters, grad_norm,
+    Returns (u, parts, stats): parts is _phi_parts at the returned u, as
+    its last gradient computed them; stats holds inner_iters, grad_norm,
     backtracks (rejected trial points) and wolfe_steps (steps accepted by
     the slope test).
     """
     u = u0.copy()
     nd = u.size
     mu = 0.0
-    phi2, g, aux = _grad_phi2(p, u, f0_bar, eps)
+    parts, g, aux = _grad_phi2(p, u, f0_bar, eps)
     gnorm = dual_norm(p.V, Element(g, p.V))
     iters = backtracks = wolfe_steps = 0
     while gnorm > tol and iters < cfg.max_iters:
@@ -494,7 +513,8 @@ def _newton_minimize(p, u0, f0_bar, eps, cfg, tol):
         step = None
         for _ in range(40):
             try:
-                cand = np.linalg.solve(h + mu * np.eye(nd), -g)
+                cand = np.linalg.solve(h if mu == 0.0 else h + mu * np.eye(nd),
+                                       -g)
             except np.linalg.LinAlgError:
                 cand = None
             if cand is not None and float(g @ cand) < 0.0:
@@ -506,6 +526,7 @@ def _newton_minimize(p, u0, f0_bar, eps, cfg, tol):
                 "could not produce a descent direction", best=u,
                 info={"inner_iters": iters, "grad_norm": gnorm, "tol": tol,
                       "mu": mu})
+        phi2 = parts[0]
         slope = float(g @ step)
         noise = _phi2_noise(u, f0_bar, eps, aux)
         t = 1.0
@@ -535,7 +556,7 @@ def _newton_minimize(p, u0, f0_bar, eps, cfg, tol):
             u = cand
             if at_cand is None:
                 at_cand = _grad_phi2(p, u, f0_bar, eps)
-            phi2, g, aux = at_cand
+            parts, g, aux = at_cand
             gnorm = dual_norm(p.V, Element(g, p.V))
         iters += 1
     stats = {"inner_iters": iters, "grad_norm": gnorm,
@@ -545,7 +566,7 @@ def _newton_minimize(p, u0, f0_bar, eps, cfg, tol):
             "no stationary point of Phi_eps^2 within %d iterations "
             "(grad %.3e > tol %.3e)" % (cfg.max_iters, gnorm, tol),
             best=u, info=dict(stats, tol=tol))
-    return u, phi2, stats
+    return u, parts, stats
 
 
 def _lbfgs_minimize(p, u0, f0_bar, eps, cfg, tol):
@@ -554,14 +575,14 @@ def _lbfgs_minimize(p, u0, f0_bar, eps, cfg, tol):
     from scipy.optimize import minimize as scipy_minimize
 
     def fun(u):
-        phi2, g, _ = _grad_phi2(p, u, f0_bar, eps)
-        return phi2, g
+        parts, g, _ = _grad_phi2(p, u, f0_bar, eps)
+        return parts[0], g
 
     res = scipy_minimize(fun, u0, jac=True, method="L-BFGS-B",
                          options={"maxiter": cfg.max_iters, "ftol": 1e-18,
                                   "gtol": 0.1 * tol, "maxcor": 20})
     u = np.asarray(res.x, dtype=float)
-    phi2, g, _ = _grad_phi2(p, u, f0_bar, eps)
+    parts, g, _ = _grad_phi2(p, u, f0_bar, eps)
     gnorm = dual_norm(p.V, Element(g, p.V))
     if gnorm > tol:
         raise InnerConvergenceError(
@@ -569,20 +590,20 @@ def _lbfgs_minimize(p, u0, f0_bar, eps, cfg, tol):
             best=u, info={"inner_iters": int(res.nit), "grad_norm": gnorm,
                           "tol": tol})
     # scipy runs its own line search, so there are no backtracking counts
-    return u, phi2, {"inner_iters": int(res.nit), "grad_norm": gnorm,
+    return u, parts, {"inner_iters": int(res.nit), "grad_norm": gnorm,
                      "backtracks": 0, "wolfe_steps": 0}
 
 
-def _ekeland_residual(p, u, f0_bar, eps, cfg):
+def _ekeland_residual(p, u, phi_u, f0_bar, eps, cfg):
     """Max over probes of Phi(u) - Phi(probe) - sqrt(eps) d(u, probe); <= 0 ideally.
 
-    The probes are u + t d for ekeland_probes random gram-unit directions d
-    and t in (0.25, 0.05, 0.01) sqrt(eps); Phi is evaluated at all of them
-    as one stack.
+    phi_u is Phi_eps(u), which the caller already has.  The probes are
+    u + t d for ekeland_probes random gram-unit directions d and t in
+    (0.25, 0.05, 0.01) sqrt(eps); Phi is evaluated at all of them as one
+    stack.
     """
     rng = np.random.default_rng([cfg.seed, 1009, int(round(1.0 / eps))])
     se = np.sqrt(eps)
-    phi_u = np.sqrt(_phi_parts(p, u, f0_bar, eps)[0])
     dirs = rng.standard_normal((cfg.ekeland_probes, u.size))
     dn = np.sqrt(np.maximum(p.V.quadratic_form(dirs), 0.0))
     keep = dn > 0.0
@@ -608,7 +629,7 @@ def _verify_local_solution(p, ub, cfg):
 
 
 def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
-                     return_info=False, verify=None):
+                     return_info=False, verify=None, f0_bar=None):
     """Near-minimizer u_eps of Phi_eps with Phi_eps(u_eps) <= eps.
 
     Minimizes Phi_eps^2 (smooth) from u_bar, or from warm_start when given,
@@ -623,9 +644,16 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
     holds on probe points up to ekeland_tol.  A warm start that fails
     triggers one cold restart from u_bar.
 
+    The Phi parts of u_eps that the inner solver's last gradient computed
+    serve the Phi <= eps check, the Ekeland residual and the info dict;
+    Phi is not evaluated at u_eps again.  f0_bar is f0(u_bar) when the
+    caller has it already (extract_multiplier passes it once per
+    schedule); None computes it here.
+
     With return_info=True returns (element, info dict) where info carries
-    phi, dist, gap_plus, inner_iters, grad_norm, backtracks, wolfe_steps,
-    ekeland_residual, ball, cold_start and eps.
+    phi, dist, gap_plus, f (the constraint value f(u_eps), from which
+    extract_multiplier forms the pair), inner_iters, grad_norm,
+    backtracks, wolfe_steps, ekeland_residual, ball, cold_start and eps.
 
     Raises InnerConvergenceError (carrying the best iterate) when the inner
     solver stalls or any a-posteriori check fails; its info dict carries
@@ -637,7 +665,8 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     ub = _coords(u_bar)
-    f0_bar = p.objective(ub)
+    if f0_bar is None:
+        f0_bar = p.objective(ub)
     if verify is None:
         verify = cfg.verify_solution
     if verify:
@@ -650,7 +679,8 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
     cold = warm_start is None
     while True:
         try:
-            u, phi2, stats = solver(p, start, f0_bar, eps, cfg, tol)
+            u, (phi2, dist, gp, fx, _), stats = solver(p, start, f0_bar, eps,
+                                                       cfg, tol)
             phi = float(np.sqrt(phi2))
             if phi > eps * (1.0 + 1e-9) + 1e-15:
                 raise InnerConvergenceError(
@@ -669,7 +699,7 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
         raise InnerConvergenceError(
             "minimizer left the sqrt(eps) ball: |u_eps - u_bar| = %.3e" % ball,
             best=u, info=dict(stats, tol=tol, ball=ball, eps=eps))
-    res = _ekeland_residual(p, u, f0_bar, eps, cfg)
+    res = _ekeland_residual(p, u, phi, f0_bar, eps, cfg)
     if res > cfg.ekeland_tol:
         raise InnerConvergenceError(
             "a-posteriori variational inequality violated by %.3e" % res,
@@ -678,9 +708,8 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
     el = Element(u, p.V)
     if not return_info:
         return el
-    _, dist, gp, _, _ = _phi_parts(p, u, f0_bar, eps)
-    info = dict(stats, phi=phi, dist=dist, gap_plus=gp, ekeland_residual=res,
-                ball=ball, cold_start=cold, eps=eps)
+    info = dict(stats, phi=phi, dist=dist, gap_plus=gp, f=fx,
+                ekeland_residual=res, ball=ball, cold_start=cold, eps=eps)
     return el, info
 
 
@@ -695,7 +724,11 @@ def multiplier_at(p, u_bar, eps, u_eps):
         raise ValueError("eps must lie in (0, 1)")
     u = _coords(u_eps)
     phi2, dist, gp, fx, _ = _phi_parts(p, u, p.objective(u_bar), eps)
-    phi = float(np.sqrt(phi2))
+    return _pair(p, float(np.sqrt(phi2)), dist, gp, fx)
+
+
+def _pair(p, phi, dist, gp, fx):
+    """(a, b) from Phi_eps, dist, gap+ and f at u_eps (see multiplier_at)."""
     if phi == 0.0:
         raise DegeneratePenaltyError("Phi_eps(u_eps) = 0: pair undefined")
     a = gp / phi
@@ -744,8 +777,9 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
     el = None
     for e in sched:
         el, info = minimize_penalty(p, ub, e, cfg, warm_start=el,
-                                    return_info=True, verify=False)
-        a, b = multiplier_at(p, ub, e, el)
+                                    return_info=True, verify=False,
+                                    f0_bar=f0_bar)
+        a, b = _pair(p, info["phi"], info["dist"], info["gap_plus"], info["f"])
         trace.append(TraceRecord(
             eps=e, u_eps=el, phi=info["phi"], a=a, b=b,
             dist_val=info["dist"], f0_gap=p.objective(el) - f0_bar,

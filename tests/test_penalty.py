@@ -238,8 +238,9 @@ def test_phi_above_eps_failure_carries_telemetry(monkeypatch):
     import fcopt.penalty as penalty
 
     def stuck(p, u0, f0_bar, eps, cfg, tol):
-        return u0, 4.0 * eps * eps, {"inner_iters": 0, "grad_norm": 0.0,
-                                     "backtracks": 0, "wolfe_steps": 0}
+        parts = (4.0 * eps * eps,) + penalty._phi_parts(p, u0, f0_bar, eps)[1:]
+        return u0, parts, {"inner_iters": 0, "grad_norm": 0.0,
+                           "backtracks": 0, "wolfe_steps": 0}
 
     monkeypatch.setattr(penalty, "_newton_minimize", stuck)
     p = equality_qp()
@@ -291,6 +292,52 @@ def test_stacked_evaluation_rejects_single_point_callables():
         minimize_penalty(p, Element(np.zeros(2), V), 0.01)
 
 
+def test_stacked_evaluation_checks_a_row_of_a_dim_row_stack():
+    # with V.dim = 48, u[0] of a 48-row stack has the shape of 48 values:
+    # the shape guard passes it, and the last row evaluated on its own
+    # shows that the rows are not the values at the points
+    V = SpaceDescriptor("controls", 48)
+    X = SpaceDescriptor("image", 1)
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((48, 48))
+
+    def make(f0):
+        return ConstrainedProblem(
+            V, X, f0=f0, f0_grad=lambda u: np.eye(48)[0],
+            f=lambda u: u[..., 1:2], f_jac=lambda u: np.eye(48)[1:2],
+            E=Singleton(X, np.zeros(1)), f0_hess=lambda u: np.zeros((48, 48)),
+            name="first-row")
+
+    p = make(lambda u: u[0])
+    assert p.objective(stack[5]) == stack[5, 0]
+    with pytest.raises(ValueError, match=r"f0 .*'first-row'.*\(48,\)"):
+        p.objective(stack)
+    with pytest.raises(ValueError, match=r"f0 .*\(47,\)"):
+        p.objective(stack[:47])
+    # the Ekeland probe is a 48-row stack
+    with pytest.raises(ValueError, match=r"f0 .*\(48,\)"):
+        minimize_penalty(p, Element(np.zeros(48), V), 0.01)
+    # the same problem with a stack-safe objective passes both
+    q = make(lambda u: u[..., 0])
+    assert_allclose(q.objective(stack), stack[:, 0])
+    el = minimize_penalty(q, Element(np.zeros(48), V), 0.01)
+    assert el.coords.shape == (48,)
+
+    # M @ u on a stack maps its columns: with X.dim = V.dim the result has
+    # the shape of 48 rows of values, but not their values
+    Y = SpaceDescriptor("square", 48)
+    M = rng.standard_normal((48, 48))
+
+    def mapped(f):
+        return ConstrainedProblem(V, Y, f0=lambda u: u[..., 0], f0_grad=None,
+                                  f=f, f_jac=lambda u: M, E=WholeSpace(Y),
+                                  name="columns")
+
+    with pytest.raises(ValueError, match=r"^f .*'columns'.*\(48, 48\)"):
+        mapped(lambda u: M @ u).constraint(stack)
+    assert_allclose(mapped(lambda u: u @ M.T).constraint(stack), stack @ M.T)
+
+
 def _per_point_ekeland_residual(p, u, eps, cfg):
     # the probe as a loop of single-point penalty values: same directions,
     # same gram normalization, same radii
@@ -314,7 +361,7 @@ def _per_point_ekeland_residual(p, u, eps, cfg):
 ], ids=["scalar", "l2", "equality-qp", "lq-endpoint", "whole", "nonneg",
         "box", "affine"])
 def test_stacked_ekeland_residual_matches_per_point_probes(make):
-    from fcopt.penalty import _ekeland_residual
+    from fcopt.penalty import _ekeland_residual, _phi_parts
     p = make()
     cfg = PenaltyConfig(seed=3)
     rng = np.random.default_rng(2)
@@ -322,7 +369,9 @@ def test_stacked_ekeland_residual_matches_per_point_probes(make):
         # a point off the reference, so constraint, projection and gap all
         # vary over the probes
         u = p.u_bar.coords + 0.1 * np.sqrt(eps) * rng.standard_normal(p.V.dim)
-        stacked = _ekeland_residual(p, u, p.objective(p.u_bar), eps, cfg)
+        f0_bar = p.objective(p.u_bar)
+        phi_u = np.sqrt(_phi_parts(p, u, f0_bar, eps)[0])
+        stacked = _ekeland_residual(p, u, phi_u, f0_bar, eps, cfg)
         oracle, phi_u = _per_point_ekeland_residual(p, u, eps, cfg)
         assert abs(stacked - oracle) <= 1e-12 * max(1.0, phi_u)
 
@@ -670,20 +719,84 @@ def test_qp_sweep_matches_direct_kkt_solve(seed):
     assert bad == []
 
 
+def _quasi_newton_qp():
+    p = equality_qp()
+    p.f0_hess = None
+    return p
+
+
+@pytest.mark.parametrize("make, steps", [
+    (equality_qp, 14), (lambda: lq_endpoint_problem(10), 10),
+    (_quasi_newton_qp, 8),
+], ids=["equality-qp", "lq-endpoint", "l-bfgs"])
+def test_schedule_reuses_the_parts_of_the_returned_point(make, steps,
+                                                         monkeypatch):
+    # every record's pair, and its info phi, dist and gap_plus, must be
+    # those of a fresh evaluation at u_eps.  The warm attempt at the third
+    # eps is forced to fail: it returns its minimizer moved by 1 in every
+    # coordinate, with that point's parts, whose Phi > eps sends the step
+    # into a cold restart; parts kept from that attempt (or from any
+    # rejected trial point) show here
+    import fcopt.penalty as penalty
+    p = make()
+    ub = p.u_bar.coords
+    sched = default_schedule(0.1, steps)
+    name = "_newton_minimize" if p.f0_hess is not None else "_lbfgs_minimize"
+    solve = getattr(penalty, name)
+    forced = []
+
+    def failing_warm_start(q, u0, f0_bar, eps, cfg, tol):
+        if eps == sched[2] and not np.array_equal(u0, ub):
+            forced.append(eps)
+            u, _, stats = solve(q, u0, f0_bar, eps, cfg, tol)
+            far = u + 1.0
+            return far, penalty._phi_parts(q, far, f0_bar, eps), stats
+        return solve(q, u0, f0_bar, eps, cfg, tol)
+
+    infos = []
+    minimize = penalty.minimize_penalty
+
+    def recording(*args, **kwargs):
+        el, info = minimize(*args, **kwargs)
+        infos.append(info)
+        return el, info
+
+    monkeypatch.setattr(penalty, name, failing_warm_start)
+    monkeypatch.setattr(penalty, "minimize_penalty", recording)
+    pair, trace = extract_multiplier(p, p.u_bar, sched)
+    assert forced == [sched[2]] and infos[2]["cold_start"]
+    assert len(infos) == len(trace) == steps
+    f0_bar = p.objective(ub)
+    for rec, info in zip(trace, infos):
+        a, b = multiplier_at(p, p.u_bar, rec.eps, rec.u_eps)
+        assert rec.a == a
+        assert np.array_equal(rec.b.coords, b.coords)
+        phi2, dist, gp, fx, _ = penalty._phi_parts(p, rec.u_eps.coords,
+                                                   f0_bar, rec.eps)
+        assert info["phi"] == rec.phi == float(np.sqrt(phi2))
+        assert info["dist"] == rec.dist_val == dist
+        assert info["gap_plus"] == gp
+        assert np.array_equal(info["f"], fx)
+    assert pair.z0 == trace[-1].a
+
+
 def test_default_qp_schedule_phi_evaluation_budget(monkeypatch):
     # the default schedule on the default instance evaluates Phi_eps^2 at
-    # 823 points, the 14 x 48 Ekeland probe points included; a line search
+    # 781 points, the 14 x 48 Ekeland probe points included; a line search
     # that judges steps by changes of Phi_eps^2 below its roundoff
     # evaluates over 12,000 and stalls
     import fcopt.penalty as penalty
     points = [0]
+    singles = [0]
     stacks = []
     parts = penalty._phi_parts
 
     def counting(p, u, *args):
         u = np.asarray(u)
         points[0] += 1 if u.ndim == 1 else len(u)
-        if u.ndim == 2:
+        if u.ndim == 1:
+            singles[0] += 1
+        else:
             stacks.append(len(u))
         return parts(p, u, *args)
 
@@ -693,3 +806,7 @@ def test_default_qp_schedule_phi_evaluation_budget(monkeypatch):
     assert 0 < points[0] <= 2000
     # each Ekeland check evaluates its 16 x 3 probe points as one stack
     assert stacks == [48] * 14
+    # single points are the Newton iterates and trial points only: the
+    # Phi <= eps check, the probe's Phi(u_eps), the info dict and the pair
+    # reuse the parts of the last gradient (151 with one evaluation each)
+    assert singles[0] <= 109
