@@ -76,7 +76,8 @@ class EstimateReport:
         Numerical kernel dimension of the adjoint (or stacked) operator.
     sigma_profile : ndarray
         Singular values, descending.  Tree-SDE reports
-        (tree.sde_estimate_constant) carry only the extremes
+        (tree.sde_estimate_constant) and elliptic reports
+        (elliptic.elliptic_estimate_constant) carry only the extremes
         [sigma_max, sigma_min], with sigma_min 0.0 when the kernel is
         not trivial.
     verdict : str

@@ -13,13 +13,28 @@ estimate.  Measured from H^1_0 (phi side) to H^-1 (h side), the map is
 for a = 1, c = 0 the discrete Riesz isometry -- every singular value
 equals 1 -- and variable coefficients perturb the constant without
 breaking its mesh independence.
+
+Both constants come from the tridiagonal structure alone.  In L^2/L^2
+both grams are h*I and cancel, so the singular values are sigma = |lambda(L)|.
+In H^1_0/H^-1 the solution gram is K0 = T/h (T = tridiag(-1, 2, -1)) and
+the data gram is h^3 T^-1 = h^2 K0^-1, so sigma = h |lambda(L, K0)|, the
+eigenvalues of the symmetric-definite tridiagonal pencil.  Because K0 is
+positive definite, Sylvester's law of inertia counts the pencil's
+eigenvalues below s as the negative pivots of the tridiagonal L - s K0.
+The extremes are bisected on these O(N) counts (Barth, Martin &
+Wilkinson, Numer. Math. 9, 1967); no gram, factorization or SVD is
+formed.  The kernel dimension is the number of |lambda| within
+RANK_RTOL sigma_max (divided by h for the pencil), two counts that
+reproduce the spaces.rank_mask rule sigma <= tol sigma_max.
 """
+
+import math
+from functools import cached_property
 
 import numpy as np
 
-from .diagnostics import (EstimateReport, _finite_growth_verdict, _sweep,
-                          kernel_dimension)
-from .spaces import LinearMap, SpaceDescriptor, singular_triplets
+from .diagnostics import EstimateReport, _finite_growth_verdict, _sweep
+from .spaces import RANK_RTOL, LinearMap, SpaceDescriptor
 
 __all__ = [
     "EllipticSystem",
@@ -29,6 +44,10 @@ __all__ = [
 ]
 
 _TAGS = ("L2L2", "H1H-1")
+
+# Python floats: numpy scalars would slow every step of the count loop
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _nodal_values(coef, x, label):
@@ -69,6 +88,31 @@ def _sturm_count(diag, off2, shift, pivmin):
     return count
 
 
+def _kth_eigenvalue(count, k, radius, negative, floor):
+    """The k-th smallest eigenvalue (k = 1, 2, ...) by Sturm bisection.
+
+    ``count(s)`` is the number of eigenvalues below s, ``negative`` is
+    count(0), and every eigenvalue lies in [-radius, radius]; so the
+    k-th lies in [-radius, 0] when k <= negative and in [0, radius]
+    otherwise.  That bracket is bisected down to a width of 2 eps
+    relative to its larger end, or ``floor`` when that is wider
+    (dstebz's RELTOL and PIVMIN), and at the latest to adjacent doubles:
+    a zero matrix has radius 0.  An eigenvalue whose final bracket still
+    ends at 0 lies within ``floor`` of it and is returned as 0.0.
+    """
+    pad = radius * (1.0 + 8.0 * _EPS) + floor
+    lo, hi = (-pad, 0.0) if k <= negative else (0.0, pad)
+    while hi - lo > max(floor, 2.0 * _EPS * max(abs(lo), abs(hi))):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent doubles
+        if count(mid) >= k:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi) if lo * hi > 0.0 else 0.0
+
+
 def _laplace_inverse(N):
     # closed-form inverse of tridiag(-1, 2, -1):
     # (T^-1)_ij = min(i,j) (N+1-max(i,j)) / (N+1), 1-based indices
@@ -100,7 +144,8 @@ class EllipticSystem:
     Attributes
     ----------
     matrix : ndarray
-        The symmetric (N, N) operator matrix.
+        The symmetric (N, N) operator matrix (assembled when first read;
+        the estimate works on the three diagonals alone).
     min_eig : float
         Smallest eigenvalue of the operator matrix (computed when read).
     positive_definite : bool
@@ -130,49 +175,52 @@ class EllipticSystem:
         self.c_nodes = _nodal_values(c, self.x, "c")
 
         amid = 0.5 * (self.a_nodes[:-1] + self.a_nodes[1:])
-        main = (amid[:-1] + amid[1:]) / self.h ** 2 - self.c_nodes
-        off = -amid[1:-1] / self.h ** 2
-        self.matrix = (np.diag(main)
-                       + np.diag(off, 1)
-                       + np.diag(off, -1))
+        self._main = (amid[:-1] + amid[1:]) / self.h ** 2 - self.c_nodes
+        self._off = -amid[1:-1] / self.h ** 2
+        # largest absolute row sum: bounds every eigenvalue (Gershgorin)
+        absoff = np.abs(self._off)
+        rows = np.abs(self._main)
+        rows[:-1] += absoff
+        rows[1:] += absoff
+        self._norm_inf = float(rows.max())
 
         # definiteness is answered by a Sturm count; the smallest
         # eigenvalue itself is bisected only when it is read
-        self._diag = main.tolist()
-        self._off2 = [0.0] + (off * off).tolist()
-        self._pivmin = np.finfo(float).tiny * max(1.0, max(self._off2))
-        self._min_eig = None
+        self._diag = self._main.tolist()
+        self._off2 = [0.0] + (self._off * self._off).tolist()
+        self._pivmin = _TINY * max(1.0, max(self._off2))
         self.shift = float(np.max(np.abs(self.c_nodes), initial=0.0))
-        self.positive_definite = self._count_below(0.0) == 0
+        self._negative = self._count_below(0.0)
+        self.positive_definite = self._negative == 0
+
+    @cached_property
+    def matrix(self):
+        return (np.diag(self._main)
+                + np.diag(self._off, 1)
+                + np.diag(self._off, -1))
 
     def _count_below(self, shift):
         return _sturm_count(self._diag, self._off2, shift, self._pivmin)
 
-    @property
+    def _pencil_count_below(self, s):
+        # eigenvalues of the pencil (L, K0) below s = negative pivots of
+        # the tridiagonal L - s K0, K0 = tridiag(-1, 2, -1)/h being SPD
+        off2 = np.zeros(self.N)
+        np.square(self._off + s / self.h, out=off2[1:])
+        pivmin = _TINY * max(1.0, float(off2.max()))
+        return _sturm_count(self._diag, off2.tolist(), 2.0 * s / self.h,
+                            pivmin)
+
+    @cached_property
     def min_eig(self):
         """Smallest eigenvalue of the operator matrix, by Sturm bisection.
 
-        Bisects the Gershgorin interval down to an absolute width of
-        2 eps times its largest end, the accuracy LAPACK's dstebz gives
-        with its default tolerance.  Computed on first read and cached.
+        Bisects [-|L|_inf, 0] (or [0, |L|_inf] for a positive definite
+        matrix) down to a width of 2 eps relative to the eigenvalue.
+        Computed on first read and cached.
         """
-        if self._min_eig is None:
-            main = np.asarray(self._diag)
-            radius = np.sqrt(self._off2[1:] + [0.0]) + np.sqrt(self._off2)
-            lo = float(np.min(main - radius))
-            hi = float(np.max(main + radius))
-            tol = 2.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
-            lo, hi = lo - tol - self._pivmin, hi + tol
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    break  # adjacent doubles: a zero matrix has tol = 0
-                if self._count_below(mid) > 0:
-                    hi = mid
-                else:
-                    lo = mid
-            self._min_eig = 0.5 * (lo + hi)
-        return self._min_eig
+        return _kth_eigenvalue(self._count_below, 1, self._norm_inf,
+                               self._negative, self._pivmin)
 
     def solution_space(self):
         """Space the argument phi lives in, per the tag."""
@@ -210,24 +258,61 @@ def elliptic_estimate_constant(sys):
     """Best constant C with |L phi| <= C |phi| in the tagged norm pair.
 
     Equivalently: the smallest C so that every solution of L phi = h
-    obeys |h| <= C |phi|.  Computed as the largest singular value of the
-    forward map in the tagged grams.  An indefinite operator (potential
-    overpowering the diffusion) is reported in the note; the
-    computation proceeds on the assembled matrix regardless.
+    obeys |h| <= C |phi|.  C is the largest singular value of the
+    forward map in the tagged grams: sigma = |lambda(L)| for L2/L2 and
+    sigma = h |lambda(L, K0)| for H1/H-1 (module docstring), so C is
+    the larger modulus of the two extreme eigenvalues, each bisected on
+    Sturm counts.  The kernel dimension counts the eigenvalues with
+    sigma <= RANK_RTOL * C; ``sigma_profile`` is [sigma_max, sigma_min],
+    with sigma_min 0.0 when the kernel is not trivial.  An indefinite
+    operator (potential overpowering the diffusion) is reported in the
+    note; the computation proceeds regardless.
     """
-    F = elliptic_operator_map(sys)
-    sig = singular_triplets(F, compute_uv=False)
+    N = sys.N
+    if sys.tag == "L2L2":
+        count, radius, scale = sys._count_below, sys._norm_inf, 1.0
+    else:
+        # |lambda(L, K0)| <= |L|_inf / lambda_min(K0), the latter in
+        # closed form
+        k0_min = (4.0 / sys.h) * math.sin(0.5 * math.pi * sys.h) ** 2
+        count, radius, scale = (sys._pencil_count_below,
+                                sys._norm_inf / k0_min, sys.h)
+
+    def eigenvalue(k):
+        # the pencil at shift 0 is L itself, so L's pivot floor serves
+        return _kth_eigenvalue(count, k, radius, sys._negative, sys._pivmin)
+
+    lowest = sys.min_eig if sys.tag == "L2L2" else eigenvalue(1)
+    highest = eigenvalue(N)
+    smax = scale * max(abs(lowest), abs(highest))
+
+    if smax == 0.0:
+        kdim = N
+    else:
+        cut = RANK_RTOL * smax / scale
+        kdim = count(cut) - count(-cut)
+    neg = sys._negative  # the pencil's inertia at 0 is L's
+    if kdim:
+        smin = 0.0
+    elif neg == 0:
+        smin = scale * abs(lowest)
+    elif neg == N:
+        smin = scale * abs(highest)
+    else:
+        # the eigenvalues next to 0 are the neg-th and the (neg+1)-th
+        smin = scale * min(abs(eigenvalue(neg)), abs(eigenvalue(neg + 1)))
+
     note = ""
     if not sys.positive_definite:
         note = ("operator matrix is not positive definite "
                 "(min eigenvalue %.3e)" % sys.min_eig)
     return EstimateReport(
-        constant=sig[0],
-        kernel_dim=kernel_dimension(F, sigma=sig),
-        sigma_profile=sig,
+        constant=smax,
+        kernel_dim=kdim,
+        sigma_profile=[smax, smin],
         verdict="inconclusive",
         note=note,
-        extras={"tag": sys.tag, "N": sys.N, "h": sys.h,
+        extras={"tag": sys.tag, "N": N, "h": sys.h,
                 "shift": sys.shift})
 
 

@@ -1,5 +1,6 @@
 """Tests for the elliptic operator assembly and estimate constants."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,10 @@ from numpy.testing import assert_allclose
 from fcopt.elliptic import (EllipticSystem, _sturm_count,
                             elliptic_estimate_constant,
                             elliptic_operator_map, elliptic_sweep)
-from fcopt.spaces import Element, norm
+from fcopt.spaces import Element, norm, rank_mask, singular_triplets
+
+# c at which the lowest discrete eigenvalue of the N = 15 mesh vanishes
+_C_KERNEL_15 = 4.0 * 16 ** 2 * np.sin(np.pi / 32) ** 2
 
 
 def test_matrix_assembly_constant_coefficients():
@@ -54,15 +58,19 @@ def test_operator_matches_differential_quotient():
 
 
 def test_l2_constant_matches_eigenvalue_formula():
-    # largest eigenvalue of the discrete second-difference operator:
-    # (4/h^2) sin^2(k pi h / 2) at the top mode k = N
+    # eigenvalues of the discrete second-difference operator:
+    # (4/h^2) sin^2(k pi h / 2), k = 1..N; the count at each midpoint
+    # between consecutive ones is its index, so every eigenvalue is where
+    # the formula puts it, and the bisected extremes match it to roundoff
     for N in (5, 16, 33):
         s = EllipticSystem(N, tag="L2L2")
         rep = elliptic_estimate_constant(s)
         k = np.arange(1, N + 1)
         lam = (4.0 / s.h ** 2) * np.sin(k * np.pi * s.h / 2.0) ** 2
-        assert_allclose(rep.constant, lam[-1], rtol=1e-12)
-        assert_allclose(np.sort(rep.sigma_profile), lam, rtol=1e-10)
+        mids = 0.5 * (lam[:-1] + lam[1:])
+        assert [s._count_below(m) for m in mids] == list(range(1, N))
+        assert_allclose(rep.constant, lam[-1], rtol=1e-13)
+        assert_allclose(rep.sigma_profile, [lam[-1], lam[0]], rtol=1e-13)
         assert rep.kernel_dim == 0
 
 
@@ -76,11 +84,15 @@ def test_l2_constant_single_node():
 
 
 def test_h1_pair_is_isometry_for_unit_coefficients():
+    # every eigenvalue of the pencil (L, K0) is 1/h, so every sigma is 1:
+    # the pencil count is 0 just below 1/h and N just above it
     for N in (7, 32, 101):
         s = EllipticSystem(N, a=1.0, c=0.0, tag="H1H-1")
         rep = elliptic_estimate_constant(s)
-        assert_allclose(rep.sigma_profile, np.ones(N), rtol=1e-9)
-        assert_allclose(rep.constant, 1.0, rtol=1e-9)
+        assert s._pencil_count_below((1.0 - 1e-12) / s.h) == 0
+        assert s._pencil_count_below((1.0 + 1e-12) / s.h) == N
+        assert_allclose(rep.sigma_profile, [1.0, 1.0], rtol=1e-13)
+        assert_allclose(rep.constant, 1.0, rtol=1e-13)
 
 
 def test_h1_norms_bracket_operator_directly():
@@ -219,8 +231,7 @@ def test_sweep_verdict_ignores_kernel(tag, verdict):
     # a kernel; the constant is sigma_max, which the kernel does not move,
     # so the verdict follows the constants (a kernel-aware rule would say
     # "inconclusive" for both tags)
-    c = 4.0 * 16 ** 2 * np.sin(np.pi / 32) ** 2
-    swept = elliptic_sweep((15, 31, 63, 127), tag=tag, c=c)
+    swept = elliptic_sweep((15, 31, 63, 127), tag=tag, c=_C_KERNEL_15)
     assert swept.kernel_dims == [1, 0, 0, 0]
     assert swept.verdict == verdict
 
@@ -248,3 +259,83 @@ def test_operator_map_spaces_consistent():
     assert F.domain.dim == 6 and F.codomain.dim == 6
     assert F.domain.name.endswith("H10")
     assert F.codomain.name.endswith("Hm1")
+
+
+def _dense_sigma(s):
+    # the oracle: sigma-only SVD of the whitened map in the dense grams
+    return singular_triplets(elliptic_operator_map(s), compute_uv=False)
+
+
+@pytest.mark.parametrize("tag", ["L2L2", "H1H-1"])
+@pytest.mark.parametrize("N", [1, 2, 7, 64, 255])
+@pytest.mark.parametrize("a_kind", ["unit", "sine", "nodal"])
+@pytest.mark.parametrize("c", [0.0, 0.3, 50.0, _C_KERNEL_15])
+def test_bisection_matches_dense_svd(tag, N, a_kind, c):
+    a = {"unit": 1.0, "sine": lambda x: 1.0 + 0.5 * np.sin(3 * x),
+         "nodal": 1.0 + np.linspace(0.0, 1.0, N + 2) ** 2}[a_kind]
+    s = EllipticSystem(N, a=a, c=c, tag=tag)
+    rep = elliptic_estimate_constant(s)
+    sig = _dense_sigma(s)
+    assert rep.kernel_dim == N - np.count_nonzero(rank_mask(sig))
+    assert_allclose(rep.constant, sig[0], rtol=1e-12)
+    smax, smin = rep.sigma_profile
+    assert smax == rep.constant
+    if rep.kernel_dim == 0:
+        # both paths resolve a small sigma only to an absolute error of
+        # eps * sigma_max (Weyl), times the condition of the H^1_0 gram K0
+        # that whitens (dense) or enters the pencil (bisection)
+        kappa = 1.0 if tag == "L2L2" else np.tan(np.pi * s.h / 2) ** -2
+        floor = np.finfo(float).eps * kappa * sig[0]
+        assert abs(smin - sig[-1]) <= 1e-12 * sig[-1] + floor
+    else:
+        assert smin == 0.0
+
+
+@pytest.mark.parametrize("tag", ["L2L2", "H1H-1"])
+@pytest.mark.parametrize("N, c", [(15, _C_KERNEL_15), (1, 8.0)])
+def test_kernel_count_matches_dense_rank_mask(tag, N, c):
+    # a vanishing lowest eigenvalue, and the 1 x 1 zero matrix
+    s = EllipticSystem(N, a=1.0, c=c, tag=tag)
+    rep = elliptic_estimate_constant(s)
+    sig = _dense_sigma(s)
+    assert rep.kernel_dim == N - np.count_nonzero(rank_mask(sig)) == 1
+    assert rep.sigma_profile[1] == 0.0
+
+
+def test_sweep_to_4095_in_linear_memory():
+    # closed forms at large N: lambda_max = (4/h^2) sin^2(N pi h / 2) for
+    # L2/L2 and sigma = 1 for H1/H-1; one N x N array at N = 4095 is
+    # 134 MB, so a peak below 8 MB rules out every dense step
+    levels = (1023, 2047, 4095)
+    tracemalloc.start()
+    try:
+        l2 = elliptic_sweep(levels, tag="L2L2")
+        h1 = elliptic_sweep(levels, tag="H1H-1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    h = 1.0 / (np.array(levels) + 1.0)
+    lam_max = (4.0 / h ** 2) * np.sin(np.array(levels) * np.pi * h / 2) ** 2
+    assert_allclose(l2.constants, lam_max, rtol=1e-13)
+    assert_allclose([rep.sigma_profile for _, rep in h1.levels],
+                    np.ones((3, 2)), rtol=1e-13)
+    assert (l2.verdict, h1.verdict) == ("growing", "bounded")
+
+
+@pytest.mark.parametrize("tag, verdict", [("L2L2", "growing"),
+                                          ("H1H-1", "bounded")])
+def test_estimate_runs_no_dense_factorization(tag, verdict, monkeypatch):
+    # the estimate works on the three diagonals: any dense factorization
+    # or decomposition slipping back in fails here
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra in the elliptic estimate")
+
+    for name in ("svd", "cholesky", "eigvalsh", "eigh", "solve", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    swept = elliptic_sweep((15, 31, 63, 127), tag=tag, c=_C_KERNEL_15)
+    assert swept.verdict == verdict
+    assert swept.kernel_dims == [1, 0, 0, 0]
+    s = EllipticSystem(63, tag=tag)
+    elliptic_estimate_constant(s)
+    assert "matrix" not in vars(s)  # the dense matrix was never assembled
