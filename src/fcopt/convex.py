@@ -33,6 +33,13 @@ __all__ = [
 
 _MEMBERSHIP_TOL = 1e-8
 
+# The gram box projection frees a held coordinate only when its gradient
+# pulls it inward by more than this multiple of |G|_max |x - c|_inf, the
+# roundoff of that gradient; it gives up after _BVLS_PASSES (dim + 1)
+# passes, far more than any small problem takes.
+_BVLS_RTOL = 1e-12
+_BVLS_PASSES = 10
+
 
 def _kronecker(dim, count, seed):
     """Deterministic quasi-random points in [0,1)^dim: a shifted R_d sequence.
@@ -54,20 +61,50 @@ def _kronecker(dim, count, seed):
 def _gram_bvls(space, coords, lo, hi):
     """Projection onto the box [lo, hi] in a non-diagonal gram metric.
 
-    Solves the bound-constrained least-squares problem min |L'(x - coords)|
-    by BVLS, one row at a time for a (k, dim) stack.
+    Minimizes (x - c)' G (x - c) over lo <= x <= hi by a primal active-set
+    loop in the manner of BVLS (Stark and Parker, Comput. Stat. 10, 1995),
+    one row at a time for a (k, dim) stack.  Each pass minimizes over the
+    free coordinates with the others held at their bounds.  If that point
+    leaves the box, the pass steps toward it up to the first bound it
+    meets and holds that coordinate there.  Otherwise the pass frees the
+    held coordinate whose gradient most pushes it back into the box, and
+    the loop stops when no held gradient does.
     """
-    # deferred: scipy.optimize is only needed for a non-diagonal gram,
-    # which no registered problem has
-    from scipy.optimize import lsq_linear
-
     if coords.ndim == 2:
         return np.array([_gram_bvls(space, row, lo, hi) for row in coords]
                         ).reshape(coords.shape)
-    lt = space.norm_factor()
-    res = lsq_linear(lt, lt @ coords, bounds=(lo, hi), method="bvls",
-                     tol=1e-14)
-    return res.x
+    g = space.gram
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                 np.asarray(hi, dtype=float), coords)[:2]
+    x = np.clip(coords, lo, hi)
+    free = x == coords
+    passes = _BVLS_PASSES * (coords.size + 1)
+    for _ in range(passes):
+        f, held = np.flatnonzero(free), np.flatnonzero(~free)
+        z = x.copy()
+        z[f] = coords[f] - np.linalg.solve(
+            g[np.ix_(f, f)], g[np.ix_(f, held)] @ (x[held] - coords[held]))
+        out = np.flatnonzero((z < lo) | (z > hi))
+        if out.size:
+            bound = np.where(z[out] < lo[out], lo[out], hi[out])
+            alpha = (bound - x[out]) / (z[out] - x[out])
+            k = int(np.argmin(alpha))
+            x = x + alpha[k] * (z - x)
+            x[out[k]] = bound[k]
+            free[out[k]] = False
+            continue
+        x = z
+        grad = g @ (x - coords)
+        # inward pull of each held coordinate: -grad at lo, grad at hi; a
+        # coordinate with lo = hi stays held
+        pull = np.where(x[held] == lo[held], -grad[held], grad[held])
+        pull[lo[held] == hi[held]] = -np.inf
+        tol = _BVLS_RTOL * float(np.abs(g).max() * np.abs(x - coords).max())
+        if not held.size or pull.max() <= tol:
+            return x
+        free[held[int(np.argmax(pull))]] = True
+    raise RuntimeError("gram box projection did not settle in %d passes"
+                       % passes)
 
 
 class ConvexSet:

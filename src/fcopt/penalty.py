@@ -23,8 +23,9 @@ bounded away from 0 the pair rescales to a KKT multiplier z/z0.
 
 Phi_eps itself is not differentiable, but Phi_eps^2 is C^1 (squared
 distance to a convex set and squared positive part both are), so the inner
-solver minimizes Phi_eps^2 by damped Newton / quasi-Newton descent and the
-Ekeland-type inequalities are verified a posteriori on probe points.
+solver minimizes Phi_eps^2 by damped Newton descent (differencing grad f0
+when the problem has no f0_hess) and the Ekeland-type inequalities are
+verified a posteriori on probe points.
 """
 
 import warnings
@@ -87,11 +88,23 @@ class InapplicableBranchError(ValueError):
 # of a stack returns data of another point.
 _ROW_RTOL = 1e-9
 
+# Step of the differences of grad f0 that stand in for a missing f0_hess,
+# relative to max(1, |u|_inf): the cube root of the machine epsilon balances
+# the O(h^2) truncation and O(eps/h) rounding errors of a central difference
+# (Nocedal and Wright, Numerical Optimization, section 8.1).
+_HESS_FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)
+
 
 def _coords(u):
     if isinstance(u, Element):
         return np.asarray(u.coords, dtype=float)
     return np.asarray(u, dtype=float)
+
+
+def _central_differences(fn, u, h):
+    """Columns (fn(u + h e_j) - fn(u - h e_j)) / 2h, j = 0..u.size-1."""
+    return np.stack([(fn(u + s) - fn(u - s)) / (2.0 * h)
+                     for s in h * np.eye(u.size)], axis=-1)
 
 
 class ConstrainedProblem:
@@ -121,7 +134,9 @@ class ConstrainedProblem:
     domain : ConvexSet or None
         Admissible set in V; None means the whole space.
     f0_hess : callable or None
-        Objective Hessian u -> (V.dim, V.dim); enables Newton steps.
+        Objective Hessian u -> (V.dim, V.dim).  None makes the Newton
+        inner solver difference grad f0 instead, at 2 V.dim gradient calls
+        per iteration (see ``hessian``).
     f_hess_combo : callable or None
         (u, w) -> sum_i w_i * Hess f_i(u), the second-order term of the
         constraint map weighted by a dual vector w; 0 for affine maps.
@@ -187,6 +202,19 @@ class ConstrainedProblem:
                 % (name, self.name, val.shape, shape[0], shape))
         return val
 
+    def hessian(self, u):
+        """Hessian of f0 at u as a (V.dim, V.dim) array.
+
+        f0_hess(u), or, for a problem without it, the symmetrized central
+        differences of f0_grad (2 V.dim gradient calls).
+        """
+        u = _coords(u)
+        if self.f0_hess is not None:
+            return np.asarray(self.f0_hess(u), dtype=float)
+        h = _HESS_FD_STEP * max(1.0, float(np.abs(u).max()))
+        fd = _central_differences(self.gradient, u, h)
+        return 0.5 * (fd + fd.T)
+
     def jacobian(self, u):
         """Jacobian of f at u as an (X.dim, V.dim) array."""
         return np.asarray(self._f_jac(_coords(u)), dtype=float)
@@ -199,11 +227,7 @@ class ConstrainedProblem:
         """Max relative error of the analytic Jacobian vs central differences."""
         u = _coords(u)
         jac = self.jacobian(u)
-        fd = np.empty_like(jac)
-        for j in range(self.V.dim):
-            step = np.zeros(self.V.dim)
-            step[j] = h
-            fd[:, j] = (self.constraint(u + step) - self.constraint(u - step)) / (2.0 * h)
+        fd = _central_differences(self.constraint, u, h)
         scale = max(1.0, float(np.abs(jac).max()))
         return float(np.abs(fd - jac).max()) / scale
 
@@ -242,8 +266,8 @@ class ConstrainedProblem:
 class PenaltyConfig:
     """Tunable knobs of the penalty pipeline (all defaults are sensible).
 
-    The inner solver is not among them: it is damped Newton for a problem
-    with f0_hess and L-BFGS for one without (see minimize_penalty).
+    The inner solver is not among them: it is damped Newton for every
+    problem (see minimize_penalty).
 
     Parameters
     ----------
@@ -453,8 +477,7 @@ def _hess_phi2(p, u, aux):
     h = 2.0 * (jac.T @ gx_j)
     if gp > 0.0:
         h = h + 2.0 * np.outer(g0, g0)
-        if p.f0_hess is not None:
-            h = h + 2.0 * gp * np.asarray(p.f0_hess(u), dtype=float)
+        h = h + 2.0 * gp * p.hessian(u)
     if p.f_hess_combo is not None:
         w = p.X.apply_gram(fx - pe)
         h = h + 2.0 * np.asarray(p.f_hess_combo(u, w), dtype=float)
@@ -569,31 +592,6 @@ def _newton_minimize(p, u0, f0_bar, eps, cfg, tol):
     return u, parts, stats
 
 
-def _lbfgs_minimize(p, u0, f0_bar, eps, cfg, tol):
-    # deferred: scipy.optimize is slow to import and no registered problem
-    # takes this fallback, so only the runs that do pay for it
-    from scipy.optimize import minimize as scipy_minimize
-
-    def fun(u):
-        parts, g, _ = _grad_phi2(p, u, f0_bar, eps)
-        return parts[0], g
-
-    res = scipy_minimize(fun, u0, jac=True, method="L-BFGS-B",
-                         options={"maxiter": cfg.max_iters, "ftol": 1e-18,
-                                  "gtol": 0.1 * tol, "maxcor": 20})
-    u = np.asarray(res.x, dtype=float)
-    parts, g, _ = _grad_phi2(p, u, f0_bar, eps)
-    gnorm = dual_norm(p.V, Element(g, p.V))
-    if gnorm > tol:
-        raise InnerConvergenceError(
-            "quasi-Newton inner solve left grad %.3e > tol %.3e" % (gnorm, tol),
-            best=u, info={"inner_iters": int(res.nit), "grad_norm": gnorm,
-                          "tol": tol})
-    # scipy runs its own line search, so there are no backtracking counts
-    return u, parts, {"inner_iters": int(res.nit), "grad_norm": gnorm,
-                     "backtracks": 0, "wolfe_steps": 0}
-
-
 def _ekeland_residual(p, u, phi_u, f0_bar, eps, cfg):
     """Max over probes of Phi(u) - Phi(probe) - sqrt(eps) d(u, probe); <= 0 ideally.
 
@@ -633,9 +631,10 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
     """Near-minimizer u_eps of Phi_eps with Phi_eps(u_eps) <= eps.
 
     Minimizes Phi_eps^2 (smooth) from u_bar, or from warm_start when given,
-    by damped Newton when the problem has f0_hess, and by L-BFGS
-    otherwise, to a gradient dual norm of max(inner_floor,
-    inner_scale * eps^2).  The Newton line search accepts a step by the
+    by damped Newton, to a gradient dual norm of max(inner_floor,
+    inner_scale * eps^2).  The Hessian of f0 in the Newton system is the
+    problem's f0_hess, or central differences of f0_grad when it has none
+    (see ConstrainedProblem.hessian).  The line search accepts a step by the
     Armijo decrease of Phi_eps^2, or, when the change of Phi_eps^2 is
     below its rounding noise, by the approximate Wolfe condition on the
     slope along the step (see _newton_minimize).  It then verifies a
@@ -673,14 +672,13 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
         _verify_local_solution(p, ub, cfg)
 
     tol = max(cfg.inner_floor, cfg.inner_scale * eps * eps)
-    solver = _newton_minimize if p.f0_hess is not None else _lbfgs_minimize
 
     start = ub if warm_start is None else _coords(warm_start)
     cold = warm_start is None
     while True:
         try:
-            u, (phi2, dist, gp, fx, _), stats = solver(p, start, f0_bar, eps,
-                                                       cfg, tol)
+            u, (phi2, dist, gp, fx, _), stats = _newton_minimize(
+                p, start, f0_bar, eps, cfg, tol)
             phi = float(np.sqrt(phi2))
             if phi > eps * (1.0 + 1e-9) + 1e-15:
                 raise InnerConvergenceError(

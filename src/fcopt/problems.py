@@ -43,8 +43,7 @@ def null_space(A):
     """Orthonormal basis of the null space of A, as columns, from its SVD.
 
     A singular value counts as zero when it is at most
-    eps * max(A.shape) times the largest one, the cutoff of
-    ``scipy.linalg.null_space``.
+    eps * max(A.shape) times the largest one.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     _, s, vh = np.linalg.svd(A, full_matrices=True)

@@ -128,10 +128,6 @@ class SpaceDescriptor:
         """Lower Cholesky factor L with G = L L'."""
         return self._chol
 
-    def norm_factor(self):
-        """Upper factor L' such that |x| = |L' x|_2."""
-        return self._chol.T
-
     def apply_gram(self, coords):
         """Return G x for a coordinate array."""
         return self.gram @ np.asarray(coords, dtype=float)

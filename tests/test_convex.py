@@ -1,5 +1,7 @@
 """Tests for convex sets, projections, subgradients and variation sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,6 +103,61 @@ def test_project_box_nondiagonal_gram_matches_bruteforce():
     oracle = pts[np.argmin(vals)]
     got = project(box, s.element(x)).coords
     assert np.abs(got - oracle).max() <= 5e-3
+
+
+def _kkt_enumeration(g, c, lo, hi):
+    """Every KKT point of min (x - c)' G (x - c) over lo <= x <= hi.
+
+    Tries each pattern of free coordinates and coordinates held at a
+    finite lo or hi: 3^n patterns for a box, 2^n for the cone.  The
+    minimizer on the face is a KKT point when it lies in the box and the
+    gradient at it points outward at every held coordinate.
+    """
+    n = len(c)
+    found = []
+    for pattern in itertools.product((-1, 0, 1), repeat=n):
+        pattern = np.array(pattern)
+        held = np.where(pattern < 0, lo, np.where(pattern > 0, hi, 0.0))
+        if not np.all(np.isfinite(held[pattern != 0])):
+            continue
+        f, h = np.flatnonzero(pattern == 0), np.flatnonzero(pattern != 0)
+        x = held.copy()
+        x[f] = c[f] - np.linalg.solve(g[np.ix_(f, f)],
+                                      g[np.ix_(f, h)] @ (x[h] - c[h]))
+        grad = g @ (x - c)
+        tol = 1e-9 * max(1.0, np.abs(grad).max())
+        if (np.all(x >= lo - tol) and np.all(x <= hi + tol)
+                and np.all(grad[pattern < 0] >= -tol)
+                and np.all(grad[pattern > 0] <= tol)):
+            found.append(x)
+    return found
+
+
+@pytest.mark.parametrize("kind", ["box", "nonneg"])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_project_nondiagonal_gram_matches_kkt_enumeration(kind, dim):
+    # the projection is the unique KKT point; bounds include +-inf
+    rng = np.random.default_rng([dim, 11])
+    for _ in range(8):
+        g = random_spd(rng, dim)
+        s = SpaceDescriptor("X", dim, g)
+        if kind == "box":
+            lo = np.where(rng.random(dim) < 0.3, -np.inf,
+                          rng.normal(size=dim))
+            hi = np.where(rng.random(dim) < 0.3, np.inf,
+                          np.nan_to_num(lo, neginf=-1.0)
+                          + rng.uniform(0.1, 2.0, size=dim))
+            E = Box(s, lo, hi)
+        else:
+            lo, hi = np.zeros(dim), np.full(dim, np.inf)
+            E = NonnegativeCone(s)
+        x = rng.normal(scale=3.0, size=dim)
+        got = project(E, s.element(x)).coords
+        found = _kkt_enumeration(g, x, lo, hi)
+        assert found
+        for ref in found:
+            scale = max(1.0, np.abs(ref).max())
+            assert np.abs(got - ref).max() <= 1e-10 * scale
 
 
 def _random_set(rng, s, kind):

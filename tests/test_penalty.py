@@ -250,21 +250,49 @@ def test_phi_above_eps_failure_carries_telemetry(monkeypatch):
     assert err.value.info["eps"] == 1e-2
 
 
-def test_minimize_quasi_newton_fallback():
-    # no curvature callables: the inner solver switches to L-BFGS
+def test_minimize_difference_hessian():
+    # no curvature callables: Newton takes the Hessian of f0 from central
+    # differences of f0_grad, and reports the same line-search telemetry
+    import fcopt.penalty as penalty
     V = SpaceDescriptor("line", 1)
     X = SpaceDescriptor("image", 1)
+    grad_points = []
+
+    def f0_grad(u):
+        grad_points.append(u.copy())
+        return np.array([1.0])
+
     p = ConstrainedProblem(
         V, X,
         f0=lambda u: u[..., 0],
-        f0_grad=lambda u: np.array([1.0]),
+        f0_grad=f0_grad,
         f=lambda u: u.copy(),
         f_jac=lambda u: np.eye(1),
         E=Singleton(X, np.zeros(1)),
         name="scalar-no-hess")
-    el = minimize_penalty(p, Element(np.zeros(1), V), 0.01,
-                          PenaltyConfig(verify_solution=False))
+    el, info = minimize_penalty(p, Element(np.zeros(1), V), 0.01,
+                                PenaltyConfig(verify_solution=False),
+                                return_info=True)
     assert abs(el.coords[0] + 0.005) < 1e-6
+    # Phi^2 is quadratic here: one full Newton step, whose Hessian took
+    # f0_grad at u0 +- h, between the gradients at u0 and at the step
+    assert info["inner_iters"] == 1
+    assert info["backtracks"] == 0 and info["wolfe_steps"] == 0
+    h = penalty._HESS_FD_STEP
+    assert_allclose(np.ravel(grad_points), [0.0, h, -h, -0.005], atol=1e-15)
+
+
+def test_difference_hessian_matches_f0_hess():
+    # the difference Hessian is symmetric, equals f0_hess on a quadratic to
+    # roundoff, and follows f0_hess set to None after construction
+    p = equality_qp(dim=9, n_constraints=2, seed=5)
+    u = p.u_bar.coords + 0.3
+    exact = p.hessian(u)
+    assert np.array_equal(exact, p.extras["Q"])
+    p.f0_hess = None
+    fd = p.hessian(u)
+    assert np.array_equal(fd, fd.T)
+    assert_allclose(fd, exact, rtol=0, atol=1e-8 * np.abs(exact).max())
 
 
 def test_stacked_evaluation_rejects_single_point_callables():
@@ -706,20 +734,37 @@ def test_qp_pair_matches_direct_kkt_solve(dim, k, seed):
     assert_allclose(_extracted_pair(p), _direct_kkt_pair(p), atol=1e-4)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_qp_sweep_matches_direct_kkt_solve(seed):
-    # every shape dim 4..14, k 1..3 with the default configuration
+@pytest.mark.parametrize("seed, hess", [
+    pytest.param(seed, hess, id=("%d" if hess else "no-f0-hess-%d") % seed)
+    for hess in (True, False) for seed in range(4)])
+def test_qp_sweep_matches_direct_kkt_solve(seed, hess):
+    # every shape dim 4..14, k 1..3 with the default configuration, with
+    # the Hessian of f0 from f0_hess and from differences of f0_grad
     bad = []
     for dim in range(4, 15):
         for k in range(1, 4):
             p = equality_qp(dim=dim, n_constraints=k, seed=seed)
+            if not hess:
+                p.f0_hess = None
             err = np.abs(_extracted_pair(p) - _direct_kkt_pair(p)).max()
             if err > 1e-4:
                 bad.append((dim, k, err))
     assert bad == []
 
 
-def _quasi_newton_qp():
+@pytest.mark.parametrize("N", [100, 200])
+def test_lq_endpoint_without_f0_hess_matches_kkt_multiplier(N):
+    # the fine meshes, solved with the difference Hessian over the long
+    # schedule the lq-endpoint experiment runs
+    p = lq_endpoint_problem(N)
+    p.f0_hess = None
+    pair, _ = extract_multiplier(p, p.u_bar, default_schedule(0.1, 23))
+    ref = np.concatenate([[1.0], p.extras["kkt_multiplier"]])
+    assert_allclose(np.concatenate([[pair.z0], pair.z.coords]),
+                    ref / np.linalg.norm(ref), atol=1e-4)
+
+
+def _no_f0_hess_qp():
     p = equality_qp()
     p.f0_hess = None
     return p
@@ -727,8 +772,8 @@ def _quasi_newton_qp():
 
 @pytest.mark.parametrize("make, steps", [
     (equality_qp, 14), (lambda: lq_endpoint_problem(10), 10),
-    (_quasi_newton_qp, 8),
-], ids=["equality-qp", "lq-endpoint", "l-bfgs"])
+    (_no_f0_hess_qp, 8),
+], ids=["equality-qp", "lq-endpoint", "difference-hessian"])
 def test_schedule_reuses_the_parts_of_the_returned_point(make, steps,
                                                          monkeypatch):
     # every record's pair, and its info phi, dist and gap_plus, must be
@@ -741,8 +786,7 @@ def test_schedule_reuses_the_parts_of_the_returned_point(make, steps,
     p = make()
     ub = p.u_bar.coords
     sched = default_schedule(0.1, steps)
-    name = "_newton_minimize" if p.f0_hess is not None else "_lbfgs_minimize"
-    solve = getattr(penalty, name)
+    solve = penalty._newton_minimize
     forced = []
 
     def failing_warm_start(q, u0, f0_bar, eps, cfg, tol):
@@ -761,7 +805,7 @@ def test_schedule_reuses_the_parts_of_the_returned_point(make, steps,
         infos.append(info)
         return el, info
 
-    monkeypatch.setattr(penalty, name, failing_warm_start)
+    monkeypatch.setattr(penalty, "_newton_minimize", failing_warm_start)
     monkeypatch.setattr(penalty, "minimize_penalty", recording)
     pair, trace = extract_multiplier(p, p.u_bar, sched)
     assert forced == [sched[2]] and infos[2]["cold_start"]
