@@ -497,6 +497,19 @@ def _run_sde_witness(params):
     return results, criteria, {"witness": table}
 
 
+def _travel_time(lo, hi):
+    """T* = 2 max(lo, 1 - hi): a round trip from the farthest endpoint."""
+    return 2.0 * max(lo, 1.0 - hi)
+
+
+# Horizons T with WAVE_AUTO_BAND[0] < T/T* < WAVE_AUTO_BAND[1] sit too
+# close to the threshold for a finite mode sweep to show either regime:
+# with modes 8..64 and 32..256 on (0.4, 0.6), (0.2, 0.5) and (0.1, 0.3),
+# expect=auto fails somewhere in 0.95..1.02 T* and passes at 0.9 and
+# 1.05 T*.
+WAVE_AUTO_BAND = (0.9, 1.05)
+
+
 def _expected_wave_regime(lo, hi, T):
     """Travel-time rule of thumb for the expected sweep regime.
 
@@ -505,7 +518,7 @@ def _expected_wave_regime(lo, hi, T):
     the farthest endpoint: T >= 2 * max(lo, 1 - hi).  This is only used
     to pick which criteria to check when ``expect`` is ``auto``.
     """
-    return "bounded" if T >= 2.0 * max(lo, 1.0 - hi) else "growing"
+    return "bounded" if T >= _travel_time(lo, hi) else "growing"
 
 
 def _run_wave_obs(params):
@@ -519,6 +532,13 @@ def _run_wave_obs(params):
     expect = str(params["expect"])
     _need(expect in ("auto", "bounded", "growing"),
           "expect must be auto, bounded, or growing")
+    t_star = _travel_time(lo, hi)
+    band = WAVE_AUTO_BAND[0] * t_star, WAVE_AUTO_BAND[1] * t_star
+    _need(expect != "auto" or not band[0] < T < band[1],
+          "T = %g lies in (%g, %g), within (%g, %g) x the travel time "
+          "T* = %g, where neither regime shows at finite modes; with "
+          "expect=auto choose T outside that band, or set expect=bounded "
+          "or expect=growing" % ((T,) + band + WAVE_AUTO_BAND + (t_star,)))
 
     swept = wave_sweep(modes, interval=(lo, hi), T=T, a=a)
     consts = swept.constants

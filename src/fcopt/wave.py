@@ -15,7 +15,9 @@ smallest eigenvalue lambda_min controls the best constant
 C = 1/sqrt(lambda_min) in  |initial data|_energy <= C |w|_{L^2(obs x (0,T))}.
 A sweep over mode counts decides whether C is bounded (observable) or
 grows; dropping the worst-observed eigendirections gives the constants
-on finite-codimension complements.
+on finite-codimension complements.  The constants need the eigenvalues
+only; worst_observed_mode returns the eigendirection behind lambda_min
+for callers that want it.
 """
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
     "observation_gramian",
     "wave_observability_constant",
     "wave_sweep",
+    "worst_observed_mode",
 ]
 
 
@@ -83,10 +86,21 @@ class WaveModel:
     def points_per_period(self):
         return self.shortest_period / self.quad_step
 
+    def _node_count(self):
+        return max(2, int(np.ceil(self.T / self.quad_step)) + 1)
+
     def time_grid(self):
         """Uniform quadrature nodes covering [0, T]."""
-        count = max(2, int(np.ceil(self.T / self.quad_step)) + 1)
-        return np.linspace(0.0, self.T, count)
+        return np.linspace(0.0, self.T, self._node_count())
+
+    def time_step(self):
+        """Spacing t[1] - t[0] of time_grid(), without building the grid.
+
+        np.linspace(0, T, n) places node j at j * (T / (n - 1)) and the
+        last node at T itself, so this equals the grid's spacing
+        bitwise, and time_grid()[-1] equals T.
+        """
+        return self.T / (self._node_count() - 1)
 
     def __repr__(self):
         return ("WaveModel(modes=%d, interval=(%g, %g), T=%g, a=%g)"
@@ -94,26 +108,28 @@ class WaveModel:
 
 
 def mode_overlap_matrix(model):
-    """Overlaps S_kl = int_obs e_k e_l dx of the sine basis, closed form."""
+    """Overlaps S_kl = int_obs e_k e_l dx of the sine basis, closed form.
+
+    Off the diagonal, S_kl = P(k-l, hi) - P(k-l, lo) - P(k+l, hi)
+    + P(k+l, lo) with P(n, x) = sin(n pi x)/(n pi) = int cos(n pi x) dx;
+    P depends on the integer n alone, so it is tabulated once over
+    n = -(M-1) ... 2M and gathered.
+    """
     lo, hi = model.interval
-    k = np.arange(1, model.modes + 1, dtype=float)
-    diff = np.subtract.outer(k, k)
-    summ = np.add.outer(k, k)
-
-    def primitive_cos(n, x):
-        # int cos(n pi x) dx, valid for n != 0
-        return np.sin(n * np.pi * x) / (n * np.pi)
-
-    S = np.empty((model.modes, model.modes))
-    off = diff != 0
-    S[off] = (primitive_cos(diff[off], hi) - primitive_cos(diff[off], lo)
-              - primitive_cos(summ[off], hi) + primitive_cos(summ[off], lo))
-    two_k = 2.0 * k
+    M = model.modes
+    n_pi = np.arange(1 - M, 2 * M + 1, dtype=float) * np.pi
+    sin_hi, sin_lo = np.sin(n_pi * hi), np.sin(n_pi * lo)
+    zero = M - 1                    # table index of n = 0
+    k = np.arange(1, M + 1)
+    at_2k = k + k + zero
     diag = ((hi - lo)
-            - (np.sin(two_k * np.pi * hi)
-               - np.sin(two_k * np.pi * lo)) / (two_k * np.pi))
-    S[~off] = 0.0
-    S[np.arange(model.modes), np.arange(model.modes)] = diag
+            - (sin_hi[at_2k] - sin_lo[at_2k]) / n_pi[at_2k])
+    n_pi[zero] = 1.0                # read only by the diagonal, set below
+    P_hi, P_lo = sin_hi / n_pi, sin_lo / n_pi
+    diff = np.subtract.outer(k, k) + zero
+    summ = np.add.outer(k, k) + zero
+    S = P_hi[diff] - P_lo[diff] - P_hi[summ] + P_lo[summ]
+    S[np.arange(M), np.arange(M)] = diag
     return S
 
 
@@ -141,9 +157,12 @@ def observation_gramian(model):
     Entries are int_0^T int_obs w_k w_l dx dt for the 2M basis solutions
     (cosine and sine time factors per mode): spatial overlaps times the
     trapezoidal time quadratures of the oscillation products.  The
-    trapezoidal rule on time_grid() is summed in closed form, O(M^2),
-    through the product formulas at the frequencies omega_k +- omega_l.
-    Symmetric positive semidefinite by construction.
+    trapezoidal rule on time_grid() is summed in closed form, O(M^2) and
+    without building the grid, through the product formulas at the
+    frequencies omega_k +- omega_l.
+    Symmetric positive semidefinite by construction; every factor is
+    exactly symmetric or exactly transposed between the off-diagonal
+    blocks, so G equals G.T bitwise.
 
     Raises if the model's quadrature step resolves the fastest mode
     with fewer than 10 points per period.
@@ -153,8 +172,7 @@ def observation_gramian(model):
             "quadrature step %.3e is too coarse for mode frequency %.3e: "
             "need at least 10 points per shortest period"
             % (model.quad_step, model.omega[-1]))
-    t = model.time_grid()
-    h, T = t[1] - t[0], t[-1]
+    h, T = model.time_step(), model.T
     omega = model.omega
     cos_diff, sin_diff = _trapezoid_cos_sin(np.subtract.outer(omega, omega),
                                             h, T)
@@ -165,21 +183,26 @@ def observation_gramian(model):
     # and the sine sum is odd in nu: at w_l - w_k it is -sin_diff[k, l]
     Ics = 0.5 * (sin_sum - sin_diff)
     S = mode_overlap_matrix(model)
-    G = np.block([[S * Icc, S * Ics],
-                  [S * Ics.T, S * Iss]])
-    return 0.5 * (G + G.T)
+    M = model.modes
+    G = np.empty((2 * M, 2 * M))
+    np.multiply(S, Icc, out=G[:M, :M])
+    np.multiply(S, Ics, out=G[:M, M:])
+    np.multiply(S, Ics.T, out=G[M:, :M])
+    np.multiply(S, Iss, out=G[M:, M:])
+    return G
 
 
 def wave_observability_constant(model, complement=0):
     """Best constant C with |initial data|_energy <= C |observed w|.
 
-    Diagonalizes the observation Gramian and returns
-    C = 1/sqrt(lambda_min); the report's sigma profile holds the square
-    roots of the eigenvalues (the singular values of the observation
-    map), the extras hold the worst-observed eigenvector and the
-    constants obtained after removing the worst j <= complement
-    eigendirections -- the finite-codimension fallback when the full
-    estimate degenerates.
+    Computes the eigenvalues of the observation Gramian (no
+    eigenvectors) and returns C = 1/sqrt(lambda_min); the report's
+    sigma profile holds the square roots of the eigenvalues (the
+    singular values of the observation map), the extras hold the
+    ascending eigenvalues and the constants obtained after removing the
+    worst j <= complement eigendirections -- the finite-codimension
+    fallback when the full estimate degenerates.  worst_observed_mode
+    gives the eigendirection of lambda_min.
 
     Raises if the model's quadrature step resolves the fastest mode
     with fewer than 10 points per period.
@@ -188,8 +211,7 @@ def wave_observability_constant(model, complement=0):
     if complement < 0 or complement >= 2 * model.modes:
         raise ValueError("complement must lie in [0, 2*modes)")
     G = observation_gramian(model)
-    eigvals, eigvecs = np.linalg.eigh(G)
-    eigvals = np.clip(eigvals, 0.0, None)
+    eigvals = np.clip(np.linalg.eigvalsh(G), 0.0, None)
     sig = np.sqrt(eigvals)[::-1]
     kernel = sig.size - int(np.sum(rank_mask(sig)))
     with np.errstate(divide="ignore"):
@@ -207,12 +229,23 @@ def wave_observability_constant(model, complement=0):
         verdict="inconclusive",
         note=note,
         extras={"eigenvalues": eigvals,
-                "worst_mode": eigvecs[:, 0],
                 "complement_constants": comp,
                 "quad_step": model.quad_step,
                 "points_per_period": model.points_per_period(),
                 "interval": model.interval,
                 "T": model.T})
+
+
+def worst_observed_mode(model):
+    """Smallest Gramian eigenvalue and its unit eigenvector.
+
+    Returns (lambda_min, v): the initial data v in energy coordinates,
+    |v| = 1, that the observation sees least, with v^T Gram v =
+    lambda_min.  lambda_min is eigh's value, not clipped at zero, so it
+    can sit slightly below zero at rounding level.
+    """
+    eigvals, eigvecs = np.linalg.eigh(observation_gramian(model))
+    return eigvals[0], eigvecs[:, 0]
 
 
 def wave_sweep(mode_counts, interval=(0.4, 0.6), T=3.0, a=0.0,

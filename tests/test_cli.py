@@ -205,6 +205,23 @@ def test_example_criterion_failure_exit_1(tmp_path, capsys):
     assert payload["passed"] is False
 
 
+@pytest.mark.parametrize("interval", [(0.4, 0.6), (0.2, 0.5), (0.1, 0.3)])
+def test_example_wave_near_travel_time_exit_2(interval, tmp_path, capsys):
+    lo, hi = interval
+    t_star = 2.0 * max(lo, 1.0 - hi)
+    out = tmp_path / "w.json"
+    rc = main(["example", "wave-obs", "--set", "x_lo=%r" % lo,
+               "--set", "x_hi=%r" % hi, "--set", "T=%r" % t_star,
+               "--out", str(out)])
+    assert rc == 2
+    assert "expect=" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(["example", "wave-obs", "--set", "x_lo=%r" % lo,
+               "--set", "x_hi=%r" % hi, "--set", "T=%r" % t_star,
+               "--set", "expect=growing", "--out", str(out)])
+    assert rc in (0, 1) and out.exists()
+
+
 def test_example_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "w.cfg"
     cfg.write_text("modes = 8,16,32\nT = 0.2\n")

@@ -114,6 +114,31 @@ def test_wave_obs_regimes():
     assert rep.results["regime_checked"] == "growing"
 
 
+WAVE_INTERVALS = [(0.4, 0.6), (0.2, 0.5), (0.1, 0.3)]
+
+
+@pytest.mark.parametrize("interval", WAVE_INTERVALS)
+def test_wave_obs_auto_rejects_horizons_near_travel_time(interval,
+                                                         monkeypatch):
+    # inside (0.9, 1.05) x T* the default sweep fails the criteria the
+    # travel-time rule picks; the band edges pass
+    lo, hi = interval
+    t_star = 2.0 * max(lo, 1.0 - hi)
+    base = {"x_lo": lo, "x_hi": hi}
+    for f in (0.9, 1.05):
+        assert run_experiment("wave-obs", dict(base, T=f * t_star)).passed
+    rep = run_experiment("wave-obs", dict(base, T=t_star, expect="bounded"))
+    assert rep.results["regime_checked"] == "bounded"
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the band is rejected before any sweep")
+
+    monkeypatch.setattr("fcopt.experiments.wave_sweep", no_sweep)
+    for f in (0.95, 0.98, 1.0, 1.02):
+        with pytest.raises(ValueError, match="expect=auto"):
+            run_experiment("wave-obs", dict(base, T=f * t_star))
+
+
 def test_wave_expected_regime_rule():
     assert _expected_wave_regime(0.4, 0.6, 3.0) == "bounded"
     assert _expected_wave_regime(0.4, 0.6, 0.2) == "growing"

@@ -1,11 +1,14 @@
 """Tests for wave observability Gramians and constants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fcopt.wave import (WaveModel, mode_overlap_matrix, observation_gramian,
-                        wave_observability_constant, wave_sweep)
+from fcopt.wave import (WaveModel, _trapezoid_cos_sin, mode_overlap_matrix,
+                        observation_gramian, wave_observability_constant,
+                        wave_sweep, worst_observed_mode)
 
 
 def test_frequencies_with_potential():
@@ -130,10 +133,8 @@ def test_complement_recovers_finite_constant_when_degenerate():
 
 def test_worst_mode_minimizes_quadratic_form():
     m = WaveModel(12, interval=(0.4, 0.6), T=1.0)
-    rep = wave_observability_constant(m)
     G = observation_gramian(m)
-    v = rep.extras["worst_mode"]
-    lam_min = rep.extras["eigenvalues"][0]
+    lam_min, v = worst_observed_mode(m)
     assert_allclose(v @ G @ v, lam_min, rtol=1e-9)
     rng = np.random.default_rng(2)
     for _ in range(32):
@@ -195,3 +196,83 @@ def test_gramian_matches_direct_trapezoidal_sum(modes, T, a, interval):
         G = observation_gramian(model)
         ref = _direct_sum_gramian(model)
         assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _outer_overlap_matrix(model):
+    # every entry from the full outer difference and sum, the diagonal
+    # from its own closed form
+    lo, hi = model.interval
+    k = np.arange(1, model.modes + 1, dtype=float)
+    diff = np.subtract.outer(k, k)
+    summ = np.add.outer(k, k)
+
+    def primitive_cos(n, x):
+        return np.sin(n * np.pi * x) / (n * np.pi)
+
+    S = np.empty((model.modes, model.modes))
+    off = diff != 0
+    S[off] = (primitive_cos(diff[off], hi) - primitive_cos(diff[off], lo)
+              - primitive_cos(summ[off], hi) + primitive_cos(summ[off], lo))
+    two_k = 2.0 * k
+    S[~off] = ((hi - lo)
+               - (np.sin(two_k * np.pi * hi)
+                  - np.sin(two_k * np.pi * lo)) / (two_k * np.pi))
+    return S
+
+
+def _block_gramian(model):
+    # the same closed-form sums on the built time grid, assembled with
+    # np.block from the outer overlap matrix and then symmetrized
+    t = model.time_grid()
+    h, T = t[1] - t[0], t[-1]
+    omega = model.omega
+    cos_diff, sin_diff = _trapezoid_cos_sin(np.subtract.outer(omega, omega),
+                                            h, T)
+    cos_sum, sin_sum = _trapezoid_cos_sin(np.add.outer(omega, omega), h, T)
+    Icc = 0.5 * (cos_diff + cos_sum)
+    Iss = 0.5 * (cos_diff - cos_sum)
+    Ics = 0.5 * (sin_sum - sin_diff)
+    S = _outer_overlap_matrix(model)
+    G = np.block([[S * Icc, S * Ics],
+                  [S * Ics.T, S * Iss]])
+    return 0.5 * (G + G.T)
+
+
+@pytest.mark.parametrize("interval",
+                         [(0.4, 0.6), (0.2, 0.5), (0.1, 0.3), (0.0, 1.0)])
+def test_gramian_bitwise_equals_block_assembly(interval):
+    for modes in (1, 2, 4, 8, 16, 32, 64, 128, 256, 77):
+        for T in (0.2, 0.6, 1.0, 3.0):
+            for a in (0.0, 5.0, -3.0):
+                m = WaveModel(modes, interval=interval, T=T, a=a)
+                t = m.time_grid()
+                assert m.time_step() == t[1] - t[0] and t[-1] == m.T
+                S = mode_overlap_matrix(m)
+                assert np.array_equal(S, _outer_overlap_matrix(m))
+                G = observation_gramian(m)
+                assert np.array_equal(G, G.T)
+                assert np.array_equal(G, _block_gramian(m))
+
+
+@pytest.mark.parametrize("T", [0.2, 1.0, 3.0])
+def test_eigenvalues_match_eigh(T):
+    m = WaveModel(64, interval=(0.3, 0.5), T=T, a=2.0)
+    rep = wave_observability_constant(m)
+    ref = np.linalg.eigh(observation_gramian(m))[0]
+    eig = rep.extras["eigenvalues"]
+    assert "worst_mode" not in rep.extras
+    assert np.all(np.diff(eig) >= 0)
+    assert np.max(np.abs(eig - np.clip(ref, 0.0, None))) <= 1e-13 * ref[-1]
+
+
+def test_long_horizon_gramian_memory_does_not_grow_with_T():
+    # time_grid() at T = 1e5 would hold 6.4e7 nodes (512 MB); the
+    # Gramian needs only the step and the horizon
+    m = WaveModel(64, T=1e5)
+    tracemalloc.start()
+    try:
+        observation_gramian(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
