@@ -323,24 +323,21 @@ def _sweep(levels, build, growth_factor, noun, key=int, rule=_sweep_verdict):
     return SweepReport(reports, verdict)
 
 
-def codim_growth_verdict(fam, G_builder=None, growth_factor=2.0, tol=RANK_RTOL):
+def codim_growth_verdict(fam, growth_factor=2.0, tol=RANK_RTOL):
     """Estimate constants per family level plus a growth verdict.
 
-    For each level the restricted constant is computed, or the
-    compact-perturbed constant when ``G_builder(level_index)`` supplies an
-    auxiliary map.  Verdict: with a stable kernel dimension across levels,
-    "bounded" when max/min of the constants <= growth_factor and "growing"
-    when they increase monotonically by at least growth_factor per doubling
-    of n; when the kernel dimension itself grows with the level, the
-    unrestricted estimate fails on an expanding subspace and the kernel
-    dimensions play the role of the growth quantity.  The verdict is a
-    heuristic over the computed levels, not a proof.
+    For each level the restricted constant is computed.  Verdict: with a
+    stable kernel dimension across levels, "bounded" when max/min of the
+    constants <= growth_factor and "growing" when they increase
+    monotonically by at least growth_factor per doubling of n; when the
+    kernel dimension itself grows with the level, the unrestricted
+    estimate fails on an expanding subspace and the kernel dimensions
+    play the role of the growth quantity.  The verdict is a heuristic
+    over the computed levels, not a proof.
     """
     def build(entry):
-        idx, (n, F) = entry
-        if G_builder is None:
-            return n, restricted_estimate_constant(F, tol)
-        return n, compact_perturbed_constant(F, G_builder(idx), tol)
+        n, F = entry
+        return n, restricted_estimate_constant(F, tol)
 
-    return _sweep(enumerate(fam), build, growth_factor, "levels",
-                  key=lambda entry: entry[1][0])
+    return _sweep(fam, build, growth_factor, "levels",
+                  key=lambda entry: entry[0])

@@ -421,13 +421,9 @@ def _run_sde_rank(params):
     _need(0 < scale < 1, "scale must lie in (0, 1)")
     T = float(params["T"])
     _need(T > 0, "T must be positive")
-    g_mode = str(params["g_mode"])
-    # without the phi(0) block constant terminal data span a kernel at every
-    # depth, so the criteria below (trivial kernels for C2 = I) cannot hold
-    _need(g_mode == "phi0", "g_mode must be 'phi0'")
 
     models = _rank_models(depths, c2, seed, scale, T)
-    swept = sde_estimate_sweep(models, G_mode=g_mode)
+    swept = sde_estimate_sweep(models)
     consts = swept.constants
     kd = swept.kernel_dims
     table = _sweep_table(depths, "depth", swept)
@@ -509,6 +505,13 @@ def _travel_time(lo, hi):
 # 1.05 T*.
 WAVE_AUTO_BAND = (0.9, 1.05)
 
+# Outside the band, expect=auto still needs a sweep fine enough to show
+# the regime: on those three intervals, sweeps that start at
+# WAVE_AUTO_MIN_MODES or more modes and at least double per step pass at
+# every T/T* from 0.5 to 3 outside the band, while (4, 8, 16),
+# (7, 14, 28), (8, 12, 16) and (8, 10, 32) fail somewhere in 0.7..1.1.
+WAVE_AUTO_MIN_MODES = 8
+
 
 def _expected_wave_regime(lo, hi, T):
     """Travel-time rule of thumb for the expected sweep regime.
@@ -539,6 +542,12 @@ def _run_wave_obs(params):
           "T* = %g, where neither regime shows at finite modes; with "
           "expect=auto choose T outside that band, or set expect=bounded "
           "or expect=growing" % ((T,) + band + WAVE_AUTO_BAND + (t_star,)))
+    _need(expect != "auto"
+          or (modes[0] >= WAVE_AUTO_MIN_MODES
+              and all(m2 >= 2 * m1 for m1, m2 in zip(modes, modes[1:]))),
+          "modes %s are too coarse for expect=auto: start at %d or more "
+          "modes and at least double per step, or set expect=bounded or "
+          "expect=growing" % (",".join(map(str, modes)), WAVE_AUTO_MIN_MODES))
 
     swept = wave_sweep(modes, interval=(lo, hi), T=T, a=a)
     consts = swept.constants
@@ -610,7 +619,7 @@ EXPERIMENTS = {
         "describe": "tree-SDE estimate constants across depths: bounded for "
                     "full-rank C2, kernel inflation for deficient C2",
         "defaults": {"depths": (4, 5, 6, 7, 8), "c2": "identity", "seed": 42,
-                     "scale": 0.5, "T": 1.0, "g_mode": "phi0"},
+                     "scale": 0.5, "T": 1.0},
         "runner": _run_sde_rank,
     },
     "sde-witness": {

@@ -45,7 +45,7 @@ import numpy as np
 
 from .diagnostics import EstimateReport, _sweep
 from .evolution import _per_step
-from .spaces import RANK_RTOL, Element, rank_mask
+from .spaces import Element, rank_mask
 
 __all__ = [
     "TreeModel",
@@ -168,8 +168,7 @@ def _step_solve(M, rhs):
     return out[:, :, 0] if squeeze else out
 
 
-def tree_bsde_solve(model, z0=0.0, driver_gy=None, terminal=None,
-                    method="implicit"):
+def tree_bsde_solve(model, z0=0.0, driver_gy=None, terminal=None):
     """Backward pair (phi, Phi) on the tree from terminal data.
 
     Backward recursion from the leaves: at each node,
@@ -180,10 +179,7 @@ def tree_bsde_solve(model, z0=0.0, driver_gy=None, terminal=None,
 
     the second line solved implicitly for phi(t) (one n-by-n linear
     solve per step, exact).  This is the discrete ground truth for the
-    adjoint pair.  method="explicit" instead evaluates the drift at the
-    conditional mean (no solve) -- a comparison variant that differs by
-    one order in the step and does not transpose the forward scheme
-    exactly.
+    adjoint pair.
 
     Parameters
     ----------
@@ -195,8 +191,6 @@ def tree_bsde_solve(model, z0=0.0, driver_gy=None, terminal=None,
     terminal : array_like
         Leaf values of phi(T), shape (2^d, n); a batch (2^d, n, B)
         solves B terminal data at once.
-    method : str
-        "implicit" (default) or "explicit".
 
     Returns
     -------
@@ -204,9 +198,6 @@ def tree_bsde_solve(model, z0=0.0, driver_gy=None, terminal=None,
         Lists of per-level arrays: phi has d+1 levels (root through
         leaves), Phi has d levels.
     """
-    if method not in ("implicit", "explicit"):
-        raise ValueError("method must be 'implicit' or 'explicit', got %r"
-                         % method)
     if terminal is None:
         raise ValueError("terminal data is required")
     term = np.asarray(terminal, dtype=float)
@@ -231,11 +222,7 @@ def tree_bsde_solve(model, z0=0.0, driver_gy=None, terminal=None,
         spec = "ab,kbc->kac" if batched else "ab,kb->ka"
         rhs = cond_mean + model.dt * (
             np.einsum(spec, model.A2[j].T, Phi_j) + drive)
-        if method == "implicit":
-            phi[j] = _step_solve(model.implicit_step[j].T, rhs)
-        else:
-            phi[j] = rhs + model.dt * np.einsum(spec, model.A1[j].T,
-                                                cond_mean)
+        phi[j] = _step_solve(model.implicit_step[j].T, rhs)
         Phi[j] = Phi_j
     return phi, Phi
 
@@ -452,12 +439,12 @@ def _singular_count(model, sigmas, G_mode):
     return _pivots(model, sigmas, G_mode)[0]
 
 
-def _rank_within(sig, scale, tol):
+def _rank_within(sig, scale):
     """rank_mask of sig against the larger of its own max and scale."""
-    return int(np.count_nonzero(rank_mask(np.append(sig, scale), tol)[:-1]))
+    return int(np.count_nonzero(rank_mask(np.append(sig, scale))[:-1]))
 
 
-def _structural_kernel(model, G_mode, tol):
+def _structural_kernel(model, G_mode):
     """Dimension of the exact kernel of the estimate map, level by level.
 
     The terminal data of a level-j subtree whose outputs vanish on the
@@ -481,11 +468,10 @@ def _structural_kernel(model, G_mode, tol):
         coef = np.hstack([model.C1[j].T, model.C2[j].T])
         lift = np.vstack([phi_ab, Phi_ab])
         _, sig, Vt = np.linalg.svd(coef @ lift)
-        rank = _rank_within(sig, np.linalg.norm(coef) * np.linalg.norm(lift),
-                            tol)
+        rank = _rank_within(sig, np.linalg.norm(coef) * np.linalg.norm(lift))
         free = 2 * free - rank
         Ur, sig, _ = np.linalg.svd(phi_ab @ Vt[rank:].T, full_matrices=False)
-        U = Ur[:, :_rank_within(sig, np.linalg.norm(phi_ab), tol)]
+        U = Ur[:, :_rank_within(sig, np.linalg.norm(phi_ab))]
     if G_mode == "phi0":
         free -= U.shape[1]
     return free
@@ -627,7 +613,7 @@ def _rayleigh_quotients(model, G_mode, batch=4):
     return np.sqrt(energy / np.mean(np.sum(term ** 2, axis=1), axis=0))
 
 
-def _count_extremes(model, G_mode, rq, tol):
+def _count_extremes(model, G_mode, rq):
     """(sigma_max, sigma_min, kernel) from counts, or None if uncertified.
 
     ``rq`` are Rayleigh quotients of the map, so they lie in
@@ -645,7 +631,7 @@ def _count_extremes(model, G_mode, rq, tol):
         return None
     brackets = [_Bracket(grid[i - 1], grid[i], dim, _row(pivots, i - 1),
                          _row(pivots, i))]
-    kernel = _structural_kernel(model, G_mode, tol)
+    kernel = _structural_kernel(model, G_mode)
     if kernel == 0:
         # once certified below, sigma_min >= 1e-6 sigma_max
         k = int(np.argmax(pivots[0] >= 1))
@@ -666,19 +652,19 @@ def _count_extremes(model, G_mode, rq, tol):
     return smax, (brackets[1].lo if kernel == 0 else 0.0), kernel
 
 
-def _dense_extremes(model, G_mode, tol):
+def _dense_extremes(model, G_mode):
     """(sigma_max, sigma_min, kernel) from the SVD of _estimate_matrix."""
     dim = model.leaf_count * model.n
     sig = np.linalg.svd(_estimate_matrix(model, G_mode), compute_uv=False)
     # terminal gram is 2^-d * identity: rescale plain singular values;
     # fewer rows than terminal dimensions leave structural zeros
     sig = np.sqrt(float(model.leaf_count)) * sig
-    kernel = dim - int(np.count_nonzero(rank_mask(sig, tol)))
+    kernel = dim - int(np.count_nonzero(rank_mask(sig)))
     smax = float(sig[0]) if sig.size else 0.0
     return smax, (0.0 if kernel else float(sig[-1])), kernel
 
 
-def sde_estimate_constant(model, G_mode="phi0", tol=RANK_RTOL):
+def sde_estimate_constant(model, G_mode="phi0"):
     """Best constant C with |phi_T| <= C |(output process, phi(0))|.
 
     The linear map phi_T -> (sqrt(dt 2^-j)-weighted outputs
@@ -694,9 +680,9 @@ def sde_estimate_constant(model, G_mode="phi0", tol=RANK_RTOL):
     sigma_min) are bracketed around Rayleigh quotients of the map and
     multisected to adjacent doubles, about 15 shifts per pass.  The
     count at 1e-6 sigma_max must equal the exact kernel dimension of
-    _structural_kernel; that certifies the numerical kernel at
-    tol * sigma_max (tol < 1e-6) as the same number, and a trivial
-    kernel then has sigma_min >= 1e-6 sigma_max.  Two kinds of map take
+    _structural_kernel; that certifies the numerical kernel at the rank
+    cutoff RANK_RTOL * sigma_max (1e-10 < 1e-6) as the same number, and
+    a trivial kernel then has sigma_min >= 1e-6 sigma_max.  Two kinds of map take
     the dense SVD of _estimate_matrix instead, up to DENSE_MAX_DIM
     terminal dimensions (ValueError beyond): one that fails the
     certificate (ill-conditioned, not structurally deficient), and one
@@ -713,8 +699,6 @@ def sde_estimate_constant(model, G_mode="phi0", tol=RANK_RTOL):
     model : TreeModel
     G_mode : str
         "phi0" includes the phi(0) block, "none" drops it.
-    tol : float
-        Relative rank cutoff, in (0, 1e-6).
 
     Returns
     -------
@@ -724,9 +708,6 @@ def sde_estimate_constant(model, G_mode="phi0", tol=RANK_RTOL):
     """
     if G_mode not in ("phi0", "none"):
         raise ValueError("G_mode must be 'phi0' or 'none', got %r" % G_mode)
-    if not 0.0 < tol < _CERTIFY_RTOL:
-        raise ValueError("tol must lie in (0, %g), got %r"
-                         % (_CERTIFY_RTOL, tol))
     dim = model.leaf_count * model.n
     rq = _rayleigh_quotients(model, G_mode)
     found = None
@@ -734,7 +715,7 @@ def sde_estimate_constant(model, G_mode="phi0", tol=RANK_RTOL):
             and _elimination_condition(model) <= _ELIMINATION_COND_MAX):
         try:
             with np.errstate(all="ignore"):
-                found = _count_extremes(model, G_mode, rq, tol)
+                found = _count_extremes(model, G_mode, rq)
         except np.linalg.LinAlgError:
             found = None
     if found is None:
@@ -745,7 +726,7 @@ def sde_estimate_constant(model, G_mode="phi0", tol=RANK_RTOL):
                 "and its terminal dimension %d exceeds the dense limit %d; "
                 "use a smaller depth"
                 % (model.d, dim, DENSE_MAX_DIM))
-        found = _dense_extremes(model, G_mode, tol)
+        found = _dense_extremes(model, G_mode)
     smax, smin, kernel = found
     if (np.any(rq > smax * (1.0 + _RAYLEIGH_RTOL))
             or np.any(rq < smin * (1.0 - _RAYLEIGH_RTOL))):

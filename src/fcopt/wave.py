@@ -10,8 +10,11 @@ the squared L^2 x H^-1 energy norm is exactly |c|^2 (the H^-1 norm
 taken spectrally through the same operator).
 
 Observing the solution on a subinterval (x_lo, x_hi) over a horizon T
-gives the quadratic form c^T Gram c = int_0^T int_obs w^2 dx dt; its
-smallest eigenvalue lambda_min controls the best constant
+gives the quadratic form c^T Gram c = int_0^T int_obs w^2 dx dt.  Both
+integrals are taken exactly, the spatial one through the sine overlaps
+and the time one through sin and cos at omega_k +- omega_l, so the
+Gramian carries no quadrature error at any horizon.  Its smallest
+eigenvalue lambda_min controls the best constant
 C = 1/sqrt(lambda_min) in  |initial data|_energy <= C |w|_{L^2(obs x (0,T))}.
 A sweep over mode counts decides whether C is bounded (observable) or
 grows; dropping the worst-observed eigendirections gives the constants
@@ -49,13 +52,10 @@ class WaveModel:
     a : float
         Constant potential; must satisfy pi^2 + a > 0 so every mode
         frequency stays real.
-    quad_step : float or None
-        Time quadrature step; None picks 1/20 of the shortest mode
-        period (twice the resolution the accuracy check requires).
     """
 
     def __init__(self, modes, interval=(0.4, 0.6), T=3.0, a=0.0,
-                 quad_step=None, name="wave"):
+                 name="wave"):
         modes = int(modes)
         if modes < 1:
             raise ValueError("need at least one mode")
@@ -74,33 +74,7 @@ class WaveModel:
         self.T = float(T)
         self.a = float(a)
         self.omega = np.sqrt(mu)
-        self.shortest_period = 2.0 * np.pi / self.omega[-1]
-        if quad_step is None:
-            quad_step = self.shortest_period / 20.0
-        quad_step = float(quad_step)
-        if not (quad_step > 0 and np.isfinite(quad_step)):
-            raise ValueError("quad_step must be positive and finite")
-        self.quad_step = quad_step
         self.name = name
-
-    def points_per_period(self):
-        return self.shortest_period / self.quad_step
-
-    def _node_count(self):
-        return max(2, int(np.ceil(self.T / self.quad_step)) + 1)
-
-    def time_grid(self):
-        """Uniform quadrature nodes covering [0, T]."""
-        return np.linspace(0.0, self.T, self._node_count())
-
-    def time_step(self):
-        """Spacing t[1] - t[0] of time_grid(), without building the grid.
-
-        np.linspace(0, T, n) places node j at j * (T / (n - 1)) and the
-        last node at T itself, so this equals the grid's spacing
-        bitwise, and time_grid()[-1] equals T.
-        """
-        return self.T / (self._node_count() - 1)
 
     def __repr__(self):
         return ("WaveModel(modes=%d, interval=(%g, %g), T=%g, a=%g)"
@@ -133,21 +107,18 @@ def mode_overlap_matrix(model):
     return S
 
 
-def _trapezoid_cos_sin(nu, h, T):
-    """Trapezoidal sums of cos(nu t) and sin(nu t) over t = 0, h, ..., T.
+def _integral_cos_sin(nu, T):
+    """Exact integrals of cos(nu t) and sin(nu t) over t in [0, T].
 
-    With half weights at both ends, the geometric sum of exp(i nu t_j)
-    gives C = (h/2) cot(nu h/2) sin(nu T) and S = h cot(nu h/2)
-    sin^2(nu T/2), with C(0) = T and S(0) = 0.  tan(nu h/2) vanishes
-    only when nu h is a multiple of 2 pi, which the resolution check of
-    observation_gramian rules out (|nu| h <= 0.4 pi).
+    C = sin(nu T)/nu and S = (1 - cos(nu T))/nu, with C(0) = T and
+    S(0) = 0; S is taken in the half-angle form 2 sin^2(nu T/2)/nu,
+    which does not cancel at small nu T.
     """
     C = np.full(nu.shape, T)
     S = np.zeros(nu.shape)
     nz = nu != 0.0
-    cot = 1.0 / np.tan(0.5 * h * nu[nz])
-    C[nz] = 0.5 * h * cot * np.sin(nu[nz] * T)
-    S[nz] = h * cot * np.sin(0.5 * T * nu[nz]) ** 2
+    C[nz] = np.sin(nu[nz] * T) / nu[nz]
+    S[nz] = 2.0 * np.sin(0.5 * T * nu[nz]) ** 2 / nu[nz]
     return C, S
 
 
@@ -156,27 +127,16 @@ def observation_gramian(model):
 
     Entries are int_0^T int_obs w_k w_l dx dt for the 2M basis solutions
     (cosine and sine time factors per mode): spatial overlaps times the
-    trapezoidal time quadratures of the oscillation products.  The
-    trapezoidal rule on time_grid() is summed in closed form, O(M^2) and
-    without building the grid, through the product formulas at the
-    frequencies omega_k +- omega_l.
+    exact time integrals of the oscillation products, taken through the
+    product formulas at the frequencies omega_k +- omega_l in O(M^2) at
+    any horizon.
     Symmetric positive semidefinite by construction; every factor is
     exactly symmetric or exactly transposed between the off-diagonal
     blocks, so G equals G.T bitwise.
-
-    Raises if the model's quadrature step resolves the fastest mode
-    with fewer than 10 points per period.
     """
-    if model.points_per_period() < 10.0 - 1e-12:
-        raise ValueError(
-            "quadrature step %.3e is too coarse for mode frequency %.3e: "
-            "need at least 10 points per shortest period"
-            % (model.quad_step, model.omega[-1]))
-    h, T = model.time_step(), model.T
-    omega = model.omega
-    cos_diff, sin_diff = _trapezoid_cos_sin(np.subtract.outer(omega, omega),
-                                            h, T)
-    cos_sum, sin_sum = _trapezoid_cos_sin(np.add.outer(omega, omega), h, T)
+    T, omega = model.T, model.omega
+    cos_diff, sin_diff = _integral_cos_sin(np.subtract.outer(omega, omega), T)
+    cos_sum, sin_sum = _integral_cos_sin(np.add.outer(omega, omega), T)
     Icc = 0.5 * (cos_diff + cos_sum)
     Iss = 0.5 * (cos_diff - cos_sum)
     # cos(w_k t) sin(w_l t) = (sin((w_l + w_k) t) + sin((w_l - w_k) t)) / 2,
@@ -203,9 +163,6 @@ def wave_observability_constant(model, complement=0):
     worst j <= complement eigendirections -- the finite-codimension
     fallback when the full estimate degenerates.  worst_observed_mode
     gives the eigendirection of lambda_min.
-
-    Raises if the model's quadrature step resolves the fastest mode
-    with fewer than 10 points per period.
     """
     complement = int(complement)
     if complement < 0 or complement >= 2 * model.modes:
@@ -230,8 +187,6 @@ def wave_observability_constant(model, complement=0):
         note=note,
         extras={"eigenvalues": eigvals,
                 "complement_constants": comp,
-                "quad_step": model.quad_step,
-                "points_per_period": model.points_per_period(),
                 "interval": model.interval,
                 "T": model.T})
 
@@ -249,15 +204,15 @@ def worst_observed_mode(model):
 
 
 def wave_sweep(mode_counts, interval=(0.4, 0.6), T=3.0, a=0.0,
-               quad_step=None, growth_factor=2.0):
+               growth_factor=2.0):
     """Observability constants over increasing mode counts plus verdict.
 
     Parameters
     ----------
     mode_counts : sequence of int
         Strictly increasing, at least 3 entries.
-    interval, T, a, quad_step
-        Forwarded to WaveModel (quad_step None adapts per mode count).
+    interval, T, a
+        Forwarded to WaveModel.
 
     Returns
     -------
@@ -267,7 +222,7 @@ def wave_sweep(mode_counts, interval=(0.4, 0.6), T=3.0, a=0.0,
         they climb at least geometrically with the mode count.
     """
     def build(M):
-        model = WaveModel(M, interval=interval, T=T, a=a, quad_step=quad_step)
+        model = WaveModel(M, interval=interval, T=T, a=a)
         return 2 * model.modes, wave_observability_constant(model)
 
     return _sweep(mode_counts, build, growth_factor, "mode counts")

@@ -222,6 +222,18 @@ def test_example_wave_near_travel_time_exit_2(interval, tmp_path, capsys):
     assert rc in (0, 1) and out.exists()
 
 
+def test_example_wave_coarse_sweep_exit_2(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    rc = main(["example", "wave-obs", "--set", "modes=4,8,16",
+               "--out", str(out)])
+    assert rc == 2
+    assert "too coarse" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(["example", "wave-obs", "--set", "modes=4,8,16",
+               "--set", "expect=bounded", "--out", str(out)])
+    assert rc in (0, 1) and out.exists()
+
+
 def test_example_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "w.cfg"
     cfg.write_text("modes = 8,16,32\nT = 0.2\n")

@@ -106,12 +106,14 @@ def test_sde_witness_experiment():
 
 
 def test_wave_obs_regimes():
-    rep = run_experiment("wave-obs", {"modes": (8, 16, 32)})
-    assert rep.passed
-    assert rep.results["regime_checked"] == "bounded"
-    rep = run_experiment("wave-obs", {"modes": (8, 16, 32), "T": 0.2})
-    assert rep.passed
-    assert rep.results["regime_checked"] == "growing"
+    # sweeps from 8 modes that at least double per step run under auto
+    for modes in [(8, 16, 32), (9, 18, 36), (8, 32, 64)]:
+        rep = run_experiment("wave-obs", {"modes": modes})
+        assert rep.passed
+        assert rep.results["regime_checked"] == "bounded"
+        rep = run_experiment("wave-obs", {"modes": modes, "T": 0.2})
+        assert rep.passed
+        assert rep.results["regime_checked"] == "growing"
 
 
 WAVE_INTERVALS = [(0.4, 0.6), (0.2, 0.5), (0.1, 0.3)]
@@ -137,6 +139,23 @@ def test_wave_obs_auto_rejects_horizons_near_travel_time(interval,
     for f in (0.95, 0.98, 1.0, 1.02):
         with pytest.raises(ValueError, match="expect=auto"):
             run_experiment("wave-obs", dict(base, T=f * t_star))
+
+
+@pytest.mark.parametrize("modes", [(4, 8, 16), (7, 14, 28), (8, 12, 16),
+                                   (8, 10, 32), (2, 4, 8)])
+def test_wave_obs_auto_rejects_coarse_sweeps(modes, monkeypatch):
+    # each of these fails expect=auto somewhere outside the band;
+    # bounded and growing still run them
+    for expect in ("bounded", "growing"):
+        rep = run_experiment("wave-obs", {"modes": modes, "expect": expect})
+        assert rep.results["regime_checked"] == expect
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a coarse sweep is rejected before it runs")
+
+    monkeypatch.setattr("fcopt.experiments.wave_sweep", no_sweep)
+    with pytest.raises(ValueError, match="too coarse for expect=auto"):
+        run_experiment("wave-obs", {"modes": modes})
 
 
 def test_wave_expected_regime_rule():

@@ -146,34 +146,16 @@ def test_solve_matches_brute_force_loops():
         assert_allclose(Phi[j], np.array(bPhi[j]), atol=1e-13)
 
 
-def test_explicit_method_comparison():
-    # scalar closed forms: implicit gives c/(1-lam dt)^steps, explicit
-    # c(1+lam dt)^steps; both first-order accurate for exp(lam T)
+def test_implicit_scalar_closed_form():
+    # scalar closed form c/(1-lam dt)^steps, first-order accurate for
+    # exp(lam T)
     lam, c = 0.5, 1.0
     mod = _scalar_model(T=1.0, d=6, a1=lam)
     term = np.full((64, 1), c)
-    phi_i, _ = tree_bsde_solve(mod, terminal=term)
-    phi_e, _ = tree_bsde_solve(mod, terminal=term, method="explicit")
-    assert_allclose(phi_i[0][0, 0], c / (1.0 - lam * mod.dt) ** 6,
+    phi, _ = tree_bsde_solve(mod, terminal=term)
+    assert_allclose(phi[0][0, 0], c / (1.0 - lam * mod.dt) ** 6,
                     rtol=1e-13)
-    assert_allclose(phi_e[0][0, 0], c * (1.0 + lam * mod.dt) ** 6,
-                    rtol=1e-13)
-    exact = c * np.exp(lam)
-    assert abs(phi_i[0][0, 0] - exact) <= 0.1
-    assert abs(phi_e[0][0, 0] - exact) <= 0.1
-    with pytest.raises(ValueError, match="method"):
-        tree_bsde_solve(mod, terminal=term, method="midpoint")
-
-
-def test_explicit_equals_implicit_without_drift():
-    mod = TreeModel(1.0, 4, _Z2, _Z2, np.ones((2, 2)), np.eye(2))
-    term = np.random.default_rng(7).standard_normal((16, 2))
-    phi_i, Phi_i = tree_bsde_solve(mod, terminal=term)
-    phi_e, Phi_e = tree_bsde_solve(mod, terminal=term, method="explicit")
-    for a, b in zip(phi_i, phi_e):
-        assert_allclose(a, b, atol=0)
-    for a, b in zip(Phi_i, Phi_e):
-        assert_allclose(a, b, atol=0)
+    assert abs(phi[0][0, 0] - c * np.exp(lam)) <= 0.1
 
 
 def test_singular_step_matrix_error():
@@ -275,13 +257,6 @@ def test_estimate_cap_and_mode_validation():
     mod = TreeModel(1.0, 4, _Z2, _Z2, _Z2, np.eye(2))
     with pytest.raises(ValueError, match="G_mode"):
         sde_estimate_constant(mod, G_mode="phi-zero")
-
-
-def test_estimate_tol_validation():
-    mod = TreeModel(1.0, 3, _Z2, _Z2, _Z2, np.eye(2))
-    for tol in (0.0, 1e-6, 1e-3):
-        with pytest.raises(ValueError, match="tol"):
-            sde_estimate_constant(mod, tol=tol)
 
 
 def _dichotomy_models(C2, depths):
@@ -399,7 +374,7 @@ def test_ill_conditioned_map_takes_dense_fallback(d, monkeypatch):
                         lambda *a: built.append(1) or dense(*a))
     rep = sde_estimate_constant(mod)
     assert built == [1]
-    smax, smin, kernel = tree._dense_extremes(mod, "phi0", tree.RANK_RTOL)
+    smax, smin, kernel = tree._dense_extremes(mod, "phi0")
     assert rep.kernel_dim == kernel
     assert list(rep.sigma_profile) == [smax, smin]
     _assert_matches_dense(rep, _dense_sigma(mod, "phi0"))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fcopt.wave import (WaveModel, _trapezoid_cos_sin, mode_overlap_matrix,
+from fcopt.wave import (WaveModel, _integral_cos_sin, mode_overlap_matrix,
                         observation_gramian, wave_observability_constant,
                         wave_sweep, worst_observed_mode)
 
@@ -73,25 +73,6 @@ def test_gramian_symmetric_psd():
     assert eigs[0] >= -1e-10 * eigs[-1]
 
 
-def test_quadrature_coarseness_guard():
-    period = 2.0 * np.pi / (16 * np.pi)
-    coarse = WaveModel(16, quad_step=period / 5.0)
-    with pytest.raises(ValueError, match="10 points"):
-        wave_observability_constant(coarse)
-    fine = WaveModel(16, quad_step=period / 10.0)
-    wave_observability_constant(fine)  # exactly at the limit: accepted
-
-
-def test_gramian_rejects_coarse_quadrature():
-    # the closed form divides by tan(nu h / 2), so the public Gramian
-    # runs the resolution check itself
-    period = 2.0 * np.pi / (16 * np.pi)
-    coarse = WaveModel(16, quad_step=period / 5.0)
-    with pytest.raises(ValueError, match="10 points"):
-        observation_gramian(coarse)
-    observation_gramian(WaveModel(16, quad_step=period / 10.0))
-
-
 def test_sweep_long_horizon_bounded():
     swept = wave_sweep([8, 16, 32, 64], interval=(0.4, 0.6), T=3.0)
     assert swept.verdict == "bounded"
@@ -152,8 +133,6 @@ def test_validation_errors():
         WaveModel(4, T=0.0)
     with pytest.raises(ValueError, match="lowest mode"):
         WaveModel(4, a=-(np.pi ** 2) - 1.0)
-    with pytest.raises(ValueError, match="quad_step"):
-        WaveModel(4, quad_step=-0.1)
     with pytest.raises(ValueError, match="complement"):
         wave_observability_constant(WaveModel(4), complement=8)
     with pytest.raises(ValueError, match="mode counts"):
@@ -162,13 +141,15 @@ def test_validation_errors():
         wave_sweep([8, 8, 16])
 
 
-def _direct_sum_gramian(model):
-    # the trapezoidal rule summed term by term: time samples of every
-    # mode times the weights, through matrix products
-    t = model.time_grid()
-    w = np.full(t.size, t[1] - t[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
+def _gauss_legendre_gramian(model, segments=64, nodes=24):
+    # the time integral by composite Gauss-Legendre on equal segments of
+    # [0, T]: time samples of every mode times the weights, through
+    # matrix products
+    x, wx = np.polynomial.legendre.leggauss(nodes)
+    h = model.T / segments
+    left = h * np.arange(segments)
+    t = (left[:, None] + 0.5 * h * (x + 1.0)).ravel()
+    w = np.tile(0.5 * h * wx, segments)
     phase = np.outer(t, model.omega)
     cos, sin = np.cos(phase), np.sin(phase)
     wc = w[:, None] * cos
@@ -185,17 +166,29 @@ def _direct_sum_gramian(model):
 @pytest.mark.parametrize("a", [0.0, 2.5, -5.0])
 @pytest.mark.parametrize("T", [0.2, 1.0, 3.0, 0.002])
 @pytest.mark.parametrize("modes", [1, 3, 16, 40])
-def test_gramian_matches_direct_trapezoidal_sum(modes, T, a, interval):
+def test_gramian_matches_gauss_legendre_time_integral(modes, T, a, interval):
     m = WaveModel(modes, interval=interval, T=T, a=a)
-    if T == 0.002:  # shorter than the default step at every M <= 40
-        assert m.time_grid().size == 2
-    # a user step of 1/13.3 period, which does not divide T
-    user = WaveModel(modes, interval=interval, T=T, a=a,
-                     quad_step=m.shortest_period / 13.3)
-    for model in (m, user):
-        G = observation_gramian(model)
-        ref = _direct_sum_gramian(model)
-        assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
+    G = observation_gramian(m)
+    ref = _gauss_legendre_gramian(m)
+    assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("modes, T, a, interval", [
+    (8, 0.2, 0.0, (0.4, 0.6)),
+    (8, 3.0, 2.5, (0.4, 0.6)),
+    (32, 3.0, 2.5, (0.3, 0.5)),
+    (16, 1.7, -3.0, (0.2, 0.5)),
+])
+def test_constant_matches_gauss_legendre_time_integral(modes, T, a, interval):
+    # a Gramian rounded to eps moves lambda_min by about eps lambda_max,
+    # so 8 modes at T = 0.2 (lambda_min ~ 9e-9 lambda_max) resolve the
+    # constant to about 1e-9 only; the others to 1e-10
+    m = WaveModel(modes, interval=interval, T=T, a=a)
+    rep = wave_observability_constant(m)
+    lam = np.linalg.eigvalsh(_gauss_legendre_gramian(m, 256, 64))
+    rtol = max(1e-10, np.finfo(float).eps * lam[-1] / lam[0])
+    assert rep.kernel_dim == 0
+    assert_allclose(rep.constant, 1.0 / np.sqrt(lam[0]), rtol=rtol)
 
 
 def _outer_overlap_matrix(model):
@@ -221,14 +214,11 @@ def _outer_overlap_matrix(model):
 
 
 def _block_gramian(model):
-    # the same closed-form sums on the built time grid, assembled with
-    # np.block from the outer overlap matrix and then symmetrized
-    t = model.time_grid()
-    h, T = t[1] - t[0], t[-1]
-    omega = model.omega
-    cos_diff, sin_diff = _trapezoid_cos_sin(np.subtract.outer(omega, omega),
-                                            h, T)
-    cos_sum, sin_sum = _trapezoid_cos_sin(np.add.outer(omega, omega), h, T)
+    # the same closed-form time integrals, assembled with np.block from
+    # the outer overlap matrix and then symmetrized
+    omega, T = model.omega, model.T
+    cos_diff, sin_diff = _integral_cos_sin(np.subtract.outer(omega, omega), T)
+    cos_sum, sin_sum = _integral_cos_sin(np.add.outer(omega, omega), T)
     Icc = 0.5 * (cos_diff + cos_sum)
     Iss = 0.5 * (cos_diff - cos_sum)
     Ics = 0.5 * (sin_sum - sin_diff)
@@ -245,8 +235,6 @@ def test_gramian_bitwise_equals_block_assembly(interval):
         for T in (0.2, 0.6, 1.0, 3.0):
             for a in (0.0, 5.0, -3.0):
                 m = WaveModel(modes, interval=interval, T=T, a=a)
-                t = m.time_grid()
-                assert m.time_step() == t[1] - t[0] and t[-1] == m.T
                 S = mode_overlap_matrix(m)
                 assert np.array_equal(S, _outer_overlap_matrix(m))
                 G = observation_gramian(m)
@@ -266,8 +254,9 @@ def test_eigenvalues_match_eigh(T):
 
 
 def test_long_horizon_gramian_memory_does_not_grow_with_T():
-    # time_grid() at T = 1e5 would hold 6.4e7 nodes (512 MB); the
-    # Gramian needs only the step and the horizon
+    # a time rule sampling the fastest mode 20 times per period would
+    # hold 6.4e7 nodes (512 MB) at T = 1e5; the exact time integrals
+    # need only the horizon
     m = WaveModel(64, T=1e5)
     tracemalloc.start()
     try:
