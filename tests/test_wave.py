@@ -173,6 +173,47 @@ def test_gramian_matches_gauss_legendre_time_integral(modes, T, a, interval):
     assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _direct_sum_gramian(model, points_per_period=500):
+    # the trapezoidal rule summed term by term on equal steps of at most
+    # 1/points_per_period of the shortest mode period; returns the step
+    n = max(1, int(np.ceil(model.T * model.omega.max() * points_per_period
+                           / (2.0 * np.pi))))
+    t = np.linspace(0.0, model.T, n + 1)
+    w = np.full(t.size, model.T / n)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    phase = np.outer(t, model.omega)
+    cos, sin = np.cos(phase), np.sin(phase)
+    wc = w[:, None] * cos
+    Icc = wc.T @ cos
+    Ics = wc.T @ sin
+    Iss = (w[:, None] * sin).T @ sin
+    S = mode_overlap_matrix(model)
+    G = np.block([[S * Icc, S * Ics],
+                  [S * Ics.T, S * Iss]])
+    return 0.5 * (G + G.T), model.T / n
+
+
+@pytest.mark.parametrize("interval", [(0.4, 0.6), (0.3, 0.8), (0.0, 1.0)])
+@pytest.mark.parametrize("a", [0.0, 2.5, -5.0])
+@pytest.mark.parametrize("T", [0.2, 1.0, 3.0, 0.002])
+@pytest.mark.parametrize("modes", [1, 3, 16, 40])
+def test_gramian_matches_direct_trapezoidal_sum(modes, T, a, interval):
+    # the exact time integral is the limit of the trapezoidal sum: each
+    # time factor is (cos(d t) +- cos(s t))/2 or (sin(s t) -+ sin(d t))/2
+    # with d, s = omega_k -+ omega_l, whose second derivative is at most
+    # omega_k^2 + omega_l^2, so the sum is within T h^2/12 of that times
+    # |S_kl| (the trapezoid error bound), plus rounding
+    m = WaveModel(modes, interval=interval, T=T, a=a)
+    G = observation_gramian(m)
+    ref, h = _direct_sum_gramian(m)
+    w2 = m.omega ** 2
+    bound = (np.abs(mode_overlap_matrix(m)) * np.add.outer(w2, w2)
+             * T * h ** 2 / 12.0)
+    slack = 1e-14 * np.max(np.abs(ref))
+    assert np.all(np.abs(G - ref) <= np.tile(bound, (2, 2)) + slack)
+
+
 @pytest.mark.parametrize("modes, T, a, interval", [
     (8, 0.2, 0.0, (0.4, 0.6)),
     (8, 3.0, 2.5, (0.4, 0.6)),
