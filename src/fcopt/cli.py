@@ -85,7 +85,7 @@ def _cmd_solve(args):
     cfg = PenaltyConfig(seed=seed)
     pair, trace = extract_multiplier(p, p.u_bar, default_schedule(eps0, steps),
                                      cfg)
-    kk = kkt_check(p, p.u_bar, pair, cfg)
+    kk = kkt_check(p, p.u_bar, pair)
     fj = fritz_john_residual(p, p.u_bar, pair,
                              p.variations(p.u_bar, int(params["samples"]),
                                           seed=seed))

@@ -7,8 +7,7 @@ map G (|phi|^2 <= C^2 (|F* phi|^2 + |G phi|^2)), and growth verdicts across
 refinement families.
 
 All constants are 1/sigma computations in the gram-induced geometry; the
-numerical rank cutoff is sigma <= tol * sigma_max (spaces.rank_mask,
-default RANK_RTOL).
+numerical rank cutoff is sigma <= RANK_RTOL * sigma_max (spaces.rank_mask).
 A verdict produced by a sweep is a diagnostic heuristic over finitely many
 levels, never a proof about the underlying infinite-dimensional operator.
 """
@@ -16,7 +15,6 @@ levels, never a proof about the underlying infinite-dimensional operator.
 import numpy as np
 
 from .spaces import (
-    RANK_RTOL,
     SpaceDescriptor,
     LinearMap,
     adjoint,
@@ -126,7 +124,7 @@ class SweepReport:
         return "SweepReport(verdict=%r, constants=%r)" % (self.verdict, self.constants)
 
 
-def kernel_dimension(F, tol=RANK_RTOL, sigma=None):
+def kernel_dimension(F, sigma=None):
     """Numerical dimension of ker(F*) = codomain dim minus numerical rank.
 
     ``sigma`` takes the singular values of F (gram geometry) when the
@@ -134,10 +132,10 @@ def kernel_dimension(F, tol=RANK_RTOL, sigma=None):
     are computed here.
     """
     s = singular_triplets(F, compute_uv=False) if sigma is None else sigma
-    return F.codomain.dim - int(np.sum(rank_mask(s, tol)))
+    return F.codomain.dim - int(np.sum(rank_mask(s)))
 
 
-def restricted_estimate_constant(F, tol=RANK_RTOL):
+def restricted_estimate_constant(F):
     """Best C with |phi| <= C |F* phi| on the complement of ker(F*).
 
     The complement of the numerical kernel is the finite-codimensional
@@ -146,8 +144,8 @@ def restricted_estimate_constant(F, tol=RANK_RTOL):
     yields the infinity flag with full kernel dimension.
     """
     s = singular_triplets(F, compute_uv=False)
-    kdim = kernel_dimension(F, tol, sigma=s)
-    above = s[rank_mask(s, tol)]
+    kdim = kernel_dimension(F, sigma=s)
+    above = s[rank_mask(s)]
     if above.size == 0:
         return EstimateReport(np.inf, F.codomain.dim, s,
                               note="operator numerically zero")
@@ -170,7 +168,7 @@ def _stacked_with(F, G):
     return LinearMap(mat, F.codomain, stacked_cod)
 
 
-def compact_perturbed_constant(F, G, tol=RANK_RTOL):
+def compact_perturbed_constant(F, G):
     """Best C with |phi|^2 <= C^2 (|F* phi|^2 + |G phi|^2).
 
     G must be declared compact (compact_flag True) — finite dimensions
@@ -184,14 +182,14 @@ def compact_perturbed_constant(F, G, tol=RANK_RTOL):
     stacked = _stacked_with(F, G)
     s = singular_triplets(stacked, compute_uv=False)
     # phi-side null space of the stack
-    kdim = stacked.domain.dim - int(np.sum(rank_mask(s, tol)))
+    kdim = stacked.domain.dim - int(np.sum(rank_mask(s)))
     if kdim > 0:
         return EstimateReport(np.inf, kdim, s,
                               note="stacked operator rank deficient")
     return EstimateReport(1.0 / s.min(), 0, s)
 
 
-def closed_range_constant(F, tol=RANK_RTOL):
+def closed_range_constant(F):
     """Closed-range constants: on the range's dual, and via the projector.
 
     Returns a report whose ``constant`` is the projected-form value (the
@@ -202,7 +200,7 @@ def closed_range_constant(F, tol=RANK_RTOL):
     """
     trips = singular_triplets(F)
     s = np.array([t[0] for t in trips])
-    mask_above = rank_mask(s, tol)
+    mask_above = rank_mask(s)
     above = s[mask_above]
     range_constant = float(1.0 / above.min()) if above.size else np.inf
     # gram-orthogonal projector onto the orthocomplement of the range
@@ -218,7 +216,7 @@ def closed_range_constant(F, tol=RANK_RTOL):
     stacked = _stacked_with(F, pimap)
     s2 = singular_triplets(stacked, compute_uv=False)
     projected_constant = float(1.0 / s2.min()) if s2.min() > 0 else np.inf
-    kdim = kernel_dimension(F, tol, sigma=s)
+    kdim = kernel_dimension(F, sigma=s)
     if np.isfinite(range_constant) and np.isfinite(projected_constant):
         factor = max(range_constant, projected_constant) / max(
             min(range_constant, projected_constant), 1e-300)
@@ -323,7 +321,7 @@ def _sweep(levels, build, growth_factor, noun, key=int, rule=_sweep_verdict):
     return SweepReport(reports, verdict)
 
 
-def codim_growth_verdict(fam, growth_factor=2.0, tol=RANK_RTOL):
+def codim_growth_verdict(fam, growth_factor=2.0):
     """Estimate constants per family level plus a growth verdict.
 
     For each level the restricted constant is computed.  Verdict: with a
@@ -337,7 +335,7 @@ def codim_growth_verdict(fam, growth_factor=2.0, tol=RANK_RTOL):
     """
     def build(entry):
         n, F = entry
-        return n, restricted_estimate_constant(F, tol)
+        return n, restricted_estimate_constant(F)
 
     return _sweep(fam, build, growth_factor, "levels",
                   key=lambda entry: entry[0])

@@ -75,8 +75,8 @@ class EvolutionSystem:
     def __init__(self, T, N, A, Bc, gy=None, gu=None, E=None, name="evolution"):
         if N < 1:
             raise ValueError("need at least one time step")
-        if T <= 0:
-            raise ValueError("horizon must be positive")
+        if not (T > 0 and np.isfinite(T)):
+            raise ValueError("horizon T must be positive and finite")
         self.T = float(T)
         self.N = int(N)
         self.dt = self.T / self.N

@@ -287,10 +287,10 @@ def _run_l2_fritz_john(params):
     z = np.asarray(pair.z.coords)
     zdir = np.asarray(p.extras["z_direction"])
     cosine = abs(z @ zdir) / (np.linalg.norm(z) * np.linalg.norm(zdir))
-    kk = kkt_check(p, p.u_bar, pair, cfg)
+    kk = kkt_check(p, p.u_bar, pair)
     fj = fritz_john_residual(p, p.u_bar, pair,
                              p.variations(p.u_bar, samples, seed=seed))
-    enh = enhanced_sequence_report(p, p.u_bar, trace, cfg)
+    enh = enhanced_sequence_report(p, p.u_bar, trace)
     norm_dev = _normalization_deviation(trace)
 
     criteria = [
@@ -505,6 +505,15 @@ def _travel_time(lo, hi):
 # 1.05 T*.
 WAVE_AUTO_BAND = (0.9, 1.05)
 
+# The band and the travel time T* were measured at a = 0; a potential
+# a > 0 slows the low modes (group velocity k pi / omega_k < 1), so the
+# threshold drifts past the band.  With modes 8..64 and 8..32 on
+# (0.4, 0.6), expect=auto passes at 0.9 and 1.05 T* up to a = 12 (and
+# at 0.5..3 T* outside the band), fails at 1.05 T* for a = 14..18 and
+# at both edges for a = 20; (0.2, 0.5) and (0.1, 0.3) pass up to a = 20,
+# and a potential down to -9 passes everywhere.
+WAVE_AUTO_MAX_POTENTIAL = 12.0
+
 # Outside the band, expect=auto still needs a sweep fine enough to show
 # the regime: on those three intervals, sweeps that start at
 # WAVE_AUTO_MIN_MODES or more modes and at least double per step pass at
@@ -548,6 +557,13 @@ def _run_wave_obs(params):
           "modes %s are too coarse for expect=auto: start at %d or more "
           "modes and at least double per step, or set expect=bounded or "
           "expect=growing" % (",".join(map(str, modes)), WAVE_AUTO_MIN_MODES))
+
+    _need(expect != "auto" or a <= WAVE_AUTO_MAX_POTENTIAL,
+          "potential a = %g exceeds %g, beyond which the travel time T* "
+          "no longer predicts the regime at finite modes; with "
+          "expect=auto use a <= %g, or set expect=bounded or "
+          "expect=growing" % (a, WAVE_AUTO_MAX_POTENTIAL,
+                              WAVE_AUTO_MAX_POTENTIAL))
 
     swept = wave_sweep(modes, interval=(lo, hi), T=T, a=a)
     consts = swept.constants

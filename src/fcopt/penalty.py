@@ -263,61 +263,43 @@ class ConstrainedProblem:
             self.name, self.V.dim, self.X.dim)
 
 
+# Fixed settings of the penalty pipeline.  The inner stationarity
+# tolerance on the dual norm of grad Phi_eps^2 is
+# max(_INNER_FLOOR, _INNER_SCALE * eps^2), reached within _MAX_ITERS
+# Newton iterations per eps.
+_INNER_SCALE = 1e-2
+_INNER_FLOOR = 1e-13
+_MAX_ITERS = 200
+# Allowed overshoot of |u_eps - u_bar| beyond sqrt(eps).
+_BALL_SLACK = 1e-6
+# A-posteriori tolerance and probe count of the variational inequality
+# Phi(u_eps) - Phi(u) <= sqrt(eps) d(u_eps, u).
+_EKELAND_TOL = 1e-8
+_EKELAND_PROBES = 16
+# Local-optimality spot check of u_bar: the sampled feasible points may
+# improve f0(u_bar) by at most _SOLUTION_SLACK.
+_SOLUTION_SLACK = 1e-8
+_SOLUTION_SAMPLES = 64
+# Cauchy gap over the final records above which extract_multiplier warns.
+_LIMIT_TOL = 1e-2
+# Threshold declaring z0, or |z|, nonzero in the branch reports.
+_NONZERO_TOL = 1e-6
+# Slack of the monotone-decay checks, and the number of final records
+# examined, in enhanced_sequence_report.
+_MONO_SLACK = 1e-12
+_TAIL_LEN = 5
+
+
 class PenaltyConfig:
-    """Tunable knobs of the penalty pipeline (all defaults are sensible).
+    """Seed of the penalty pipeline's samplers (probes, spot check).
 
-    The inner solver is not among them: it is damped Newton for every
-    problem (see minimize_penalty).
-
-    Parameters
-    ----------
-    inner_scale, inner_floor : float
-        Inner stationarity tolerance on the dual norm of grad Phi_eps^2 is
-        max(inner_floor, inner_scale * eps^2).
-    max_iters : int
-        Inner iteration cap per eps.
-    ball_slack : float
-        Allowed overshoot of |u_eps - u_bar| beyond sqrt(eps).
-    ekeland_tol, ekeland_probes : float, int
-        A-posteriori tolerance and probe count for the variational
-        inequality Phi(u_eps) - Phi(u) <= sqrt(eps) d(u_eps, u).
-    solution_slack, solution_samples : float, int
-        Local-optimality spot check of u_bar over sampled feasible points.
-    limit_tol : float
-        Cauchy-gap threshold over the final trace records; larger gaps
-        raise a non-convergence warning.
-    z0_tol, z_tol : float
-        Thresholds declaring z0 (resp. |z|) nonzero in the branch reports.
-    mono_slack : float
-        Slack for the monotone-decay checks of the tail report.
-    tail_len : int
-        Number of final records examined by enhanced_sequence_report.
-    seed : int
-        Base seed for all samplers (probes, variations).
-    verify_solution : bool
-        Whether minimize_penalty spot-checks local optimality of u_bar.
+    Every other setting is fixed (see the module constants above), and
+    the inner solver is damped Newton for every problem (see
+    minimize_penalty).
     """
 
-    def __init__(self, inner_scale=1e-2, inner_floor=1e-13, max_iters=200,
-                 ball_slack=1e-6, ekeland_tol=1e-8, ekeland_probes=16,
-                 solution_slack=1e-8, solution_samples=64, limit_tol=1e-2,
-                 z0_tol=1e-6, z_tol=1e-6, mono_slack=1e-12, tail_len=5,
-                 seed=0, verify_solution=True):
-        self.inner_scale = float(inner_scale)
-        self.inner_floor = float(inner_floor)
-        self.max_iters = int(max_iters)
-        self.ball_slack = float(ball_slack)
-        self.ekeland_tol = float(ekeland_tol)
-        self.ekeland_probes = int(ekeland_probes)
-        self.solution_slack = float(solution_slack)
-        self.solution_samples = int(solution_samples)
-        self.limit_tol = float(limit_tol)
-        self.z0_tol = float(z0_tol)
-        self.z_tol = float(z_tol)
-        self.mono_slack = float(mono_slack)
-        self.tail_len = int(tail_len)
+    def __init__(self, seed=0):
         self.seed = int(seed)
-        self.verify_solution = bool(verify_solution)
 
 
 def default_schedule(eps0=0.1, steps=14):
@@ -509,7 +491,7 @@ def _phi2_noise(u, f0_bar, eps, aux):
     return _NOISE_ULPS * (size + dist * dist)
 
 
-def _newton_minimize(p, u0, f0_bar, eps, cfg, tol):
+def _newton_minimize(p, u0, f0_bar, eps, tol):
     """Damped Newton descent on Phi_eps^2 from u0 until |grad| <= tol.
 
     Each iteration solves the mu-regularized Newton system for a step s
@@ -531,7 +513,7 @@ def _newton_minimize(p, u0, f0_bar, eps, cfg, tol):
     parts, g, aux = _grad_phi2(p, u, f0_bar, eps)
     gnorm = dual_norm(p.V, Element(g, p.V))
     iters = backtracks = wolfe_steps = 0
-    while gnorm > tol and iters < cfg.max_iters:
+    while gnorm > tol and iters < _MAX_ITERS:
         h = _hess_phi2(p, u, aux)
         step = None
         for _ in range(40):
@@ -587,22 +569,22 @@ def _newton_minimize(p, u0, f0_bar, eps, cfg, tol):
     if gnorm > tol:
         raise InnerConvergenceError(
             "no stationary point of Phi_eps^2 within %d iterations "
-            "(grad %.3e > tol %.3e)" % (cfg.max_iters, gnorm, tol),
+            "(grad %.3e > tol %.3e)" % (_MAX_ITERS, gnorm, tol),
             best=u, info=dict(stats, tol=tol))
     return u, parts, stats
 
 
-def _ekeland_residual(p, u, phi_u, f0_bar, eps, cfg):
+def _ekeland_residual(p, u, phi_u, f0_bar, eps, seed):
     """Max over probes of Phi(u) - Phi(probe) - sqrt(eps) d(u, probe); <= 0 ideally.
 
     phi_u is Phi_eps(u), which the caller already has.  The probes are
-    u + t d for ekeland_probes random gram-unit directions d and t in
+    u + t d for _EKELAND_PROBES random gram-unit directions d and t in
     (0.25, 0.05, 0.01) sqrt(eps); Phi is evaluated at all of them as one
     stack.
     """
-    rng = np.random.default_rng([cfg.seed, 1009, int(round(1.0 / eps))])
+    rng = np.random.default_rng([seed, 1009, int(round(1.0 / eps))])
     se = np.sqrt(eps)
-    dirs = rng.standard_normal((cfg.ekeland_probes, u.size))
+    dirs = rng.standard_normal((_EKELAND_PROBES, u.size))
     dn = np.sqrt(np.maximum(p.V.quadratic_form(dirs), 0.0))
     keep = dn > 0.0
     dirs = dirs[keep] / dn[keep, None]
@@ -613,35 +595,37 @@ def _ekeland_residual(p, u, phi_u, f0_bar, eps, cfg):
     return np.max(phi_u - phi_probe - se * t, initial=-np.inf)
 
 
-def _verify_local_solution(p, ub, cfg):
+def _verify_local_solution(p, ub, seed):
     if p.feasible_sampler is None:
         return
     pts = np.atleast_2d(np.asarray(
-        p.feasible_sampler(ub, cfg.solution_samples, cfg.seed), dtype=float))
+        p.feasible_sampler(ub, _SOLUTION_SAMPLES, seed), dtype=float))
     f0_bar = p.objective(ub)
-    if np.any(p.objective(pts) < f0_bar - cfg.solution_slack):
+    if np.any(p.objective(pts) < f0_bar - _SOLUTION_SLACK):
         raise ValueError(
             "reference point failed the local-optimality spot check: "
             "a sampled feasible neighbor improves f0 by more than %.1e"
-            % cfg.solution_slack)
+            % _SOLUTION_SLACK)
 
 
 def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
-                     return_info=False, verify=None, f0_bar=None):
+                     return_info=False, verify=True, f0_bar=None):
     """Near-minimizer u_eps of Phi_eps with Phi_eps(u_eps) <= eps.
 
     Minimizes Phi_eps^2 (smooth) from u_bar, or from warm_start when given,
-    by damped Newton, to a gradient dual norm of max(inner_floor,
-    inner_scale * eps^2).  The Hessian of f0 in the Newton system is the
-    problem's f0_hess, or central differences of f0_grad when it has none
-    (see ConstrainedProblem.hessian).  The line search accepts a step by the
+    by damped Newton, to a gradient dual norm of max(1e-13, 1e-2 eps^2).
+    The Hessian of f0 in the Newton system is the problem's f0_hess, or
+    central differences of f0_grad when it has none (see
+    ConstrainedProblem.hessian).  The line search accepts a step by the
     Armijo decrease of Phi_eps^2, or, when the change of Phi_eps^2 is
     below its rounding noise, by the approximate Wolfe condition on the
     slope along the step (see _newton_minimize).  It then verifies a
     posteriori that Phi_eps(u_eps) <= eps, that u_eps stays within
-    sqrt(eps) + ball_slack of u_bar, and that the Ekeland-type inequality
-    holds on probe points up to ekeland_tol.  A warm start that fails
-    triggers one cold restart from u_bar.
+    sqrt(eps) + 1e-6 of u_bar, and that the Ekeland-type inequality holds
+    on 16 probe directions up to 1e-8.  A warm start that fails triggers
+    one cold restart from u_bar.  With verify (the default), u_bar first
+    passes a local-optimality spot check on 64 points of the problem's
+    feasible_sampler, when it has one, seeded by cfg.seed.
 
     The Phi parts of u_eps that the inner solver's last gradient computed
     serve the Phi <= eps check, the Ekeland residual and the info dict;
@@ -666,19 +650,17 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
     ub = _coords(u_bar)
     if f0_bar is None:
         f0_bar = p.objective(ub)
-    if verify is None:
-        verify = cfg.verify_solution
     if verify:
-        _verify_local_solution(p, ub, cfg)
+        _verify_local_solution(p, ub, cfg.seed)
 
-    tol = max(cfg.inner_floor, cfg.inner_scale * eps * eps)
+    tol = max(_INNER_FLOOR, _INNER_SCALE * eps * eps)
 
     start = ub if warm_start is None else _coords(warm_start)
     cold = warm_start is None
     while True:
         try:
             u, (phi2, dist, gp, fx, _), stats = _newton_minimize(
-                p, start, f0_bar, eps, cfg, tol)
+                p, start, f0_bar, eps, tol)
             phi = float(np.sqrt(phi2))
             if phi > eps * (1.0 + 1e-9) + 1e-15:
                 raise InnerConvergenceError(
@@ -693,12 +675,12 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
         break
 
     ball = norm(p.V, Element(u - ub, p.V))
-    if ball > np.sqrt(eps) + cfg.ball_slack:
+    if ball > np.sqrt(eps) + _BALL_SLACK:
         raise InnerConvergenceError(
             "minimizer left the sqrt(eps) ball: |u_eps - u_bar| = %.3e" % ball,
             best=u, info=dict(stats, tol=tol, ball=ball, eps=eps))
-    res = _ekeland_residual(p, u, phi, f0_bar, eps, cfg)
-    if res > cfg.ekeland_tol:
+    res = _ekeland_residual(p, u, phi, f0_bar, eps, cfg.seed)
+    if res > _EKELAND_TOL:
         raise InnerConvergenceError(
             "a-posteriori variational inequality violated by %.3e" % res,
             best=u, info=dict(stats, tol=tol, ekeland_residual=res, eps=eps))
@@ -753,8 +735,9 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
     (eps, u_eps, phi, a, b, dist, f0 gap, iteration count) per step, and
     reads the pair (z0, z) off the final record.  The Cauchy gap
     max(|a_k - a_{k-1}|, |b_k - b_{k-1}|) over the final three records is
-    reported on the pair; a gap above cfg.limit_tol raises a
-    non-convergence warning but still returns the result.
+    reported on the pair; a gap above 1e-2 raises a non-convergence
+    warning but still returns the result.  The local-optimality spot
+    check of u_bar runs once, before the first eps.
     """
     if cfg is None:
         cfg = PenaltyConfig()
@@ -768,8 +751,7 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
 
     ub = _coords(u_bar)
     f0_bar = p.objective(ub)
-    if cfg.verify_solution:
-        _verify_local_solution(p, ub, cfg)
+    _verify_local_solution(p, ub, cfg.seed)
 
     trace = PenaltyTrace()
     el = None
@@ -786,12 +768,12 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
 
     last = trace[-1]
     gap = _cauchy_gap(trace)
-    converged = gap <= cfg.limit_tol
+    converged = gap <= _LIMIT_TOL
     if not converged:
         warnings.warn(
             "multiplier sequence not Cauchy over the final records "
             "(gap %.3e > %.1e); returning the last pair anyway"
-            % (gap, cfg.limit_tol), RuntimeWarning)
+            % (gap, _LIMIT_TOL), RuntimeWarning)
     pair = MultiplierPair(last.a, last.b.copy(), cauchy_gap=gap,
                           converged=converged)
     return pair, trace
@@ -812,15 +794,14 @@ def fritz_john_residual(p, u_bar, pair, variations):
 def kkt_check(p, u_bar, pair, cfg=None):
     """Normality report {normal, z_tilde, surjectivity_sigma}.
 
-    normal is z0 > cfg.z0_tol; when normal, z_tilde = z / z0 is the KKT
+    normal is z0 > 1e-6; when normal, z_tilde = z / z0 is the KKT
     multiplier.  surjectivity_sigma is the smallest singular value of the
     constraint Jacobian at u_bar (gram geometry); a positive value is the
     computable surjectivity surrogate for the constraint qualification when
-    the target set is a single point.
+    the target set is a single point.  cfg is accepted and unused: the
+    report samples nothing.
     """
-    if cfg is None:
-        cfg = PenaltyConfig()
-    normal = pair.z0 > cfg.z0_tol
+    normal = pair.z0 > _NONZERO_TOL
     z_tilde = None
     if normal:
         z_tilde = Element(pair.z.coords / pair.z0, pair.z.space)
@@ -837,14 +818,14 @@ def _decays(vals, slack):
     return mono and settled
 
 
-def enhanced_sequence_report(p, u_bar, trace, cfg=None):
+def enhanced_sequence_report(p, u_bar, trace):
     """Tail checks for the degenerate branch (the z != 0 conclusions).
 
-    Requires |z| > cfg.z_tol on the final record, else raises
-    InapplicableBranchError.  Over the last cfg.tail_len records verifies:
+    Requires |z| > 1e-6 on the final record, else raises
+    InapplicableBranchError.  Over the last 5 records verifies:
 
     1. infeasibility: dist(f(u_eps), E) > 0;
-    2. dist decays monotonically (up to mono_slack) toward 0;
+    2. dist decays monotonically (up to 1e-12) toward 0;
     3. f0(u_eps) returns to f0(u_bar);
     4. the projections P_E(f(u_eps)) return to f(u_bar);
     5. <z_hat, f(u_eps) - P_E(f(u_eps))> > 0 with z_hat = z/|z|.
@@ -853,17 +834,16 @@ def enhanced_sequence_report(p, u_bar, trace, cfg=None):
     pairing values, and whether the normal branch applies as well (both
     branches are reported when z0 and |z| are both above tolerance).
     """
-    if cfg is None:
-        cfg = PenaltyConfig()
     if len(trace) == 0:
         raise ValueError("empty trace")
     last = trace[-1]
     zn = last.b_norm()
-    if zn <= cfg.z_tol:
+    if zn <= _NONZERO_TOL:
         raise InapplicableBranchError(
-            "|z| = %.3e <= %.1e: the z != 0 branch does not apply" % (zn, cfg.z_tol))
+            "|z| = %.3e <= %.1e: the z != 0 branch does not apply"
+            % (zn, _NONZERO_TOL))
     zhat = last.b.coords / zn
-    tail = trace.records[-cfg.tail_len:]
+    tail = trace.records[-_TAIL_LEN:]
     ub = _coords(u_bar)
     f_bar = p.constraint(ub)
 
@@ -879,13 +859,13 @@ def enhanced_sequence_report(p, u_bar, trace, cfg=None):
 
     checks = {
         "dist_positive": all(d > 0.0 for d in dists),
-        "dist_to_zero": _decays(dists, cfg.mono_slack),
-        "objective_to_reference": _decays(gaps, cfg.mono_slack),
-        "projection_to_reference": _decays(projs, cfg.mono_slack),
+        "dist_to_zero": _decays(dists, _MONO_SLACK),
+        "objective_to_reference": _decays(gaps, _MONO_SLACK),
+        "projection_to_reference": _decays(projs, _MONO_SLACK),
         "positive_pairing": all(v > 0.0 for v in pairings),
     }
     violations = [name for name, ok in checks.items() if not ok]
     return {"applicable": True, "checks": checks, "violations": violations,
             "passed": not violations, "tail_len": len(tail), "z_norm": zn,
             "pairings": pairings,
-            "normal_branch_too": last.a > cfg.z0_tol}
+            "normal_branch_too": last.a > _NONZERO_TOL}

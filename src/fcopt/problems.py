@@ -219,13 +219,13 @@ def _midpoints(y):
     return 0.5 * (y[:-1] + y[1:])
 
 
-def lq_endpoint_problem(N=50, T=1.0, target_amp=0.5):
+def lq_endpoint_problem(N=50, T=1.0):
     """Linear-quadratic control with a pinned endpoint (oscillator pair).
 
     State dim 4, control dim 2, Crank-Nicolson grid of N steps on [0, T],
     running cost 0.5 |ybar|^2 + 0.5 |u|^2 on the step midpoints ybar; the
     endpoint y(T) is constrained to a reachable target built from the free
-    response plus target_amp times the image of a smooth reference input.
+    response plus 0.5 times the image of a smooth reference input.
     The objective reduces to the quadratic 0.5 u'Hu + c'u + const on the
     flattened control path, the constraint to the affine endpoint map, so
     the dense KKT solve gives the exact reference solution and multiplier.
@@ -251,7 +251,7 @@ def lq_endpoint_problem(N=50, T=1.0, target_amp=0.5):
     G = endpoint_map(sysmodel).matrix
     y_free = free[N]
     shape = 0.3 * np.sin(np.linspace(0.0, 3.0, nu))
-    y_target = y_free + target_amp * (G @ shape)
+    y_target = y_free + 0.5 * (G @ shape)
     ubar, lam = _kkt_solve(H, G, -c, y_target - y_free)
 
     V = SpaceDescriptor("control-path", nu)

@@ -751,7 +751,7 @@ def sde_estimate_constant(model, G_mode="phi0"):
                 "sigma_min": smin, "sigma_max": smax})
 
 
-def sde_estimate_sweep(models, G_mode="phi0", growth_factor=2.0):
+def sde_estimate_sweep(models, G_mode="phi0"):
     """Estimate constants over trees of increasing depth plus a verdict.
 
     Parameters
@@ -763,8 +763,8 @@ def sde_estimate_sweep(models, G_mode="phi0", growth_factor=2.0):
     -------
     SweepReport
         Levels keyed by terminal dimension 2^d * n.  Verdict "bounded"
-        when kernels stay trivial and the constants vary by at most
-        growth_factor; "growing" when the constants — or, for
+        when kernels stay trivial and the constants vary by at most a
+        factor 2; "growing" when the constants — or, for
         rank-deficient outputs, the kernel dimensions — grow at least
         geometrically with the representation dimension.
     """
@@ -772,7 +772,7 @@ def sde_estimate_sweep(models, G_mode="phi0", growth_factor=2.0):
         return (mod.leaf_count * mod.n,
                 sde_estimate_constant(mod, G_mode=G_mode))
 
-    return _sweep(models, build, growth_factor, "depths",
+    return _sweep(models, build, 2.0, "depths",
                   key=lambda mod: mod.d)
 
 

@@ -203,8 +203,7 @@ def worst_observed_mode(model):
     return eigvals[0], eigvecs[:, 0]
 
 
-def wave_sweep(mode_counts, interval=(0.4, 0.6), T=3.0, a=0.0,
-               growth_factor=2.0):
+def wave_sweep(mode_counts, interval=(0.4, 0.6), T=3.0, a=0.0):
     """Observability constants over increasing mode counts plus verdict.
 
     Parameters
@@ -218,11 +217,11 @@ def wave_sweep(mode_counts, interval=(0.4, 0.6), T=3.0, a=0.0,
     -------
     SweepReport
         Levels keyed by the coordinate dimension 2M; "bounded" when the
-        constants stay within growth_factor overall, "growing" when
-        they climb at least geometrically with the mode count.
+        constants stay within a factor 2 overall, "growing" when they
+        climb at least geometrically with the mode count.
     """
     def build(M):
         model = WaveModel(M, interval=interval, T=T, a=a)
         return 2 * model.modes, wave_observability_constant(model)
 
-    return _sweep(mode_counts, build, growth_factor, "mode counts")
+    return _sweep(mode_counts, build, 2.0, "mode counts")

@@ -52,11 +52,11 @@ def _criterion(num, name, cap=None):
     emit("PASS")
 
 
-def _extract(p, steps=15, eps0=0.1, seed=7, schedule=None, **cfg_kw):
+def _extract(p, steps=15, eps0=0.1, seed=7, schedule=None):
     if schedule is None:
         schedule = default_schedule(eps0, steps)
     return extract_multiplier(p, p.u_bar, schedule,
-                              PenaltyConfig(seed=seed, **cfg_kw))
+                              PenaltyConfig(seed=seed))
 
 
 def _random_tree(rng):

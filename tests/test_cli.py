@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,34 @@ def test_example_wave_coarse_sweep_exit_2(tmp_path, capsys):
     rc = main(["example", "wave-obs", "--set", "modes=4,8,16",
                "--set", "expect=bounded", "--out", str(out)])
     assert rc in (0, 1) and out.exists()
+
+
+def test_example_wave_large_potential_exit_2(tmp_path, capsys):
+    # beyond a = 12 the travel time no longer tells the regime at the band
+    # edges on (0.4, 0.6); a = 12 at 1.05 T* still passes
+    out = tmp_path / "w.json"
+    rc = main(["example", "wave-obs", "--set", "a=14", "--out", str(out)])
+    assert rc == 2
+    assert "potential a = 14" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(["example", "wave-obs", "--set", "a=14",
+               "--set", "expect=bounded", "--out", str(out)])
+    assert rc in (0, 1) and out.exists()
+    rc = main(["example", "wave-obs", "--set", "a=12", "--modes", "8,16,32",
+               "--set", "T=%r" % (1.05 * 0.8), "--out", str(out)])
+    assert rc == 0
+
+
+def test_example_lq_infinite_horizon_exit_2(tmp_path, capsys):
+    # rejected when the system is built, before any arithmetic on dt = inf
+    out = tmp_path / "lq.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["example", "lq-endpoint", "--set", "T=inf",
+                   "--out", str(out)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_example_config_file_with_flag_override(tmp_path):

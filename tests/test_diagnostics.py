@@ -1,5 +1,7 @@
 """Tests for kernel dimensions, estimate constants and growth verdicts."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +19,8 @@ from fcopt.diagnostics import (
 )
 from fcopt.elliptic import elliptic_sweep
 from fcopt.penalty import MultiplierPair, kkt_check
-from fcopt.problems import equality_qp
-from fcopt.tree import TreeModel, sde_estimate_sweep
+from fcopt.problems import equality_qp, lq_endpoint_problem
+from fcopt.tree import sde_estimate_sweep
 from fcopt.wave import wave_sweep
 
 
@@ -298,10 +300,6 @@ _SWEEPS = {
         OperatorFamily([(n, idmap(n)) for n in (8, 16, 32)]), growth_factor=gf),
     "elliptic": lambda gf: elliptic_sweep([7, 15, 31], tag="H1H-1",
                                           growth_factor=gf),
-    "sde": lambda gf: sde_estimate_sweep(
-        [TreeModel(1.0, d, 0.1 * np.eye(2), 0.1 * np.eye(2), np.zeros((2, 2)),
-                   np.eye(2)) for d in (2, 3, 4)], growth_factor=gf),
-    "wave": lambda gf: wave_sweep([4, 8, 16], growth_factor=gf),
 }
 
 
@@ -310,6 +308,27 @@ _SWEEPS = {
 def test_sweeps_reject_unusable_growth_factor(sweep, factor):
     with pytest.raises(ValueError, match="growth_factor"):
         _SWEEPS[sweep](factor)
+
+
+_FIXED_SETTINGS = [
+    (kernel_dimension, "tol"),
+    (restricted_estimate_constant, "tol"),
+    (compact_perturbed_constant, "tol"),
+    (closed_range_constant, "tol"),
+    (codim_growth_verdict, "tol"),
+    (sde_estimate_sweep, "growth_factor"),
+    (wave_sweep, "growth_factor"),
+    (lq_endpoint_problem, "target_amp"),
+]
+
+
+@pytest.mark.parametrize("fn, name", _FIXED_SETTINGS,
+                         ids=[fn.__name__ for fn, _ in _FIXED_SETTINGS])
+def test_fixed_settings_are_not_parameters(fn, name):
+    # the rank cutoff RANK_RTOL, the factor 2 of the tree and wave sweeps
+    # and the lq-endpoint target amplitude 0.5 are fixed, as no caller
+    # sets them
+    assert name not in inspect.signature(fn).parameters
 
 
 def test_family_ordering_enforced():

@@ -204,6 +204,9 @@ def test_system_validation():
         EvolutionSystem(1.0, 0, np.eye(2), np.eye(2))
     with pytest.raises(ValueError):
         EvolutionSystem(-1.0, 5, np.eye(2), np.eye(2))
+    for T in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            EvolutionSystem(T, 5, np.eye(2), np.eye(2))
     with pytest.raises(ValueError):
         EvolutionSystem(1.0, 5, np.eye(2), np.ones((3, 1)) * np.nan)
     with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 """Tests for the penalty pipeline: values, minimizers, pairs, certificates."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import fcopt.penalty as penalty
 from fcopt.convex import (AffineSubspace, Box, NonnegativeCone, Singleton,
                           WholeSpace, normal_cone_residual, project)
 from fcopt.penalty import (ConstrainedProblem, DegeneratePenaltyError,
@@ -162,7 +165,14 @@ def test_minimize_unconstrained_stays_at_reference():
     assert info["ekeland_residual"] <= 0.0
 
 
-def test_minimize_l2_against_dense_scan_oracle():
+def _tight_inner_tolerance(monkeypatch):
+    # gradient tolerance max(1e-15, 1e-10 eps^2) instead of the default
+    # max(1e-13, 1e-2 eps^2), for oracles resolved to 1e-9 and beyond
+    monkeypatch.setattr(penalty, "_INNER_SCALE", 1e-10)
+    monkeypatch.setattr(penalty, "_INNER_FLOOR", 1e-15)
+
+
+def test_minimize_l2_against_dense_scan_oracle(monkeypatch):
     # the reduced penalty along u = (1 - t, 0, ...) is 2 t^6 + (eps - t)^2;
     # a two-stage dense scan in t is the oracle for the near-minimizer
     eps = 1e-2
@@ -178,9 +188,8 @@ def test_minimize_l2_against_dense_scan_oracle():
     t_closed = eps - 6.0 * eps ** 5
     assert abs(t_scan - t_closed) < 1e-10
 
-    cfg = PenaltyConfig(inner_scale=1e-10, inner_floor=1e-15,
-                        verify_solution=False)
-    el = minimize_penalty(p, p.u_bar, eps, cfg)
+    _tight_inner_tolerance(monkeypatch)
+    el = minimize_penalty(p, p.u_bar, eps)
     assert abs((1.0 - el.coords[0]) - t_scan) < 1e-9
     assert_allclose(el.coords[1:], np.zeros(5), atol=1e-9)
 
@@ -204,11 +213,11 @@ def test_minimize_reports_ball_and_ekeland():
     assert info["backtracks"] >= 0
 
 
-def test_minimize_convergence_error_carries_best_iterate():
+def test_minimize_convergence_error_carries_best_iterate(monkeypatch):
     p = l2_example()
-    cfg = PenaltyConfig(max_iters=1, verify_solution=False)
+    monkeypatch.setattr(penalty, "_MAX_ITERS", 1)
     with pytest.raises(InnerConvergenceError) as err:
-        minimize_penalty(p, p.u_bar, 0.1, cfg)
+        minimize_penalty(p, p.u_bar, 0.1)
     assert err.value.best is not None
     assert err.value.best.shape == (6,)
     info = err.value.info
@@ -217,14 +226,15 @@ def test_minimize_convergence_error_carries_best_iterate():
 
 
 @pytest.mark.parametrize("overrides, key", [
-    ({"ball_slack": -1.0}, "ball"),
-    ({"ekeland_tol": -1.0}, "ekeland_residual"),
+    ({"_BALL_SLACK": -1.0}, "ball"),
+    ({"_EKELAND_TOL": -1.0}, "ekeland_residual"),
 ])
-def test_a_posteriori_failures_carry_telemetry(overrides, key):
+def test_a_posteriori_failures_carry_telemetry(overrides, key, monkeypatch):
     p = equality_qp()
-    cfg = PenaltyConfig(**overrides)
+    for name, value in overrides.items():
+        monkeypatch.setattr(penalty, name, value)
     with pytest.raises(InnerConvergenceError) as err:
-        minimize_penalty(p, p.u_bar, 1e-3, cfg)
+        minimize_penalty(p, p.u_bar, 1e-3)
     info = err.value.info
     assert np.isfinite(info[key])
     assert info["grad_norm"] <= info["tol"]
@@ -235,9 +245,7 @@ def test_a_posteriori_failures_carry_telemetry(overrides, key):
 def test_phi_above_eps_failure_carries_telemetry(monkeypatch):
     # a solver that returns a point with Phi = 2 eps fails the Phi <= eps
     # check, cold restart included
-    import fcopt.penalty as penalty
-
-    def stuck(p, u0, f0_bar, eps, cfg, tol):
+    def stuck(p, u0, f0_bar, eps, tol):
         parts = (4.0 * eps * eps,) + penalty._phi_parts(p, u0, f0_bar, eps)[1:]
         return u0, parts, {"inner_iters": 0, "grad_norm": 0.0,
                            "backtracks": 0, "wolfe_steps": 0}
@@ -253,7 +261,6 @@ def test_phi_above_eps_failure_carries_telemetry(monkeypatch):
 def test_minimize_difference_hessian():
     # no curvature callables: Newton takes the Hessian of f0 from central
     # differences of f0_grad, and reports the same line-search telemetry
-    import fcopt.penalty as penalty
     V = SpaceDescriptor("line", 1)
     X = SpaceDescriptor("image", 1)
     grad_points = []
@@ -271,7 +278,6 @@ def test_minimize_difference_hessian():
         E=Singleton(X, np.zeros(1)),
         name="scalar-no-hess")
     el, info = minimize_penalty(p, Element(np.zeros(1), V), 0.01,
-                                PenaltyConfig(verify_solution=False),
                                 return_info=True)
     assert abs(el.coords[0] + 0.005) < 1e-6
     # Phi^2 is quadratic here: one full Newton step, whose Hessian took
@@ -366,14 +372,14 @@ def test_stacked_evaluation_checks_a_row_of_a_dim_row_stack():
     assert_allclose(mapped(lambda u: u @ M.T).constraint(stack), stack @ M.T)
 
 
-def _per_point_ekeland_residual(p, u, eps, cfg):
+def _per_point_ekeland_residual(p, u, eps, seed):
     # the probe as a loop of single-point penalty values: same directions,
     # same gram normalization, same radii
-    rng = np.random.default_rng([cfg.seed, 1009, int(round(1.0 / eps))])
+    rng = np.random.default_rng([seed, 1009, int(round(1.0 / eps))])
     se = np.sqrt(eps)
     phi_u = penalty_value(p, p.u_bar, eps, u)
     worst = -np.inf
-    for d in rng.standard_normal((cfg.ekeland_probes, u.size)):
+    for d in rng.standard_normal((penalty._EKELAND_PROBES, u.size)):
         d = d / norm(p.V, Element(d, p.V))
         for t in (0.25 * se, 0.05 * se, 0.01 * se):
             phi = penalty_value(p, p.u_bar, eps, u + t * d)
@@ -391,7 +397,6 @@ def _per_point_ekeland_residual(p, u, eps, cfg):
 def test_stacked_ekeland_residual_matches_per_point_probes(make):
     from fcopt.penalty import _ekeland_residual, _phi_parts
     p = make()
-    cfg = PenaltyConfig(seed=3)
     rng = np.random.default_rng(2)
     for eps in (0.05, 1e-3):
         # a point off the reference, so constraint, projection and gap all
@@ -399,8 +404,8 @@ def test_stacked_ekeland_residual_matches_per_point_probes(make):
         u = p.u_bar.coords + 0.1 * np.sqrt(eps) * rng.standard_normal(p.V.dim)
         f0_bar = p.objective(p.u_bar)
         phi_u = np.sqrt(_phi_parts(p, u, f0_bar, eps)[0])
-        stacked = _ekeland_residual(p, u, phi_u, f0_bar, eps, cfg)
-        oracle, phi_u = _per_point_ekeland_residual(p, u, eps, cfg)
+        stacked = _ekeland_residual(p, u, phi_u, f0_bar, eps, 3)
+        oracle, phi_u = _per_point_ekeland_residual(p, u, eps, 3)
         assert abs(stacked - oracle) <= 1e-12 * max(1.0, phi_u)
 
 
@@ -411,6 +416,39 @@ def test_minimize_rejects_non_optimal_reference():
     fake = Element(p.u_bar.coords + 0.5 * ns[:, 0], p.V)
     with pytest.raises(ValueError, match="local-optimality"):
         minimize_penalty(p, fake, 0.1)
+
+
+def test_penalty_config_holds_only_the_seed():
+    # every other setting is a module constant; minimize_penalty keeps its
+    # positional layout, which a call hook reading warm_start as the fifth
+    # argument relies on
+    assert list(inspect.signature(PenaltyConfig).parameters) == ["seed"]
+    assert vars(PenaltyConfig(seed=4)) == {"seed": 4}
+    assert list(inspect.signature(minimize_penalty).parameters) == [
+        "p", "u_bar", "eps", "cfg", "warm_start", "return_info", "verify",
+        "f0_bar"]
+
+
+def test_spot_check_runs_once_per_schedule_and_per_call():
+    # the local-optimality spot check samples 64 feasible neighbours of
+    # u_bar with the config seed: once for a whole extract_multiplier
+    # schedule, and once for each direct minimize_penalty call
+    p = equality_qp()
+    sampler = p.feasible_sampler
+    calls = []
+
+    def counting(ub, count, seed):
+        calls.append((count, seed))
+        return sampler(ub, count, seed)
+
+    p.feasible_sampler = counting
+    _, trace = extract_multiplier(p, p.u_bar, default_schedule(0.1, 6),
+                                  PenaltyConfig(seed=5))
+    assert len(trace) == 6
+    assert calls == [(64, 5)]
+    minimize_penalty(p, p.u_bar, 1e-2, PenaltyConfig(seed=2))
+    minimize_penalty(p, p.u_bar, 1e-3)
+    assert calls == [(64, 5), (64, 2), (64, 0)]
 
 
 # ------------------------------------------------------------------ pairs
@@ -434,14 +472,13 @@ def test_multiplier_degenerate_error():
         multiplier_at(p, bad_ref, 0.5, np.array([1.0, 0.0]))
 
 
-def test_multiplier_l2_fifth_order_asymptotics():
+def test_multiplier_l2_fifth_order_asymptotics(monkeypatch):
     # at the tight-tolerance near-minimizer, a = (6/sqrt(2)) eps^2 (1 + O(eps^4))
     # and b = -(1, 1, 0, ...)/sqrt(2)
     p = l2_example()
     eps = 1e-2
-    cfg = PenaltyConfig(inner_scale=1e-10, inner_floor=1e-15,
-                        verify_solution=False)
-    el = minimize_penalty(p, p.u_bar, eps, cfg)
+    _tight_inner_tolerance(monkeypatch)
+    el = minimize_penalty(p, p.u_bar, eps)
     a, b = multiplier_at(p, p.u_bar, eps, el)
     assert_allclose(a, (6.0 / np.sqrt(2.0)) * eps ** 2, rtol=1e-4)
     expect = np.zeros(6)
@@ -548,12 +585,11 @@ def test_extract_l2_degenerate_limit():
     assert pair.z.coords[0] < 0 and pair.z.coords[1] < 0
 
 
-def test_extract_non_converged_warning():
+def test_extract_non_converged_warning(monkeypatch):
     p = equality_qp()
-    cfg = PenaltyConfig(limit_tol=1e-12)
+    monkeypatch.setattr(penalty, "_LIMIT_TOL", 1e-12)
     with pytest.warns(RuntimeWarning, match="not Cauchy"):
-        pair, trace = extract_multiplier(p, p.u_bar, default_schedule(0.1, 6),
-                                         cfg)
+        pair, trace = extract_multiplier(p, p.u_bar, default_schedule(0.1, 6))
     assert not pair.converged
     assert len(trace) == 6
 
@@ -782,20 +818,19 @@ def test_schedule_reuses_the_parts_of_the_returned_point(make, steps,
     # coordinate, with that point's parts, whose Phi > eps sends the step
     # into a cold restart; parts kept from that attempt (or from any
     # rejected trial point) show here
-    import fcopt.penalty as penalty
     p = make()
     ub = p.u_bar.coords
     sched = default_schedule(0.1, steps)
     solve = penalty._newton_minimize
     forced = []
 
-    def failing_warm_start(q, u0, f0_bar, eps, cfg, tol):
+    def failing_warm_start(q, u0, f0_bar, eps, tol):
         if eps == sched[2] and not np.array_equal(u0, ub):
             forced.append(eps)
-            u, _, stats = solve(q, u0, f0_bar, eps, cfg, tol)
+            u, _, stats = solve(q, u0, f0_bar, eps, tol)
             far = u + 1.0
             return far, penalty._phi_parts(q, far, f0_bar, eps), stats
-        return solve(q, u0, f0_bar, eps, cfg, tol)
+        return solve(q, u0, f0_bar, eps, tol)
 
     infos = []
     minimize = penalty.minimize_penalty
@@ -829,7 +864,6 @@ def test_default_qp_schedule_phi_evaluation_budget(monkeypatch):
     # 781 points, the 14 x 48 Ekeland probe points included; a line search
     # that judges steps by changes of Phi_eps^2 below its roundoff
     # evaluates over 12,000 and stalls
-    import fcopt.penalty as penalty
     points = [0]
     singles = [0]
     stacks = []
