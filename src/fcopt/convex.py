@@ -11,7 +11,7 @@ Normal-cone and radial-cone questions are answered by deterministic sampling
 
 import numpy as np
 
-from .spaces import Element, _is_diagonal, norm, dual_norm, pairing
+from .spaces import Element, norm, dual_norm, pairing
 
 __all__ = [
     "ConvexSet",
@@ -159,8 +159,7 @@ class NonnegativeCone(ConvexSet):
     kind = "nonneg"
 
     def _project(self, coords):
-        g = self.space.gram
-        if _is_diagonal(g):
+        if self.space.is_diagonal:
             return np.clip(coords, 0.0, None)
         return _gram_bvls(self.space, coords, 0.0, np.inf)
 
@@ -185,8 +184,7 @@ class Box(ConvexSet):
             raise ValueError("box bounds must satisfy lo <= hi")
 
     def _project(self, coords):
-        g = self.space.gram
-        if _is_diagonal(g):
+        if self.space.is_diagonal:
             return np.clip(coords, self.lo, self.hi)
         return _gram_bvls(self.space, coords, self.lo, self.hi)
 

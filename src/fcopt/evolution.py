@@ -97,19 +97,13 @@ class EvolutionSystem:
         self.E = E
         self.name = name
         self.state_space = SpaceDescriptor("state", n)
-        self._path_space = None
+        # flattened control paths, step-major
+        self.control_path_space = SpaceDescriptor("control-path",
+                                                  self.N * self.m)
         eye = np.eye(n)
         # Crank-Nicolson step factors (I -+ dt/2 A_k), one pair per step
         self._R = eye - 0.5 * self.dt * self.A
         self._P = eye + 0.5 * self.dt * self.A
-
-    @property
-    def control_path_space(self):
-        """Flattened control-path space (built on demand: its dense identity
-        gram would be wasteful for simulation-only use at large N)."""
-        if self._path_space is None:
-            self._path_space = SpaceDescriptor("control-path", self.N * self.m)
-        return self._path_space
 
     def reshape_control(self, w):
         """Coerce a control variation to shape (N, m), or (N, m, B) for a
@@ -129,18 +123,26 @@ class EvolutionSystem:
             self.name, self.n, self.m, self.N, self.T)
 
 
-def _crank_nicolson(sys, x0, forcing):
-    """Crank-Nicolson states x_0 = x0, x_{k+1} from x_k and forcing f_k.
+def _crank_nicolson_steps(sys, x0, forcing):
+    """Yield the Crank-Nicolson states x_1, ..., x_N from x_0 = x0.
 
-    Steps (I - dt/2 A_k) x_{k+1} = (I + dt/2 A_k) x_k + dt f_k.  x0 has
-    shape (n,) or (n, B) and forcing (N, n) or (N, n, B); a trailing batch
-    axis carries B trajectories at once.  Returns (N+1, n[, B]).
+    Steps (I - dt/2 A_k) x_{k+1} = (I + dt/2 A_k) x_k + dt f_k, taking f_k
+    from the iterable ``forcing`` of N per-step values.  x0 has shape (n,)
+    or (n, B) and each f_k (n,) or (n, B); a trailing batch axis carries B
+    trajectories at once.  Each state is a new array.
     """
+    x = x0
+    for k, f in enumerate(forcing):
+        x = np.linalg.solve(sys._R[k], sys._P[k] @ x + sys.dt * f)
+        yield x
+
+
+def _crank_nicolson(sys, x0, forcing):
+    """Crank-Nicolson states x_0 = x0, ..., x_N stacked as (N+1, n[, B])."""
     x = np.empty((sys.N + 1,) + np.shape(x0))
     x[0] = x0
-    for k in range(sys.N):
-        rhs = sys._P[k] @ x[k] + sys.dt * forcing[k]
-        x[k + 1] = np.linalg.solve(sys._R[k], rhs)
+    for k, xk in enumerate(_crank_nicolson_steps(sys, x[0], forcing), 1):
+        x[k] = xk
     return x
 
 

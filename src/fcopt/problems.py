@@ -26,8 +26,8 @@ as a plain vector.
 import numpy as np
 
 from .convex import Singleton
-from .evolution import (EvolutionSystem, _crank_nicolson, endpoint_map,
-                        simulate_variation_evolution)
+from .evolution import (EvolutionSystem, _crank_nicolson,
+                        _crank_nicolson_steps, endpoint_map)
 from .penalty import ConstrainedProblem, default_schedule
 from .spaces import Element, SpaceDescriptor, _row_dots, rank_mask
 
@@ -219,6 +219,20 @@ def _midpoints(y):
     return 0.5 * (y[:-1] + y[1:])
 
 
+def _identity_batch_forcing(sys):
+    """Per-step forcing Bc_k w_k of the identity batch of N*m control paths.
+
+    Path j is the unit impulse in flattened control coordinate j, so step k
+    forces only the columns k*m .. (k+1)*m - 1, with Bc_k; one (n, N*m)
+    array is formed per step.
+    """
+    nu = sys.N * sys.m
+    for k in range(sys.N):
+        f = np.zeros((sys.n, nu))
+        f[:, k * sys.m:(k + 1) * sys.m] = sys.Bc[k]
+        yield f
+
+
 def lq_endpoint_problem(N=50, T=1.0):
     """Linear-quadratic control with a pinned endpoint (oscillator pair).
 
@@ -241,10 +255,18 @@ def lq_endpoint_problem(N=50, T=1.0):
     # from y0, plus the variations driven by the identity batch of paths
     free = _crank_nicolson(sysmodel, y0, np.zeros((N, n)))
     ybar0 = _midpoints(free).ravel()
-    W = _midpoints(simulate_variation_evolution(
-        sysmodel, np.eye(nu).reshape(N, m, nu))).reshape(N * n, nu)
+    W = np.empty((N * n, nu))
+    prev = np.zeros((n, nu))
+    for k, x in enumerate(_crank_nicolson_steps(
+            sysmodel, prev, _identity_batch_forcing(sysmodel))):
+        rows = W[k * n:(k + 1) * n]
+        np.add(prev, x, out=rows)
+        rows *= 0.5
+        prev = x
 
-    H = dt * (W.T @ W) + dt * np.eye(nu)
+    H = W.T @ W
+    H *= dt
+    H[np.diag_indices(nu)] += dt
     c = dt * (W.T @ ybar0)
     const = 0.5 * dt * float(ybar0 @ ybar0)
 
@@ -256,9 +278,10 @@ def lq_endpoint_problem(N=50, T=1.0):
 
     V = SpaceDescriptor("control-path", nu)
     X = SpaceDescriptor("endpoint", n)
-    ns = null_space(G)
 
     def feasible_sampler(ub, count, seed_):
+        # the null-space basis (nu x nu - n) is formed per call, not kept
+        ns = null_space(G)
         w = np.random.default_rng(seed_).standard_normal((count, ns.shape[1]))
         return ub + 0.1 * (w @ ns.T)
 

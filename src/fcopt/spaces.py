@@ -74,6 +74,11 @@ def _solve_triangular(t, b, lower):
 class SpaceDescriptor:
     """A finite-dimensional space with a gram form.
 
+    A diagonal gram (the identity, a lumped mass h I) is kept as its
+    diagonal vector, so such a space costs O(dim) memory and every gram
+    product is elementwise; ``gram`` and ``chol_lower`` form the dense
+    matrix only when read.
+
     Parameters
     ----------
     name : str
@@ -90,7 +95,33 @@ class SpaceDescriptor:
         self.name = str(name)
         self.dim = int(dim)
         if gram is None:
-            gram = np.eye(self.dim)
+            self._gram = np.ones(self.dim)
+        else:
+            self._gram = self._checked_gram(gram)
+        # the diagonal vector (1-D) or the dense symmetric matrix (2-D)
+        self.is_diagonal = self._gram.ndim == 1
+        if self.is_diagonal:
+            # the Cholesky factor of a diagonal gram is the square root of
+            # its diagonal, and every solve with it is a division
+            if not np.all(self._gram > 0.0):
+                raise ValueError(
+                    "gram of space %r is not positive definite" % self.name)
+            self._chol = np.sqrt(self._gram)
+        else:
+            try:
+                # lower Cholesky factor; existence certifies positive
+                # definiteness
+                self._chol = np.linalg.cholesky(self._gram)
+            except np.linalg.LinAlgError:
+                raise ValueError(
+                    "gram of space %r is not positive definite" % self.name
+                ) from None
+        self._gram.flags.writeable = False
+        self._chol.flags.writeable = False
+
+    def _checked_gram(self, gram):
+        """A private copy of a symmetric gram: its diagonal if it has nothing
+        off the diagonal, else its symmetrization."""
         gram = np.asarray(gram, dtype=float)
         if gram.shape != (self.dim, self.dim):
             raise ValueError(
@@ -104,33 +135,30 @@ class SpaceDescriptor:
             raise ValueError("gram of space %r is not symmetric" % self.name)
         # a diagonal gram is its own symmetrization, so it skips both passes
         # over the transpose
-        self.gram = gram.copy() if diagonal else 0.5 * (gram + gram.T)
-        # a diagonal gram (identity, lumped mass) has the square root of its
-        # diagonal as Cholesky factor, and every solve with it is a division
-        self._chol_diag = None
-        if diagonal:
-            d = np.diagonal(self.gram)
-            if np.all(d > 0.0):
-                self._chol_diag = np.sqrt(d)
-                self._chol = np.diag(self._chol_diag)
-        if self._chol_diag is None:
-            try:
-                # lower Cholesky factor; existence certifies positive
-                # definiteness
-                self._chol = np.linalg.cholesky(self.gram)
-            except np.linalg.LinAlgError:
-                raise ValueError(
-                    "gram of space %r is not positive definite" % self.name
-                ) from None
+        return np.diagonal(gram).copy() if diagonal else 0.5 * (gram + gram.T)
+
+    @property
+    def gram(self):
+        """The gram matrix G (formed on each read for a diagonal gram)."""
+        return np.diag(self._gram) if self.is_diagonal else self._gram
 
     @property
     def chol_lower(self):
-        """Lower Cholesky factor L with G = L L'."""
-        return self._chol
+        """Lower Cholesky factor L with G = L L' (formed on each read for a
+        diagonal gram)."""
+        return np.diag(self._chol) if self.is_diagonal else self._chol
 
     def apply_gram(self, coords):
-        """Return G x for a coordinate array."""
-        return self.gram @ np.asarray(coords, dtype=float)
+        """Return G x for a coordinate vector or a (dim, k) matrix."""
+        coords = np.asarray(coords, dtype=float)
+        if not self.is_diagonal:
+            return self._gram @ coords
+        if coords.ndim == 1:
+            return self._gram * coords
+        # C order, the layout of the dense product, so that reductions over
+        # the result (the row dots of quadratic_form) sum in the same order
+        return np.multiply(self._diag_rows(self._gram, coords), coords,
+                           order="C")
 
     def quadratic_form(self, coords):
         """Return x' G x for a coordinate vector, or per row of a (k, dim) stack."""
@@ -141,23 +169,24 @@ class SpaceDescriptor:
         """Return G^-1 phi for a coordinate array."""
         return self._factor_solve(self._factor_solve(coords), transpose=True)
 
-    def _diag_rows(self, coords):
-        # the diagonal factor shaped to scale the rows of coords
-        return self._chol_diag.reshape((-1,) + (1,) * (coords.ndim - 1))
+    @staticmethod
+    def _diag_rows(d, coords):
+        # a diagonal shaped to scale the rows of coords
+        return d.reshape((-1,) + (1,) * (coords.ndim - 1))
 
     def _factor_solve(self, coords, transpose=False):
         """Solve L y = x (or L' y = x with ``transpose``) for y."""
         coords = np.asarray(coords, dtype=float)
-        if self._chol_diag is not None:
-            return coords / self._diag_rows(coords)
+        if self.is_diagonal:
+            return coords / self._diag_rows(self._chol, coords)
         if transpose:
             return _solve_triangular(self._chol.T, coords, lower=False)
         return _solve_triangular(self._chol, coords, lower=True)
 
     def _factor_transpose_apply(self, coords):
         """Return L' x."""
-        if self._chol_diag is not None:
-            return coords * self._diag_rows(coords)
+        if self.is_diagonal:
+            return coords * self._diag_rows(self._chol, coords)
         return self._chol.T @ coords
 
     def element(self, coords):
@@ -238,7 +267,11 @@ class LinearMap:
 
 
 def _check_space(space, x, what):
-    if x.space is not space and x.space.dim != space.dim:
+    # the same object, or the same dimension and gram (a stored diagonal and
+    # a stored dense gram differ in shape): an l2 element passed to an
+    # h-weighted L2 space of the same dimension fails here
+    if x.space is not space and not np.array_equal(x.space._gram,
+                                                   space._gram):
         raise ValueError("%s: element of %r passed where %r expected"
                          % (what, x.space.name, space.name))
 

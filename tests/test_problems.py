@@ -1,16 +1,20 @@
 """Tests for the worked problem builders and the LQ end-to-end pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fcopt.evolution import (adjoint_evolution, adjoint_midpoints,
+from fcopt.evolution import (EvolutionSystem, adjoint_evolution,
+                             adjoint_midpoints, endpoint_map,
                              maximum_principle_residual,
                              simulate_variation_evolution)
 from fcopt.penalty import (MultiplierPair, extract_multiplier,
                            fritz_john_residual, kkt_check)
 from fcopt.problems import (equality_qp, l2_example, lq_endpoint_problem,
-                            null_space, scalar_problem, _LQ_A, _LQ_B)
+                            null_space, scalar_problem, _kkt_solve, _LQ_A,
+                            _LQ_B)
 from fcopt.spaces import Element
 
 
@@ -133,6 +137,66 @@ def test_lq_builder_kkt_consistency(N):
     f0_bar = p.objective(ub)
     for q in p.feasible_sampler(ub, 50, 1):
         assert p.objective(q) >= f0_bar - 1e-10
+
+
+def _lq_identity_batch_reference(N, T=1.0):
+    """H, c, u_bar, lambda, ybar_ref and G of the LQ builder with W formed
+    from the identity batch of nu control paths, stepped all at once."""
+    n, m = 4, 2
+    nu, dt = N * m, T / N
+    R = np.eye(n) - 0.5 * dt * _LQ_A
+    P = np.eye(n) + 0.5 * dt * _LQ_A
+
+    def steps(x0, forcing):
+        x = np.empty((N + 1,) + np.shape(x0))
+        x[0] = x0
+        for k in range(N):
+            x[k + 1] = np.linalg.solve(R, P @ x[k] + dt * forcing[k])
+        return 0.5 * (x[:-1] + x[1:]), x[N]
+
+    mid_free, y_free = steps(np.array([1.0, 0.0, -0.5, 0.0]),
+                             np.zeros((N, n)))
+    ybar0 = mid_free.ravel()
+    forcing = np.einsum("kij,kj...->ki...",
+                        np.broadcast_to(_LQ_B, (N, n, m)),
+                        np.eye(nu).reshape(N, m, nu))
+    W = steps(np.zeros((n, nu)), forcing)[0].reshape(N * n, nu)
+    H = dt * (W.T @ W) + dt * np.eye(nu)
+    c = dt * (W.T @ ybar0)
+    G = endpoint_map(EvolutionSystem(T, N, _LQ_A, _LQ_B)).matrix
+    y_target = y_free + 0.5 * (G @ (0.3 * np.sin(np.linspace(0.0, 3.0, nu))))
+    ubar, lam = _kkt_solve(H, G, -c, y_target - y_free)
+    return H, c, ubar, lam, (ybar0 + W @ ubar).reshape(N, n), G
+
+
+@pytest.mark.parametrize("N", [2, 17, 50])
+def test_lq_builder_matches_identity_batch_bitwise(N):
+    # W written one step at a time, H formed in place and the null space
+    # formed per sampler call change no bit of the builder's output
+    p = lq_endpoint_problem(N)
+    H, c, ubar, lam, ybar_ref, G = _lq_identity_batch_reference(N)
+    for got, want in ((p.extras["H"], H), (p.extras["c"], c),
+                      (p.u_bar.coords, ubar), (p.extras["kkt_multiplier"], lam),
+                      (p.extras["ybar_ref"], ybar_ref),
+                      (p.extras["endpoint_matrix"], G)):
+        assert got.tobytes() == want.tobytes()
+    w = np.random.default_rng(5).standard_normal((30, 2 * N - 4))
+    pts = ubar + 0.1 * (w @ null_space(G).T)
+    assert p.feasible_sampler(ubar, 30, 5).tobytes() == pts.tobytes()
+
+
+def test_lq_builder_traced_peak_at_mesh_400():
+    # W (1600 x 800, 10.2 MB), H (5.1 MB) and the KKT matrix (5.2 MB) are
+    # the whole peak; forming the identity batch with its stacked forcing
+    # and trajectory takes it to 41.5 MB
+    tracemalloc.start()
+    try:
+        p = lq_endpoint_problem(400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.V.dim == 800
+    assert peak <= 24e6
 
 
 def test_lq_reference_trajectory_consistency():

@@ -1,5 +1,7 @@
 """Tests for gram-metrized spaces, adjoints and singular triplets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +99,70 @@ def test_quadratic_form_rows_match_norms():
     rows = [norm(s, s.element(x)) ** 2 for x in stack]
     assert_allclose(s.quadratic_form(stack), rows, rtol=1e-13)
     assert s.quadratic_form(stack[0]) == stack[0] @ (s.gram @ stack[0])
+
+
+@pytest.mark.parametrize("h", [None, 0.1])
+def test_diagonal_gram_matches_dense_reference(h):
+    # expected: the products with the dense gram np.diag(d), which every
+    # space formed while it stored its gram as a matrix, and division by
+    # its Cholesky factor sqrt(d) for the dual norm
+    dim = 37
+    gram = None if h is None else h * np.eye(dim)
+    d = np.ones(dim) if h is None else np.full(dim, h)
+    s = SpaceDescriptor("X", dim, gram)
+    assert s.is_diagonal
+    dense = np.diag(d)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=dim)
+    stack = rng.normal(size=(16, dim))
+    assert np.array_equal(s.gram, dense)
+    assert np.array_equal(s.chol_lower, np.diag(np.sqrt(d)))
+    assert np.array_equal(s.apply_gram(x), dense @ x)
+    assert np.array_equal(s.apply_gram(stack.T), dense @ stack.T)
+    assert np.array_equal(s.quadratic_form(x), x @ (dense @ x))
+    # the row dots sum over the same layout as with the dense product
+    assert np.array_equal(s.quadratic_form(stack),
+                          np.einsum("ij,ij->i", stack, (dense @ stack.T).T))
+    assert np.array_equal(norm(s, s.element(x)), np.sqrt(x @ (dense @ x)))
+    c = np.sqrt(d)
+    assert np.array_equal(dual_norm(s, s.element(x)),
+                          np.sqrt(x @ (x / c / c)))
+
+
+def test_diagonal_space_memory_is_linear_in_dim():
+    # a dense 4000 x 4000 gram and Cholesky factor take 256 MB; the
+    # diagonal and its square root take 64 kB
+    tracemalloc.start()
+    try:
+        s = SpaceDescriptor("x", 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.dim == 4000
+    assert peak < 1e6
+
+
+def test_same_dimension_other_gram_rejected():
+    # the l2 samples of a control path are not an element of the
+    # dt-weighted L2 space of the same dimension
+    N = 50
+    l2 = SpaceDescriptor("control-path", N)
+    L2 = SpaceDescriptor("control-path", N, (1.0 / N) * np.eye(N))
+    x = l2.element(np.ones(N))
+    with pytest.raises(ValueError, match="passed where"):
+        norm(L2, x)
+    with pytest.raises(ValueError, match="passed where"):
+        dual_norm(L2, x)
+    with pytest.raises(ValueError, match="passed where"):
+        apply_map(LinearMap(np.eye(N), L2, L2), x)
+    # an equal gram held by another object is accepted, dense ones too
+    assert norm(SpaceDescriptor("copy", N), x) == pytest.approx(np.sqrt(N))
+    k = stiffness1d(4, 0.25)
+    y = SpaceDescriptor("H", 4, k).element([1.0, 0.0, 0.0, 0.0])
+    assert norm(SpaceDescriptor("H-copy", 4, k), y) == pytest.approx(
+        np.sqrt(8.0))
+    with pytest.raises(ValueError, match="passed where"):
+        norm(SpaceDescriptor("H-scaled", 4, 2.0 * k), y)
 
 
 def test_gram_must_be_positive_definite():
