@@ -9,7 +9,8 @@ Four subcommands::
 
 ``solve`` runs the penalty schedule on a registered problem and writes
 the full trace (records, multiplier pair, residual checks) as JSON plus
-a CSV companion with columns eps, a, b_norm, dist, gap.  ``example``
+a CSV companion with columns eps, a, b_norm, dist, gap; it exits 1 when
+a record's pair is not normalized (|a^2 + |b|^2 - 1| > 1e-9).  ``example``
 runs a registered experiment and exits 1 when any of its criteria fail.
 Exit codes: 0 success, 1 a criterion or the computation failed, 2 bad
 usage (unknown name, malformed parameter, unreadable input).
@@ -34,6 +35,7 @@ from .diagnostics import OperatorFamily, codim_growth_verdict
 from .elliptic import elliptic_sweep
 from .experiments import (EXPERIMENTS, RunReport, run_experiment,
                           list_experiments, write_report, _jsonable,
+                          _normalization_deviation, _single_int, _NORM_TOL,
                           _trace_table, _write_document)
 
 __all__ = ["main"]
@@ -42,11 +44,14 @@ TRACE_SCHEMA = "fcopt-trace/1"
 
 SOLVE_PROBLEMS = {
     "scalar": lambda params: scalar_problem(),
-    "l2-fritz-john": lambda params: l2_example(int(params["dim"])),
-    "equality-qp": lambda params: equality_qp(int(params["dim"]),
-                                              int(params["n_constraints"]),
-                                              int(params["seed"])),
-    "lq-endpoint": lambda params: lq_endpoint_problem(int(params["mesh"])),
+    "l2-fritz-john": lambda params: l2_example(
+        _single_int(params["dim"], "dim")),
+    "equality-qp": lambda params: equality_qp(
+        _single_int(params["dim"], "dim"),
+        _single_int(params["n_constraints"], "n_constraints"),
+        _single_int(params["seed"], "seed")),
+    "lq-endpoint": lambda params: lq_endpoint_problem(
+        _single_int(params["mesh"], "mesh")),
 }
 
 SOLVE_DEFAULTS = {"eps0": 0.1, "steps": 15, "seed": 7, "dim": 6, "mesh": 50,
@@ -118,6 +123,13 @@ def _cmd_solve(args):
                     args.out)
     print("solve %s: %d records, z0=%.6g, |z|=%.6g -> %s"
           % (name, len(trace), pair.z0, pair.z_norm(), args.out))
+    # the normalization criterion of the experiments: a pair taken below
+    # the resolution of Phi_eps can lose its norm, and is no answer
+    norm_dev = _normalization_deviation(trace)
+    if norm_dev > _NORM_TOL:
+        print("error: pair not normalized: max |a^2+|b|^2-1| = %.3e > %.0e"
+              % (norm_dev, _NORM_TOL), file=sys.stderr)
+        return 1
     return 0
 
 

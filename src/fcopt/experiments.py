@@ -206,6 +206,11 @@ def write_report(report, path):
 # ---------------------------------------------------------------- helpers
 
 
+# Largest |a^2 + |b|^2 - 1| over the records of a trace that a run may
+# report as passed (the pairs are normalized by construction).
+_NORM_TOL = 1e-9
+
+
 def _criterion(name, passed, value, threshold):
     return {"name": name, "passed": bool(passed), "value": _jsonable(value),
             "threshold": threshold}
@@ -225,6 +230,13 @@ def _int_tuple(val, what, min_len=1):
         out.append(iv)
     _need(len(out) >= min_len, "%s needs at least %d entries" % (what, min_len))
     return tuple(out)
+
+
+def _single_int(val, what):
+    vals = _int_tuple(val, what)
+    _need(len(vals) == 1, "%s must be a single integer, got %s"
+          % (what, ",".join(map(str, vals))))
+    return vals[0]
 
 
 def _normalization_deviation(trace):
@@ -301,7 +313,7 @@ def _run_l2_fritz_john(params):
                    "normal == false"),
         _criterion("fritz-john-residual", fj >= -1e-6, fj,
                    "min sampled residual >= -1e-6"),
-        _criterion("normalization", norm_dev <= 1e-9, norm_dev,
+        _criterion("normalization", norm_dev <= _NORM_TOL, norm_dev,
                    "max |a^2+|b|^2-1| <= 1e-9"),
         _criterion("enhanced-tail", enh["passed"], enh["passed"],
                    "positive pairing over the trace tail"),
@@ -316,7 +328,7 @@ def _run_l2_fritz_john(params):
 
 
 def _run_lq_endpoint(params):
-    N = int(params["mesh"])
+    N = _single_int(params["mesh"], "mesh")
     _need(2 <= N <= 2000, "mesh must lie in [2, 2000]")
     T = float(params["T"])
     _need(T > 0, "T must be positive")
@@ -348,7 +360,7 @@ def _run_lq_endpoint(params):
         _criterion("z0-normal", pair.z0 >= 0.1, pair.z0, "z0 >= 0.1"),
         _criterion("stationarity", mp["valid"] and mp["stationarity"] <= 1e-6,
                    mp["stationarity"], "adjoint stationarity <= 1e-6"),
-        _criterion("normalization", norm_dev <= 1e-9, norm_dev,
+        _criterion("normalization", norm_dev <= _NORM_TOL, norm_dev,
                    "max |a^2+|b|^2-1| <= 1e-9"),
     ]
     results = {
@@ -541,6 +553,7 @@ def _run_wave_obs(params):
     T = float(params["T"])
     _need(T > 0, "T must be positive")
     a = float(params["a"])
+    _need(np.isfinite(a), "potential a must be finite")
     expect = str(params["expect"])
     _need(expect in ("auto", "bounded", "growing"),
           "expect must be auto, bounded, or growing")

@@ -35,7 +35,8 @@ import numpy as np
 
 from .convex import WholeSpace, dist_subgradient, project, tangent_cone_sample
 from .convex import VariationSample
-from .spaces import Element, dual_norm, norm, pairing, LinearMap, singular_triplets
+from .spaces import (Element, dual_norm, norm, pairing, LinearMap,
+                     singular_triplets, _cholesky, _solve_triangular)
 
 __all__ = [
     "ConstrainedProblem",
@@ -133,10 +134,14 @@ class ConstrainedProblem:
         Target set in X.
     domain : ConvexSet or None
         Admissible set in V; None means the whole space.
-    f0_hess : callable or None
-        Objective Hessian u -> (V.dim, V.dim).  None makes the Newton
-        inner solver difference grad f0 instead, at 2 V.dim gradient calls
-        per iteration (see ``hessian``).
+    f0_hess : callable, ndarray or None
+        Objective Hessian u -> (V.dim, V.dim), or that matrix itself when
+        it is constant.  A constant positive definite Hessian is
+        Cholesky-factored once (see ``hessian_factor``), and a problem
+        without f_hess_combo then takes its Newton steps by the Woodbury
+        identity on that factor.  None makes the Newton inner solver
+        difference grad f0 instead, at 2 V.dim gradient calls per
+        iteration (see ``hessian``).
     f_hess_combo : callable or None
         (u, w) -> sum_i w_i * Hess f_i(u), the second-order term of the
         constraint map weighted by a dual vector w; 0 for affine maps.
@@ -162,6 +167,8 @@ class ConstrainedProblem:
         self.f_hess_combo = f_hess_combo
         self.feasible_sampler = feasible_sampler
         self.name = name
+        # (constant f0_hess, its lower Cholesky factor or None)
+        self._factor = (None, None)
 
     def objective(self, u):
         """Evaluate f0 at u: a float for one point, (k,) for a (k, V.dim) stack.
@@ -205,15 +212,36 @@ class ConstrainedProblem:
     def hessian(self, u):
         """Hessian of f0 at u as a (V.dim, V.dim) array.
 
-        f0_hess(u), or, for a problem without it, the symmetrized central
-        differences of f0_grad (2 V.dim gradient calls).
+        f0_hess(u), or f0_hess itself when it is an array, or, for a
+        problem without it, the symmetrized central differences of f0_grad
+        (2 V.dim gradient calls).
         """
         u = _coords(u)
+        if isinstance(self.f0_hess, np.ndarray):
+            return self.f0_hess
         if self.f0_hess is not None:
             return np.asarray(self.f0_hess(u), dtype=float)
         h = _HESS_FD_STEP * max(1.0, float(np.abs(u).max()))
         fd = _central_differences(self.gradient, u, h)
         return 0.5 * (fd + fd.T)
+
+    def hessian_factor(self):
+        """Lower Cholesky factor of a constant f0_hess, or None.
+
+        None when f0_hess is a callable, None, or an array that is not
+        positive definite.  The factor is computed on the first call and
+        kept until f0_hess is replaced.
+        """
+        hess = self.f0_hess
+        if not isinstance(hess, np.ndarray):
+            return None
+        if self._factor[0] is not hess:
+            try:
+                chol = _cholesky(hess)
+            except np.linalg.LinAlgError:
+                chol = None
+            self._factor = (hess, chol)
+        return self._factor[1]
 
     def jacobian(self, u):
         """Jacobian of f at u as an (X.dim, V.dim) array."""
@@ -454,7 +482,7 @@ def _grad_phi2(p, u, f0_bar, eps):
 
 
 def _hess_phi2(p, u, aux):
-    dist, gp, fx, pe, jac, g0 = aux
+    _, gp, fx, pe, jac, g0 = aux
     gx_j = p.X.apply_gram(jac)
     h = 2.0 * (jac.T @ gx_j)
     if gp > 0.0:
@@ -464,6 +492,45 @@ def _hess_phi2(p, u, aux):
         w = p.X.apply_gram(fx - pe)
         h = h + 2.0 * np.asarray(p.f_hess_combo(u, w), dtype=float)
     return h
+
+
+def _dense_step(h, g, mu):
+    """Solve (h + mu I) s = -g; None when the matrix is singular."""
+    try:
+        return np.linalg.solve(h if mu == 0.0 else h + mu * np.eye(g.size),
+                               -g)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _woodbury_step(p, chol, g, aux, mu):
+    """Solve ((2 gap+ + mu) H + U U') s = -g with H = chol chol' constant.
+
+    U U' = 2 J' G_X J + 2 grad f0 grad f0', with U = sqrt(2) [J' L_X,
+    grad f0] and G_X = L_X L_X', is the rest of the Hessian of Phi_eps^2
+    (the grad f0 column only when gap+ > 0), of rank at most X.dim + 1.
+    With V = chol^-1 U, w = chol^-1 g and alpha = 2 gap+ + mu,
+    the Woodbury identity (Hager, SIAM Review 31, 1989) gives
+    s = -chol'^-1 (w - V y) / alpha, where (alpha I + V'V) y = V'w: two
+    triangular solves with the factor and one small dense solve, no
+    V.dim x V.dim matrix.  None when alpha = 0 or the small system is
+    singular.
+    """
+    _, gp, _, _, jac, g0 = aux
+    alpha = 2.0 * gp + mu
+    if alpha <= 0.0:
+        return None
+    cols = p.X._factor_transpose_apply(jac)
+    if gp > 0.0:
+        cols = np.vstack([cols, g0])
+    vw = _solve_triangular(chol, np.column_stack([np.sqrt(2.0) * cols.T, g]),
+                           lower=True)
+    v, w = vw[:, :-1], vw[:, -1]
+    try:
+        y = np.linalg.solve(alpha * np.eye(v.shape[1]) + v.T @ v, v.T @ w)
+    except np.linalg.LinAlgError:
+        return None
+    return _solve_triangular(chol.T, w - v @ y, lower=False) / -alpha
 
 
 # Rounding noise of Phi_eps^2 = dist^2 + gap+^2 at u, in units of the
@@ -495,12 +562,16 @@ def _newton_minimize(p, u0, f0_bar, eps, tol):
     """Damped Newton descent on Phi_eps^2 from u0 until |grad| <= tol.
 
     Each iteration solves the mu-regularized Newton system for a step s
-    and tries u + t s for t = 1, 1/2, 1/4, ...  A trial point is accepted
-    by the Armijo test Phi2(u + t s) <= Phi2(u) + 1e-4 t g.s, or, when that
-    fails with Phi2(u + t s) <= Phi2(u) + noise (the rounding noise of
-    Phi2 at u), by the approximate Wolfe test on the slope:
-    -0.9 |g.s| <= grad Phi2(u + t s).s <= 0.8 |g.s|.  The gradient that
-    test computed is reused for the next iteration.
+    and tries u + t s for t = 1, 1/2, 1/4, ...  A problem with a constant,
+    factored f0_hess H and no f_hess_combo regularizes along H and solves
+    by the Woodbury identity (see _woodbury_step), so one factor of H
+    serves every iteration and every mu; any other problem forms the
+    Hessian of Phi_eps^2, adds mu I and solves it densely.  A trial point
+    is accepted by the Armijo test Phi2(u + t s) <= Phi2(u) + 1e-4 t g.s,
+    or, when that fails with Phi2(u + t s) <= Phi2(u) + noise (the
+    rounding noise of Phi2 at u), by the approximate Wolfe test on the
+    slope: -0.9 |g.s| <= grad Phi2(u + t s).s <= 0.8 |g.s|.  The gradient
+    that test computed is reused for the next iteration.
 
     Returns (u, parts, stats): parts is _phi_parts at the returned u, as
     its last gradient computed them; stats holds inner_iters, grad_norm,
@@ -508,20 +579,17 @@ def _newton_minimize(p, u0, f0_bar, eps, tol):
     the slope test).
     """
     u = u0.copy()
-    nd = u.size
+    chol = p.hessian_factor() if p.f_hess_combo is None else None
     mu = 0.0
     parts, g, aux = _grad_phi2(p, u, f0_bar, eps)
     gnorm = dual_norm(p.V, Element(g, p.V))
     iters = backtracks = wolfe_steps = 0
     while gnorm > tol and iters < _MAX_ITERS:
-        h = _hess_phi2(p, u, aux)
+        h = None if chol is not None else _hess_phi2(p, u, aux)
         step = None
         for _ in range(40):
-            try:
-                cand = np.linalg.solve(h if mu == 0.0 else h + mu * np.eye(nd),
-                                       -g)
-            except np.linalg.LinAlgError:
-                cand = None
+            cand = (_dense_step(h, g, mu) if chol is None
+                    else _woodbury_step(p, chol, g, aux, mu))
             if cand is not None and float(g @ cand) < 0.0:
                 step = cand
                 break
@@ -608,6 +676,17 @@ def _verify_local_solution(p, ub, seed):
             % _SOLUTION_SLACK)
 
 
+def _check_no_domain(p):
+    # the Newton solver and the Ekeland probes range over all of V, so a
+    # near-minimizer of a problem with an admissible set U could lie
+    # outside U
+    if p.domain is not None:
+        raise ValueError(
+            "problem %r has an admissible domain; the penalty solver "
+            "minimizes over the whole space and does not support one"
+            % p.name)
+
+
 def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
                      return_info=False, verify=True, f0_bar=None):
     """Near-minimizer u_eps of Phi_eps with Phi_eps(u_eps) <= eps.
@@ -616,13 +695,15 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
     by damped Newton, to a gradient dual norm of max(1e-13, 1e-2 eps^2).
     The Hessian of f0 in the Newton system is the problem's f0_hess, or
     central differences of f0_grad when it has none (see
-    ConstrainedProblem.hessian).  The line search accepts a step by the
-    Armijo decrease of Phi_eps^2, or, when the change of Phi_eps^2 is
-    below its rounding noise, by the approximate Wolfe condition on the
-    slope along the step (see _newton_minimize).  It then verifies a
-    posteriori that Phi_eps(u_eps) <= eps, that u_eps stays within
-    sqrt(eps) + 1e-6 of u_bar, and that the Ekeland-type inequality holds
-    on 16 probe directions up to 1e-8.  A warm start that fails triggers
+    ConstrainedProblem.hessian); a constant f0_hess is factored once and
+    the steps are taken by the Woodbury identity (see _newton_minimize).
+    The line search accepts a step by the Armijo decrease of Phi_eps^2,
+    or, when the change of Phi_eps^2 is below its rounding noise, by the
+    approximate Wolfe condition on the slope along the step (see
+    _newton_minimize).  It then verifies a posteriori that
+    Phi_eps(u_eps) <= eps, that u_eps stays within sqrt(eps) + 1e-6 of
+    u_bar, and that the Ekeland-type inequality holds on 16 probe
+    directions up to 1e-8.  A warm start that fails triggers
     one cold restart from u_bar.  With verify (the default), u_bar first
     passes a local-optimality spot check on 64 points of the problem's
     feasible_sampler, when it has one, seeded by cfg.seed.
@@ -641,12 +722,14 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
     Raises InnerConvergenceError (carrying the best iterate) when the inner
     solver stalls or any a-posteriori check fails; its info dict carries
     the iteration count, grad_norm, tol and the failing quantity (phi,
-    ball or ekeland_residual).
+    ball or ekeland_residual).  Raises ValueError for a problem with a
+    domain: the solver minimizes over the whole space V.
     """
     if cfg is None:
         cfg = PenaltyConfig()
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    _check_no_domain(p)
     ub = _coords(u_bar)
     if f0_bar is None:
         f0_bar = p.objective(ub)
@@ -737,10 +820,12 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
     max(|a_k - a_{k-1}|, |b_k - b_{k-1}|) over the final three records is
     reported on the pair; a gap above 1e-2 raises a non-convergence
     warning but still returns the result.  The local-optimality spot
-    check of u_bar runs once, before the first eps.
+    check of u_bar runs once, before the first eps.  Raises ValueError for
+    a problem with a domain (see minimize_penalty).
     """
     if cfg is None:
         cfg = PenaltyConfig()
+    _check_no_domain(p)
     sched = [float(e) for e in schedule]
     if not sched:
         raise ValueError("schedule must be nonempty")

@@ -14,8 +14,9 @@ attached as ``p.u_bar`` (an Element) and oracle data in ``p.extras``:
   oracle.
 - lq_endpoint_problem: discrete-time linear-quadratic optimal control with
   a fixed endpoint, assembled from a Crank-Nicolson EvolutionSystem; the
-  dense KKT solve provides the oracle multiplier and the adjoint equation
-  provides an independent stationarity certificate.
+  KKT system, solved on the Cholesky factor of the constant Hessian,
+  provides the oracle multiplier and the adjoint equation provides an
+  independent stationarity certificate.
 
 Every f0 and f takes one point or a (k, dim) stack of points.  ``u.T[j]``
 is coordinate j of a point or column j of a stack, and ``(M @ u.T).T`` is
@@ -29,7 +30,8 @@ from .convex import Singleton
 from .evolution import (EvolutionSystem, _crank_nicolson,
                         _crank_nicolson_steps, endpoint_map)
 from .penalty import ConstrainedProblem, default_schedule
-from .spaces import Element, SpaceDescriptor, _row_dots, rank_mask
+from .spaces import (Element, SpaceDescriptor, _row_dots, _solve_triangular,
+                     rank_mask)
 
 __all__ = [
     "scalar_problem",
@@ -233,6 +235,54 @@ def _identity_batch_forcing(sys):
         yield f
 
 
+# Crank-Nicolson steps per block of midpoint rows, and columns per strip of
+# the Gramian, in _midpoint_gram
+_GRAM_STEPS = 32
+_GRAM_STRIP = 128
+
+
+def _midpoint_gram(sys, ybar0):
+    """W'W and W'ybar0 for the midpoint map W, without forming W.
+
+    W (N n x N m) maps a flattened control path to the stacked step
+    midpoints (y_k + y_{k+1})/2 of its trajectory from y_0 = 0; its columns
+    are the trajectories of the identity batch of control paths.  The rows
+    of W are produced one block of _GRAM_STEPS steps at a time, and a block
+    of steps k0 .. k1-1 is zero in the columns of steps k1 and later (a
+    control acts only from its own step on).  Each block adds the lower
+    triangle of its W_b'W_b in column strips of _GRAM_STRIP, so no
+    temporary is larger than (N m) x _GRAM_STRIP; the upper triangle is
+    mirrored at the end, which makes the result exactly symmetric.
+    """
+    n, m = sys.n, sys.m
+    nu = sys.N * m
+    gram = np.zeros((nu, nu))
+    rhs = np.zeros(nu)
+    steps = _crank_nicolson_steps(sys, np.zeros((n, nu)),
+                                  _identity_batch_forcing(sys))
+    prev = np.zeros((n, nu))
+    rows = np.empty((_GRAM_STEPS, n, nu))
+    for k0 in range(0, sys.N, _GRAM_STEPS):
+        k1 = min(k0 + _GRAM_STEPS, sys.N)
+        for row, x in zip(rows[:k1 - k0], steps):
+            np.add(prev, x, out=row)
+            row *= 0.5
+            prev = x
+        cols = k1 * m
+        wb = rows[:k1 - k0, :, :cols].reshape(-1, cols)
+        rhs[:cols] += wb.T @ ybar0[k0:k1].ravel()
+        for j in range(0, cols, _GRAM_STRIP):
+            e = min(j + _GRAM_STRIP, cols)
+            gram[j:cols, j:e] += wb[:, j:].T @ wb[:, j:e]
+    for j in range(0, nu, _GRAM_STRIP):
+        e = min(j + _GRAM_STRIP, nu)
+        gram[j:e, e:] = gram[e:, j:e].T
+        block = gram[j:e, j:e]
+        upper = np.triu_indices(e - j, 1)
+        block[upper] = block.T[upper]
+    return gram, rhs
+
+
 def lq_endpoint_problem(N=50, T=1.0):
     """Linear-quadratic control with a pinned endpoint (oscillator pair).
 
@@ -241,8 +291,11 @@ def lq_endpoint_problem(N=50, T=1.0):
     endpoint y(T) is constrained to a reachable target built from the free
     response plus 0.5 times the image of a smooth reference input.
     The objective reduces to the quadratic 0.5 u'Hu + c'u + const on the
-    flattened control path, the constraint to the affine endpoint map, so
-    the dense KKT solve gives the exact reference solution and multiplier.
+    flattened control path, the constraint to the affine endpoint map G.
+    H is the problem's constant f0_hess and the only N m x N m array kept:
+    its Cholesky factor (``hessian_factor``) gives the exact reference
+    solution and multiplier through the 4 x 4 Schur complement G H^-1 G',
+    and serves the Newton steps of the penalty schedule.
     """
     n, m = 4, 2
     dt = T / N
@@ -250,40 +303,32 @@ def lq_endpoint_problem(N=50, T=1.0):
     y0 = np.array([1.0, 0.0, -0.5, 0.0])
     sysmodel = EvolutionSystem(T, N, _LQ_A, _LQ_B, name="lq-endpoint")
 
-    # midpoint states ybar_k = (y_k + y_{k+1})/2 stacked as an affine map
-    # ybar = ybar0 + W u of the flattened control path: the free response
-    # from y0, plus the variations driven by the identity batch of paths
+    # midpoint states ybar_k = (y_k + y_{k+1})/2 form the affine map
+    # ybar = ybar0 + W u of the flattened control path, with ybar0 the
+    # midpoints of the free response from y0
     free = _crank_nicolson(sysmodel, y0, np.zeros((N, n)))
-    ybar0 = _midpoints(free).ravel()
-    W = np.empty((N * n, nu))
-    prev = np.zeros((n, nu))
-    for k, x in enumerate(_crank_nicolson_steps(
-            sysmodel, prev, _identity_batch_forcing(sysmodel))):
-        rows = W[k * n:(k + 1) * n]
-        np.add(prev, x, out=rows)
-        rows *= 0.5
-        prev = x
-
-    H = W.T @ W
+    ybar0 = _midpoints(free)
+    H, c = _midpoint_gram(sysmodel, ybar0)
     H *= dt
     H[np.diag_indices(nu)] += dt
-    c = dt * (W.T @ ybar0)
-    const = 0.5 * dt * float(ybar0 @ ybar0)
+    c *= dt
+    const = 0.5 * dt * float(ybar0.ravel() @ ybar0.ravel())
 
     G = endpoint_map(sysmodel).matrix
     y_free = free[N]
     shape = 0.3 * np.sin(np.linspace(0.0, 3.0, nu))
     y_target = y_free + 0.5 * (G @ shape)
-    ubar, lam = _kkt_solve(H, G, -c, y_target - y_free)
 
     V = SpaceDescriptor("control-path", nu)
     X = SpaceDescriptor("endpoint", n)
+    # orthonormal basis of the range of G', whose complement is null(G)
+    range_basis = np.linalg.qr(G.T)[0]
 
     def feasible_sampler(ub, count, seed_):
-        # the null-space basis (nu x nu - n) is formed per call, not kept
-        ns = null_space(G)
-        w = np.random.default_rng(seed_).standard_normal((count, ns.shape[1]))
-        return ub + 0.1 * (w @ ns.T)
+        # Gaussian draws projected onto null(G)
+        w = np.random.default_rng(seed_).standard_normal((count, nu))
+        w -= (w @ range_basis) @ range_basis.T
+        return ub + 0.1 * w
 
     p = ConstrainedProblem(
         V, X,
@@ -292,14 +337,25 @@ def lq_endpoint_problem(N=50, T=1.0):
         f=lambda u: (G @ u.T).T + y_free - y_target,
         f_jac=lambda u: G,
         E=Singleton(X, np.zeros(n)),
-        f0_hess=lambda u: H,
+        f0_hess=H,
         feasible_sampler=feasible_sampler,
         name="lq-endpoint")
+
+    # the KKT system H u + G' lam = -c, G u = y_target - y_free, eliminated
+    # on the factor L of H: with Y = L^-1 G' and z = L^-1 c, the Schur
+    # complement is Y'Y and u = -L'^-1 (z + Y lam)
+    chol = p.hessian_factor()
+    yz = _solve_triangular(chol, np.column_stack([G.T, c]), lower=True)
+    Y, z = yz[:, :n], yz[:, n]
+    lam = -np.linalg.solve(Y.T @ Y, Y.T @ z + (y_target - y_free))
+    ubar = -_solve_triangular(chol.T, z + Y @ lam, lower=False)
     p.u_bar = Element(ubar, V)
 
-    # reference-dependent per-step cost gradients for the adjoint equation
-    ybar_ref = (ybar0 + W @ ubar).reshape(N, n)
+    # reference-dependent per-step cost gradients for the adjoint equation,
+    # from a forward sweep of u_bar
     u_ref = ubar.reshape(N, m)
+    ybar_ref = _midpoints(_crank_nicolson(
+        sysmodel, y0, np.einsum("kij,kj->ki", sysmodel.Bc, u_ref)))
     system = EvolutionSystem(T, N, _LQ_A, _LQ_B, gy=ybar_ref, gu=u_ref,
                              E=Singleton(SpaceDescriptor("endpoint", n),
                                          y_target),

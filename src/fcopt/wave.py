@@ -50,8 +50,8 @@ class WaveModel:
     T : float
         Observation horizon.
     a : float
-        Constant potential; must satisfy pi^2 + a > 0 so every mode
-        frequency stays real.
+        Constant potential; must be finite and satisfy pi^2 + a > 0 so
+        every mode frequency stays real.
     """
 
     def __init__(self, modes, interval=(0.4, 0.6), T=3.0, a=0.0,
@@ -65,14 +65,18 @@ class WaveModel:
                              "0 <= lo < hi <= 1")
         if not (T > 0 and np.isfinite(T)):
             raise ValueError("horizon T must be positive and finite")
-        mu = (np.arange(1, modes + 1) * np.pi) ** 2 + float(a)
+        a = float(a)
+        if not np.isfinite(a):
+            # NaN would pass the sign test below
+            raise ValueError("potential a must be finite, got %r" % a)
+        mu = (np.arange(1, modes + 1) * np.pi) ** 2 + a
         if mu[0] <= 0.0:
             raise ValueError("potential a = %g drives the lowest mode "
                              "frequency to zero or below" % a)
         self.modes = modes
         self.interval = (lo, hi)
         self.T = float(T)
-        self.a = float(a)
+        self.a = a
         self.omega = np.sqrt(mu)
         self.name = name
 

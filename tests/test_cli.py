@@ -73,6 +73,29 @@ def test_solve_from_config_file(tmp_path):
     assert payload["inputs"]["steps"] == 8
 
 
+@pytest.mark.parametrize("problem, steps", [
+    ("scalar", 15), ("l2-fritz-john", 15), ("equality-qp", 15),
+    ("lq-endpoint", 15), ("lq-endpoint", 55)])
+def test_solve_exits_0_only_with_normalized_pairs(problem, steps, tmp_path,
+                                                  capsys):
+    # every record's pair has a^2 + |b|^2 = 1 by construction, up to
+    # roundoff; a pair below the resolution of Phi_eps loses it (lq-endpoint
+    # at 55 steps ends with |z| = 0), and solve then exits 1, as the
+    # experiments' normalization criterion does
+    out = tmp_path / "t.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["solve", "--problem", problem, "--steps", str(steps),
+                   "--out", str(out)])
+    records = json.loads(out.read_text())["records"]
+    dev = max(abs(r["a"] ** 2 + r["b_norm"] ** 2 - 1.0) for r in records
+              if r["phi"] > 0)
+    assert rc == (0 if dev <= 1e-9 else 1)
+    if steps == 55:
+        assert rc == 1
+        assert "pair not normalized" in capsys.readouterr().err
+
+
 def test_solve_unknown_problem(tmp_path):
     rc = main(["solve", "--problem", "nope", "--out",
                str(tmp_path / "t.json")])
@@ -260,6 +283,22 @@ def test_example_lq_infinite_horizon_exit_2(tmp_path, capsys):
                    "--out", str(out)])
     assert rc == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lq_mesh_list_exit_2(tmp_path, capsys):
+    # lq-endpoint runs one mesh per call: a comma list of meshes, from the
+    # --mesh flag or a solve config, is refused up front, not at int()
+    out = tmp_path / "lq.json"
+    rc = main(["example", "lq-endpoint", "--mesh", "100,200",
+               "--out", str(out)])
+    assert rc == 2
+    assert "mesh must be a single integer, got 100,200" in (
+        capsys.readouterr().err)
+    cfg = tmp_path / "lq.cfg"
+    cfg.write_text("problem = lq-endpoint\nmesh = 100,200\n")
+    assert main(["solve", "--problem", str(cfg), "--out", str(out)]) == 2
+    assert "mesh must be a single integer" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Tests for the penalty pipeline: values, minimizers, pairs, certificates."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -798,6 +799,140 @@ def test_lq_endpoint_without_f0_hess_matches_kkt_multiplier(N):
     ref = np.concatenate([[1.0], p.extras["kkt_multiplier"]])
     assert_allclose(np.concatenate([[pair.z0], pair.z.coords]),
                     ref / np.linalg.norm(ref), atol=1e-4)
+
+
+def _dense_path(p):
+    # the same constant Hessian handed over as a callable: the Newton
+    # solver then forms and solves the dense system
+    hess = p.f0_hess
+    p.f0_hess = lambda u: hess
+    return p
+
+
+@pytest.mark.parametrize("N", [17, 50, 200])
+def test_lq_woodbury_pairs_match_dense_path(N, monkeypatch):
+    # the Woodbury steps on the factor of H and the dense Newton solves
+    # give the same record pairs.  A record's pair is resolved to about
+    # one ulp of f0(u_bar) over eps, since gap+ = f0(u) - f0(u_bar) + eps
+    # carries the rounding of f0: at the last eps, 2.4e-8, that is 1.2e-9,
+    # and moving u_bar by one ulp moves the dense path's last pair by as
+    # much.  The bound is 1e-9 plus 8 such ulps
+    sched = default_schedule(0.1, 23)
+    p = lq_endpoint_problem(N)
+    assert p.hessian_factor() is not None
+
+    def no_dense_hessian(*args):
+        raise AssertionError("the Woodbury path formed the dense Hessian")
+
+    with monkeypatch.context() as m:
+        m.setattr(penalty, "_hess_phi2", no_dense_hessian)
+        pair, trace = extract_multiplier(p, p.u_bar, sched)
+    q = _dense_path(lq_endpoint_problem(N))
+    assert q.hessian_factor() is None
+    dense_pair, dense_trace = extract_multiplier(q, q.u_bar, sched)
+    ulp = np.spacing(abs(p.objective(p.u_bar)))
+    for rec, ref in zip(trace, dense_trace):
+        tol = 1e-9 + 8.0 * ulp / rec.eps
+        assert abs(rec.a - ref.a) <= tol
+        assert np.abs(rec.b.coords - ref.b.coords).max() <= tol
+    assert abs(pair.z0 - dense_pair.z0) <= 1e-9 + 8.0 * ulp / sched[-1]
+
+
+def test_woodbury_iteration_forms_no_square_array():
+    # a Newton iteration on the factor allocates vectors and V.dim x 5
+    # blocks: the traced peak of a whole solve (Ekeland probe included)
+    # stays below half of one V.dim x V.dim array, where the dense path
+    # forms several
+    p = lq_endpoint_problem(200)
+    square = 8 * p.V.dim ** 2
+    peaks = {}
+    for path, q in (("woodbury", p), ("dense", _dense_path(
+            lq_endpoint_problem(200)))):
+        # the first solve also pays one-time allocations of numpy
+        minimize_penalty(q, q.u_bar, 0.1, verify=False)
+        tracemalloc.start()
+        try:
+            minimize_penalty(q, q.u_bar, 0.05, verify=False)
+            peaks[path] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["woodbury"] <= 0.5 * square < 2 * square <= peaks["dense"]
+
+
+def test_woodbury_step_solves_the_newton_system():
+    # against the dense solve of ((2 gap+ + mu) H + 2 J'G_X J
+    # + 2 grad f0 grad f0') s = -g, with and without the grad f0 term, in
+    # a non-diagonal constraint gram
+    rng = np.random.default_rng(3)
+    dim, k = 9, 3
+    B = rng.standard_normal((dim, dim))
+    H = B @ B.T / dim + np.eye(dim)
+    chol = np.linalg.cholesky(H)
+    C = rng.standard_normal((k, k))
+    X = SpaceDescriptor("constraints", k, gram=C @ C.T + k * np.eye(k))
+    p = ConstrainedProblem(
+        SpaceDescriptor("controls", dim), X, f0=None, f0_grad=None, f=None,
+        f_jac=None, E=Singleton(X, np.zeros(k)))
+    jac = rng.standard_normal((k, dim))
+    g0 = rng.standard_normal(dim)
+    g = rng.standard_normal(dim)
+    for gp, mu in ((0.3, 0.0), (1e-6, 0.0), (0.0, 1e-3), (0.2, 0.5)):
+        aux = (0.0, gp, None, None, jac, g0 if gp > 0.0 else None)
+        h = 2.0 * jac.T @ X.gram @ jac + (2.0 * gp + mu) * H
+        if gp > 0.0:
+            h += 2.0 * np.outer(g0, g0)
+        want = np.linalg.solve(h, -g)
+        got = penalty._woodbury_step(p, chol, g, aux, mu)
+        # the forward error bound of a backward stable solve, cond eps
+        bound = 10.0 * np.linalg.cond(h) * np.finfo(float).eps
+        assert_allclose(got, want, rtol=0, atol=bound * np.abs(want).max())
+    # alpha = 0 leaves the system singular: no step, so mu is raised
+    assert penalty._woodbury_step(p, chol, g, (0.0, 0.0, None, None, jac,
+                                               None), 0.0) is None
+
+
+def test_constant_hessian_factored_once():
+    # the factor is computed on the first call and kept while f0_hess is
+    # the same array; a new array, a callable, None or an indefinite
+    # matrix give a new factor or None
+    p = lq_endpoint_problem(10)
+    H = p.f0_hess
+    chol = p.hessian_factor()
+    assert p.hessian_factor() is chol
+    assert p.hessian(p.u_bar) is H
+    p.f0_hess = H.copy()
+    assert p.hessian_factor() is not chol
+    assert_allclose(p.hessian_factor(), chol, rtol=0, atol=1e-15)
+    p.f0_hess = lambda u: H
+    assert p.hessian_factor() is None
+    p.f0_hess = None
+    assert p.hessian_factor() is None
+    p.f0_hess = -H
+    assert p.hessian_factor() is None
+
+
+def test_domain_rejected_up_front():
+    # minimize -u1 subject to u1 + u2 = 0 on U = [-1, 1]^2 from
+    # u_bar = (1, -1): the solver minimizes over the whole plane and
+    # returned (1.1, -1.1) at eps 0.1, outside U, with Phi = 0; a problem
+    # with a domain is refused before any work
+    V = SpaceDescriptor("plane", 2)
+    X = SpaceDescriptor("line", 1)
+    p = ConstrainedProblem(
+        V, X,
+        f0=lambda u: -u.T[0],
+        f0_grad=lambda u: np.array([-1.0, 0.0]),
+        f=lambda u: (u.T[0] + u.T[1])[..., None],
+        f_jac=lambda u: np.array([[1.0, 1.0]]),
+        E=Singleton(X, np.zeros(1)),
+        domain=Box(V, -1.0, 1.0),
+        f0_hess=lambda u: np.zeros((2, 2)),
+        name="box-line")
+    ub = Element(np.array([1.0, -1.0]), V)
+    with pytest.raises(ValueError, match="domain"):
+        minimize_penalty(p, ub, 0.1)
+    with pytest.raises(ValueError, match="domain"):
+        extract_multiplier(p, ub, default_schedule(0.1, 4))
 
 
 def _no_f0_hess_qp():

@@ -170,25 +170,40 @@ def _lq_identity_batch_reference(N, T=1.0):
 
 
 @pytest.mark.parametrize("N", [2, 17, 50])
-def test_lq_builder_matches_identity_batch_bitwise(N):
-    # W written one step at a time, H formed in place and the null space
-    # formed per sampler call change no bit of the builder's output
+def test_lq_builder_matches_identity_batch_oracle(N):
+    # H and c accumulated over blocks of steps, u_bar and lambda from the
+    # factor of H and the 4 x 4 Schur complement, ybar_ref from a forward
+    # sweep of u_bar and the sampler's projected draws, against the dense
+    # identity batch and the dense KKT solve: equal up to roundoff
     p = lq_endpoint_problem(N)
     H, c, ubar, lam, ybar_ref, G = _lq_identity_batch_reference(N)
-    for got, want in ((p.extras["H"], H), (p.extras["c"], c),
-                      (p.u_bar.coords, ubar), (p.extras["kkt_multiplier"], lam),
-                      (p.extras["ybar_ref"], ybar_ref),
-                      (p.extras["endpoint_matrix"], G)):
-        assert got.tobytes() == want.tobytes()
-    w = np.random.default_rng(5).standard_normal((30, 2 * N - 4))
-    pts = ubar + 0.1 * (w @ null_space(G).T)
-    assert p.feasible_sampler(ubar, 30, 5).tobytes() == pts.tobytes()
+    for got, want, tol in ((p.extras["H"], H, 1e-12),
+                           (p.extras["c"], c, 1e-12),
+                           (p.u_bar.coords, ubar, 1e-11),
+                           (p.extras["kkt_multiplier"], lam, 1e-11),
+                           (p.extras["ybar_ref"], ybar_ref, 1e-11)):
+        assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
+    assert np.array_equal(p.extras["endpoint_matrix"], G)
+    assert np.array_equal(p.extras["H"], p.extras["H"].T)
+    # f0_hess is H itself, a constant, and its factor is the one the
+    # builder used
+    assert p.f0_hess is p.extras["H"]
+    chol = p.hessian_factor()
+    assert_allclose(chol @ chol.T, H, rtol=0, atol=1e-12 * np.abs(H).max())
+    pts = p.feasible_sampler(p.u_bar.coords, 30, 5)
+    assert pts.shape == (30, 2 * N)
+    assert_allclose((pts - p.u_bar.coords) @ G.T, 0.0, atol=1e-12)
+    assert_allclose(p.constraint(pts), 0.0, atol=1e-12)
+    if N > 2:
+        # null(G) is {0} at N = 2, where nu = 4 = dim X
+        assert np.all(np.abs(pts - p.u_bar.coords).max(axis=1) > 0.0)
 
 
 def test_lq_builder_traced_peak_at_mesh_400():
-    # W (1600 x 800, 10.2 MB), H (5.1 MB) and the KKT matrix (5.2 MB) are
-    # the whole peak; forming the identity batch with its stacked forcing
-    # and trajectory takes it to 41.5 MB
+    # H (800 x 800, 5.1 MB) and its Cholesky factor (5.1 MB) are the only
+    # arrays of that size: W is never formed, and the blocked accumulation
+    # and factorization keep no temporary larger than 800 x 128.  The peak
+    # is 11.4e6 B (20.9e6 with W formed); the bound is that plus 20%
     tracemalloc.start()
     try:
         p = lq_endpoint_problem(400)
@@ -196,7 +211,7 @@ def test_lq_builder_traced_peak_at_mesh_400():
     finally:
         tracemalloc.stop()
     assert p.V.dim == 800
-    assert peak <= 24e6
+    assert peak <= 13.7e6
 
 
 def test_lq_reference_trajectory_consistency():

@@ -141,6 +141,25 @@ def test_validation_errors():
         wave_sweep([8, 8, 16])
 
 
+@pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
+def test_non_finite_potential_rejected(a, monkeypatch):
+    # NaN passes the lowest-mode sign test; it is refused before the
+    # Gramian, by the model and by the experiment under every expect
+    from fcopt import wave
+    from fcopt.experiments import run_experiment
+
+    with pytest.raises(ValueError, match="finite"):
+        WaveModel(4, a=a)
+
+    def no_gramian(*args, **kwargs):
+        raise AssertionError("Gramian built for a non-finite potential")
+
+    monkeypatch.setattr(wave, "observation_gramian", no_gramian)
+    for expect in ("auto", "bounded", "growing"):
+        with pytest.raises(ValueError, match="potential a must be finite"):
+            run_experiment("wave-obs", {"a": a, "expect": expect})
+
+
 def _gauss_legendre_gramian(model, segments=64, nodes=24):
     # the time integral by composite Gauss-Legendre on equal segments of
     # [0, T]: time samples of every mode times the weights, through
