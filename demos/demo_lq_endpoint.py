@@ -23,7 +23,7 @@ print("extracted pair: z0 = %.6f, z = %s" % (pair.z0,
 
 H = np.asarray(p.extras["H"])
 c = np.asarray(p.extras["c"])
-G = np.asarray(p.extras["endpoint_matrix"])
+G = np.asarray(p.extras["G"])
 rhs = np.asarray(p.extras["y_target"]) - np.asarray(p.extras["y_free"])
 nu, nl = H.shape[0], G.shape[0]
 K = np.block([[H, G.T], [G, np.zeros((nl, nl))]])

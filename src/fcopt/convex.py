@@ -28,7 +28,6 @@ __all__ = [
     "normal_cone_residual",
     "tangent_cone_sample",
     "directional_variation",
-    "convex_set_from_config",
 ]
 
 _MEMBERSHIP_TOL = 1e-8
@@ -411,23 +410,3 @@ def directional_variation(fmap, e, v, h_schedule=(1e-2, 1e-3, 1e-4, 1e-5)):
     if value.ndim == 0:
         value = float(value)
     return VariationEstimate(value, err, converged, quotients, h_schedule[-1])
-
-
-def convex_set_from_config(space, kind, **kwargs):
-    """Build a ConvexSet from its config name.
-
-    Names: "singleton" (point), "nonneg", "box" (lo, hi), "affine"
-    (basis, offset), "whole".
-    """
-    kind = str(kind).strip().lower()
-    if kind == "singleton":
-        return Singleton(space, kwargs.get("point", np.zeros(space.dim)))
-    if kind == "nonneg":
-        return NonnegativeCone(space)
-    if kind == "box":
-        return Box(space, kwargs.get("lo", 0.0), kwargs.get("hi", 1.0))
-    if kind == "affine":
-        return AffineSubspace(space, kwargs["basis"], kwargs.get("offset"))
-    if kind == "whole":
-        return WholeSpace(space)
-    raise ValueError("unknown convex set kind %r" % kind)

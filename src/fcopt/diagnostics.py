@@ -29,7 +29,6 @@ __all__ = [
     "kernel_dimension",
     "restricted_estimate_constant",
     "compact_perturbed_constant",
-    "closed_range_constant",
     "codim_growth_verdict",
 ]
 
@@ -187,49 +186,6 @@ def compact_perturbed_constant(F, G):
         return EstimateReport(np.inf, kdim, s,
                               note="stacked operator rank deficient")
     return EstimateReport(1.0 / s.min(), 0, s)
-
-
-def closed_range_constant(F):
-    """Closed-range constants: on the range's dual, and via the projector.
-
-    Returns a report whose ``constant`` is the projected-form value (the
-    estimate |phi| <= C (|F* phi| + |Pi phi|) with Pi the gram-orthogonal
-    projector onto the complement of the numerical range); extras carry
-    the range-restricted constant and the agreement factor between the
-    two formulations.
-    """
-    trips = singular_triplets(F)
-    s = np.array([t[0] for t in trips])
-    mask_above = rank_mask(s)
-    above = s[mask_above]
-    range_constant = float(1.0 / above.min()) if above.size else np.inf
-    # gram-orthogonal projector onto the orthocomplement of the range
-    x = F.codomain
-    cols = [t[1].coords for t, keep in zip(trips, mask_above) if keep]
-    if cols:
-        basis = np.array(cols).T
-        proj_range = basis @ (basis.T @ x.gram)
-    else:
-        proj_range = np.zeros((x.dim, x.dim))
-    pi = np.eye(x.dim) - proj_range
-    pimap = LinearMap(pi, x, x, compact_flag=True)
-    stacked = _stacked_with(F, pimap)
-    s2 = singular_triplets(stacked, compute_uv=False)
-    projected_constant = float(1.0 / s2.min()) if s2.min() > 0 else np.inf
-    kdim = kernel_dimension(F, sigma=s)
-    if np.isfinite(range_constant) and np.isfinite(projected_constant):
-        factor = max(range_constant, projected_constant) / max(
-            min(range_constant, projected_constant), 1e-300)
-    else:
-        factor = np.inf
-    return EstimateReport(
-        projected_constant, kdim, s2,
-        extras={
-            "range_constant": range_constant,
-            "projected_constant": projected_constant,
-            "agreement_factor": factor,
-        },
-    )
 
 
 def _check_growth_factor(growth_factor):

@@ -134,13 +134,13 @@ class ConstrainedProblem:
         Target set in X.
     domain : ConvexSet or None
         Admissible set in V; None means the whole space.
-    f0_hess : callable, ndarray or None
-        Objective Hessian u -> (V.dim, V.dim), or that matrix itself when
-        it is constant.  A constant positive definite Hessian is
-        Cholesky-factored once (see ``hessian_factor``), and a problem
-        without f_hess_combo then takes its Newton steps by the Woodbury
-        identity on that factor.  None makes the Newton inner solver
-        difference grad f0 instead, at 2 V.dim gradient calls per
+    f0_hess : ndarray or None
+        Constant objective Hessian, a (V.dim, V.dim) array; anything else
+        but None raises ValueError.  A positive definite one is
+        Cholesky-factored once (see ``hessian_factor``), which lets a large
+        problem without f_hess_combo take its Newton steps by the Woodbury
+        identity (see _newton_minimize).  None makes the Newton inner
+        solver difference grad f0 instead, at 2 V.dim gradient calls per
         iteration (see ``hessian``).
     f_hess_combo : callable or None
         (u, w) -> sum_i w_i * Hess f_i(u), the second-order term of the
@@ -163,12 +163,30 @@ class ConstrainedProblem:
         self._f_jac = f_jac
         self.E = E
         self.domain = domain
-        self.f0_hess = f0_hess
         self.f_hess_combo = f_hess_combo
         self.feasible_sampler = feasible_sampler
         self.name = name
-        # (constant f0_hess, its lower Cholesky factor or None)
-        self._factor = (None, None)
+        self.f0_hess = f0_hess
+
+    @property
+    def f0_hess(self):
+        """Constant (V.dim, V.dim) Hessian of f0, or None."""
+        return self._f0_hess
+
+    @f0_hess.setter
+    def f0_hess(self, hess):
+        if hess is not None and not (isinstance(hess, np.ndarray)
+                                     and hess.shape == (self.V.dim,) * 2):
+            raise ValueError(
+                "f0_hess of problem %r must be a (%d, %d) array or None"
+                % (self.name, self.V.dim, self.V.dim))
+        self._f0_hess = hess
+        self._factor = None
+        if hess is not None:
+            try:
+                self._factor = _cholesky(hess)
+            except np.linalg.LinAlgError:
+                pass
 
     def objective(self, u):
         """Evaluate f0 at u: a float for one point, (k,) for a (k, V.dim) stack.
@@ -212,36 +230,23 @@ class ConstrainedProblem:
     def hessian(self, u):
         """Hessian of f0 at u as a (V.dim, V.dim) array.
 
-        f0_hess(u), or f0_hess itself when it is an array, or, for a
-        problem without it, the symmetrized central differences of f0_grad
-        (2 V.dim gradient calls).
+        f0_hess, or, for a problem without it, the symmetrized central
+        differences of f0_grad (2 V.dim gradient calls).
         """
-        u = _coords(u)
-        if isinstance(self.f0_hess, np.ndarray):
-            return self.f0_hess
         if self.f0_hess is not None:
-            return np.asarray(self.f0_hess(u), dtype=float)
+            return self.f0_hess
+        u = _coords(u)
         h = _HESS_FD_STEP * max(1.0, float(np.abs(u).max()))
         fd = _central_differences(self.gradient, u, h)
         return 0.5 * (fd + fd.T)
 
     def hessian_factor(self):
-        """Lower Cholesky factor of a constant f0_hess, or None.
+        """Lower Cholesky factor of f0_hess, or None.
 
-        None when f0_hess is a callable, None, or an array that is not
-        positive definite.  The factor is computed on the first call and
-        kept until f0_hess is replaced.
+        None when f0_hess is None or not positive definite.  The factor is
+        computed when f0_hess is set.
         """
-        hess = self.f0_hess
-        if not isinstance(hess, np.ndarray):
-            return None
-        if self._factor[0] is not hess:
-            try:
-                chol = _cholesky(hess)
-            except np.linalg.LinAlgError:
-                chol = None
-            self._factor = (hess, chol)
-        return self._factor[1]
+        return self._factor
 
     def jacobian(self, u):
         """Jacobian of f at u as an (X.dim, V.dim) array."""
@@ -494,6 +499,16 @@ def _hess_phi2(p, u, aux):
     return h
 
 
+# Smallest V.dim at which _newton_minimize takes Woodbury steps.  Whole
+# penalty schedules (2 vCPUs, 1 BLAS thread, min of 5-7 runs) measured the
+# Woodbury/dense time ratio at 1.07-1.28 on equality QPs of dim 4-96, 1.04
+# at dim 128, 0.84 at 192 and 0.67 at 256, and on lq-endpoint at 1.14 for
+# V.dim 100, 1.03 for 128, 0.99 for 150, 0.80 for 200 and 0.36 for 400:
+# below about 128 the two triangular solves per step cost more than one
+# small dense solve.
+_WOODBURY_MIN_DIM = 128
+
+
 def _dense_step(h, g, mu):
     """Solve (h + mu I) s = -g; None when the matrix is singular."""
     try:
@@ -562,14 +577,14 @@ def _newton_minimize(p, u0, f0_bar, eps, tol):
     """Damped Newton descent on Phi_eps^2 from u0 until |grad| <= tol.
 
     Each iteration solves the mu-regularized Newton system for a step s
-    and tries u + t s for t = 1, 1/2, 1/4, ...  A problem with a constant,
-    factored f0_hess H and no f_hess_combo regularizes along H and solves
-    by the Woodbury identity (see _woodbury_step), so one factor of H
-    serves every iteration and every mu; any other problem forms the
-    Hessian of Phi_eps^2, adds mu I and solves it densely.  A trial point
-    is accepted by the Armijo test Phi2(u + t s) <= Phi2(u) + 1e-4 t g.s,
-    or, when that fails with Phi2(u + t s) <= Phi2(u) + noise (the
-    rounding noise of Phi2 at u), by the approximate Wolfe test on the
+    and tries u + t s for t = 1, 1/2, 1/4, ...  A problem with a factored
+    f0_hess H, no f_hess_combo and V.dim >= _WOODBURY_MIN_DIM regularizes
+    along H and solves by the Woodbury identity (see _woodbury_step), so
+    one factor of H serves every iteration and every mu; any other problem
+    forms the Hessian of Phi_eps^2, adds mu I and solves it densely.  A
+    trial point is accepted by the Armijo test Phi2(u + t s) <= Phi2(u)
+    + 1e-4 t g.s, or, when that fails with Phi2(u + t s) <= Phi2(u) + noise
+    (the rounding noise of Phi2 at u), by the approximate Wolfe test on the
     slope: -0.9 |g.s| <= grad Phi2(u + t s).s <= 0.8 |g.s|.  The gradient
     that test computed is reused for the next iteration.
 
@@ -579,7 +594,9 @@ def _newton_minimize(p, u0, f0_bar, eps, tol):
     the slope test).
     """
     u = u0.copy()
-    chol = p.hessian_factor() if p.f_hess_combo is None else None
+    chol = None
+    if p.f_hess_combo is None and p.V.dim >= _WOODBURY_MIN_DIM:
+        chol = p.hessian_factor()
     mu = 0.0
     parts, g, aux = _grad_phi2(p, u, f0_bar, eps)
     gnorm = dual_norm(p.V, Element(g, p.V))
@@ -695,8 +712,9 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
     by damped Newton, to a gradient dual norm of max(1e-13, 1e-2 eps^2).
     The Hessian of f0 in the Newton system is the problem's f0_hess, or
     central differences of f0_grad when it has none (see
-    ConstrainedProblem.hessian); a constant f0_hess is factored once and
-    the steps are taken by the Woodbury identity (see _newton_minimize).
+    ConstrainedProblem.hessian); on a large problem a positive definite
+    f0_hess is factored once and the steps are taken by the Woodbury
+    identity (see _newton_minimize).
     The line search accepts a step by the Armijo decrease of Phi_eps^2,
     or, when the change of Phi_eps^2 is below its rounding noise, by the
     approximate Wolfe condition on the slope along the step (see

@@ -10,13 +10,15 @@ attached as ``p.u_bar`` (an Element) and oracle data in ``p.extras``:
   constraint coordinate is identically zero, so the constraint Jacobian is
   never surjective and the KKT branch fails.
 - equality_qp: random strictly convex quadratic objective under full-rank
-  affine equality constraints; the KKT system gives an exact multiplier
-  oracle.
+  affine equality constraints.
 - lq_endpoint_problem: discrete-time linear-quadratic optimal control with
   a fixed endpoint, assembled from a Crank-Nicolson EvolutionSystem; the
-  KKT system, solved on the Cholesky factor of the constant Hessian,
-  provides the oracle multiplier and the adjoint equation provides an
-  independent stationarity certificate.
+  adjoint equation provides an independent stationarity certificate.
+
+The last two are the same kind of problem, minimize 0.5 u'Hu + c'u + const
+subject to Gu = r with H positive definite, and share one builder
+(_quadratic_problem): the KKT system, solved on the Cholesky factor of H,
+gives the reference point and the oracle multiplier.
 
 Every f0 and f takes one point or a (k, dim) stack of points.  ``u.T[j]``
 is coordinate j of a point or column j of a stack, and ``(M @ u.T).T`` is
@@ -30,8 +32,7 @@ from .convex import Singleton
 from .evolution import (EvolutionSystem, _crank_nicolson,
                         _crank_nicolson_steps, endpoint_map)
 from .penalty import ConstrainedProblem, default_schedule
-from .spaces import (Element, SpaceDescriptor, _row_dots, _solve_triangular,
-                     rank_mask)
+from .spaces import Element, SpaceDescriptor, _row_dots, _solve_triangular
 
 __all__ = [
     "scalar_problem",
@@ -39,18 +40,6 @@ __all__ = [
     "equality_qp",
     "lq_endpoint_problem",
 ]
-
-
-def null_space(A):
-    """Orthonormal basis of the null space of A, as columns, from its SVD.
-
-    A singular value counts as zero when it is at most
-    eps * max(A.shape) times the largest one.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    rank = np.count_nonzero(rank_mask(s, np.finfo(float).eps * max(A.shape)))
-    return vh[rank:].T
 
 
 def scalar_problem():
@@ -69,7 +58,7 @@ def scalar_problem():
         f=lambda u: u.copy(),
         f_jac=lambda u: np.eye(1),
         E=Singleton(X, np.zeros(1)),
-        f0_hess=lambda u: np.zeros((1, 1)),
+        f0_hess=np.zeros((1, 1)),
         f_hess_combo=lambda u, w: np.zeros((1, 1)),
         feasible_sampler=lambda ub, count, seed: np.zeros((1, 1)),
         name="scalar")
@@ -137,7 +126,7 @@ def l2_example(dim=6):
         f=f,
         f_jac=f_jac,
         E=Singleton(X, np.zeros(dim)),
-        f0_hess=lambda u: np.zeros((dim, dim)),
+        f0_hess=np.zeros((dim, dim)),
         f_hess_combo=f_hess_combo,
         feasible_sampler=feasible_sampler,
         name="l2-fritz-john")
@@ -150,60 +139,67 @@ def l2_example(dim=6):
     return p
 
 
-def _kkt_solve(H, A, g, r):
-    """Solve the KKT system [[H, A'], [A, 0]] (x, lam) = (g, r)."""
-    nx, nc = H.shape[0], A.shape[0]
-    kkt = np.zeros((nx + nc, nx + nc))
-    kkt[:nx, :nx] = H
-    kkt[:nx, nx:] = A.T
-    kkt[nx:, :nx] = A
-    sol = np.linalg.solve(kkt, np.concatenate([g, r]))
-    return sol[:nx], sol[nx:]
+def _quadratic_problem(V, X, H, c, const, G, r, name):
+    """minimize 0.5 u'Hu + c'u + const subject to Gu = r, H positive definite.
+
+    H is the problem's constant f0_hess.  The reference point and the
+    oracle multiplier solve the KKT system Hu + G'lam = -c, Gu = r,
+    eliminated on the Cholesky factor L of H (``hessian_factor``, which
+    the Newton steps of the penalty schedule reuse): with Y = L^-1 G' and
+    z = L^-1 c, the X.dim x X.dim Schur complement is Y'Y and
+    u = -L'^-1 (z + Y lam).  The extras hold that multiplier and H, c, G
+    and r.
+    """
+    # orthonormal basis of the range of G', whose complement is null(G)
+    range_basis = np.linalg.qr(G.T)[0]
+
+    def feasible_sampler(ub, count, seed):
+        # Gaussian draws projected onto null(G), at several radii so the
+        # local-optimality spot check also catches shallow descent
+        # directions near the reference point
+        w = np.random.default_rng(seed).standard_normal((count, V.dim))
+        w -= (w @ range_basis) @ range_basis.T
+        radii = np.array([0.02, 0.2, 2.0])[np.arange(count) % 3, None]
+        return ub + radii * w
+
+    p = ConstrainedProblem(
+        V, X,
+        f0=lambda u: 0.5 * _row_dots(u @ H, u) + c @ u.T + const,
+        f0_grad=lambda u: H @ u + c,
+        f=lambda u: (G @ u.T).T - r,
+        f_jac=lambda u: G,
+        E=Singleton(X, np.zeros(X.dim)),
+        f0_hess=H,
+        feasible_sampler=feasible_sampler,
+        name=name)
+    chol = p.hessian_factor()
+    yz = _solve_triangular(chol, np.column_stack([G.T, c]), lower=True)
+    Y, z = yz[:, :X.dim], yz[:, X.dim]
+    lam = -np.linalg.solve(Y.T @ Y, Y.T @ z + r)
+    p.u_bar = Element(-_solve_triangular(chol.T, z + Y @ lam, lower=False), V)
+    p.extras = {"kkt_multiplier": lam, "H": H, "c": c, "G": G, "r": r}
+    return p
 
 
 def equality_qp(dim=8, n_constraints=3, seed=0):
     """Random strictly convex QP under affine equality constraints.
 
-    minimize 0.5 u'Qu + c'u  subject to  A u = b, with Q positive definite
-    and A full row rank.  u_bar and the oracle multiplier come from the
-    dense KKT system [[Q, A'], [A, 0]]; the extracted penalty pair must
+    minimize 0.5 u'Hu + c'u  subject to  Gu = r, with H positive definite
+    and G full row rank; u_bar and the oracle multiplier come from the KKT
+    system (see _quadratic_problem), and the extracted penalty pair must
     align with (1, lambda)/sqrt(1 + |lambda|^2).
     """
     if n_constraints >= dim:
         raise ValueError("need fewer constraints than unknowns")
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((dim, dim))
-    Q = B.T @ B / dim + np.eye(dim)
-    A = rng.standard_normal((n_constraints, dim))
-    b = rng.standard_normal(n_constraints)
+    H = B.T @ B / dim + np.eye(dim)
+    G = rng.standard_normal((n_constraints, dim))
+    r = rng.standard_normal(n_constraints)
     c = rng.standard_normal(dim)
-
-    ub, lam = _kkt_solve(Q, A, -c, b)
-
-    V = SpaceDescriptor("qp-controls", dim)
-    X = SpaceDescriptor("qp-constraints", n_constraints)
-    ns = null_space(A)
-
-    def feasible_sampler(ubar, count, seed_):
-        w = np.random.default_rng(seed_).standard_normal((count, ns.shape[1]))
-        # probe several radii so the local-optimality spot check also
-        # catches shallow descent directions near the reference point
-        radii = np.array([0.02, 0.2, 2.0])[np.arange(count) % 3, None]
-        return ubar + radii * (w @ ns.T)
-
-    p = ConstrainedProblem(
-        V, X,
-        f0=lambda u: 0.5 * _row_dots(u @ Q, u) + c @ u.T,
-        f0_grad=lambda u: Q @ u + c,
-        f=lambda u: (A @ u.T).T - b,
-        f_jac=lambda u: A,
-        E=Singleton(X, np.zeros(n_constraints)),
-        f0_hess=lambda u: Q,
-        feasible_sampler=feasible_sampler,
-        name="equality-qp")
-    p.u_bar = Element(ub, V)
-    p.extras = {"kkt_multiplier": lam, "Q": Q, "A": A, "b": b, "c": c}
-    return p
+    return _quadratic_problem(SpaceDescriptor("qp-controls", dim),
+                              SpaceDescriptor("qp-constraints", n_constraints),
+                              H, c, 0.0, G, r, "equality-qp")
 
 
 _LQ_A = np.array([[0.0, 1.0, 0.0, 0.0],
@@ -291,11 +287,8 @@ def lq_endpoint_problem(N=50, T=1.0):
     endpoint y(T) is constrained to a reachable target built from the free
     response plus 0.5 times the image of a smooth reference input.
     The objective reduces to the quadratic 0.5 u'Hu + c'u + const on the
-    flattened control path, the constraint to the affine endpoint map G.
-    H is the problem's constant f0_hess and the only N m x N m array kept:
-    its Cholesky factor (``hessian_factor``) gives the exact reference
-    solution and multiplier through the 4 x 4 Schur complement G H^-1 G',
-    and serves the Newton steps of the penalty schedule.
+    flattened control path, the constraint to the affine endpoint map G
+    (see _quadratic_problem); H is the only N m x N m array kept.
     """
     n, m = 4, 2
     dt = T / N
@@ -318,50 +311,20 @@ def lq_endpoint_problem(N=50, T=1.0):
     y_free = free[N]
     shape = 0.3 * np.sin(np.linspace(0.0, 3.0, nu))
     y_target = y_free + 0.5 * (G @ shape)
-
-    V = SpaceDescriptor("control-path", nu)
-    X = SpaceDescriptor("endpoint", n)
-    # orthonormal basis of the range of G', whose complement is null(G)
-    range_basis = np.linalg.qr(G.T)[0]
-
-    def feasible_sampler(ub, count, seed_):
-        # Gaussian draws projected onto null(G)
-        w = np.random.default_rng(seed_).standard_normal((count, nu))
-        w -= (w @ range_basis) @ range_basis.T
-        return ub + 0.1 * w
-
-    p = ConstrainedProblem(
-        V, X,
-        f0=lambda u: 0.5 * _row_dots(u @ H, u) + c @ u.T + const,
-        f0_grad=lambda u: H @ u + c,
-        f=lambda u: (G @ u.T).T + y_free - y_target,
-        f_jac=lambda u: G,
-        E=Singleton(X, np.zeros(n)),
-        f0_hess=H,
-        feasible_sampler=feasible_sampler,
-        name="lq-endpoint")
-
-    # the KKT system H u + G' lam = -c, G u = y_target - y_free, eliminated
-    # on the factor L of H: with Y = L^-1 G' and z = L^-1 c, the Schur
-    # complement is Y'Y and u = -L'^-1 (z + Y lam)
-    chol = p.hessian_factor()
-    yz = _solve_triangular(chol, np.column_stack([G.T, c]), lower=True)
-    Y, z = yz[:, :n], yz[:, n]
-    lam = -np.linalg.solve(Y.T @ Y, Y.T @ z + (y_target - y_free))
-    ubar = -_solve_triangular(chol.T, z + Y @ lam, lower=False)
-    p.u_bar = Element(ubar, V)
+    p = _quadratic_problem(SpaceDescriptor("control-path", nu),
+                           SpaceDescriptor("endpoint", n), H, c, const, G,
+                           y_target - y_free, "lq-endpoint")
 
     # reference-dependent per-step cost gradients for the adjoint equation,
     # from a forward sweep of u_bar
-    u_ref = ubar.reshape(N, m)
+    u_ref = p.u_bar.coords.reshape(N, m)
     ybar_ref = _midpoints(_crank_nicolson(
         sysmodel, y0, np.einsum("kij,kj->ki", sysmodel.Bc, u_ref)))
     system = EvolutionSystem(T, N, _LQ_A, _LQ_B, gy=ybar_ref, gu=u_ref,
                              E=Singleton(SpaceDescriptor("endpoint", n),
                                          y_target),
                              name="lq-endpoint")
-    p.extras = {"kkt_multiplier": lam, "endpoint_matrix": G, "H": H, "c": c,
-                "y_free": y_free, "y_target": y_target, "system": system,
-                "u_ref": u_ref, "ybar_ref": ybar_ref, "y0": y0,
-                "schedule": default_schedule(0.1, 23)}
+    p.extras.update(y_free=y_free, y_target=y_target, system=system,
+                    u_ref=u_ref, ybar_ref=ybar_ref, y0=y0,
+                    schedule=default_schedule(0.1, 23))
     return p

@@ -10,8 +10,6 @@ coordinate system with the pairing <phi, x> = phi' x, so the dual norm is
 and singular values are always taken in the gram-induced geometry.
 """
 
-import re
-
 import numpy as np
 
 __all__ = [
@@ -26,8 +24,6 @@ __all__ = [
     "adjoint",
     "singular_triplets",
     "rank_mask",
-    "gram_from_config",
-    "space_from_config",
 ]
 
 # numerical rank cutoff: singular values <= RANK_RTOL * sigma_max count as zero
@@ -380,9 +376,6 @@ def singular_triplets(F, compute_uv=True):
             for i in range(s.size)]
 
 
-_STIFF_RE = re.compile(r"^stiffness1d\(\s*([0-9.eE+-]+)\s*\)$")
-
-
 def stiffness1d(dim, h):
     """Tridiagonal second-difference matrix tridiag(-1, 2, -1)/h."""
     k = 2.0 * np.eye(dim) - np.eye(dim, k=1) - np.eye(dim, k=-1)
@@ -401,30 +394,3 @@ def rank_mask(sigma, tol=RANK_RTOL):
     if smax > 0.0:
         return s > tol * smax
     return np.zeros(s.shape, dtype=bool)
-
-
-def gram_from_config(value, dim):
-    """Build a gram matrix from its config representation.
-
-    Accepted values: the string "identity", the string "stiffness1d(h)"
-    with a numeric step h, or an explicit row list (nested sequence).
-    """
-    if value is None:
-        return np.eye(dim)
-    if isinstance(value, str):
-        text = value.strip()
-        if text == "identity":
-            return np.eye(dim)
-        m = _STIFF_RE.match(text)
-        if m:
-            return stiffness1d(dim, float(m.group(1)))
-        raise ValueError("unknown gram spec %r" % value)
-    return np.asarray(value, dtype=float)
-
-
-def space_from_config(cfg):
-    """Build a SpaceDescriptor from a mapping with keys name, dim, gram."""
-    name = cfg.get("name", "space")
-    dim = int(cfg["dim"])
-    gram = gram_from_config(cfg.get("gram", "identity"), dim)
-    return SpaceDescriptor(name, dim, gram)

@@ -126,7 +126,7 @@ def test_acceptance_3_lq_matches_dense_kkt(capfd):
         # [[H, G'], [G, 0]] [u, lam] = [-c, y_target - y_free]
         H = np.asarray(p.extras["H"])
         c = np.asarray(p.extras["c"])
-        G = np.asarray(p.extras["endpoint_matrix"])
+        G = np.asarray(p.extras["G"])
         rhs = np.asarray(p.extras["y_target"]) - np.asarray(p.extras["y_free"])
         nu, nl = H.shape[0], G.shape[0]
         K = np.block([[H, G.T], [G, np.zeros((nl, nl))]])

@@ -20,7 +20,6 @@ from fcopt.convex import (
     normal_cone_residual,
     tangent_cone_sample,
     directional_variation,
-    convex_set_from_config,
     _kronecker,
 )
 
@@ -461,17 +460,3 @@ def test_directional_variation_rejects_bad_schedule():
     with pytest.raises(ValueError):
         directional_variation(lambda u: u, np.zeros(1), np.ones(1), h_schedule=())
 
-
-# ---------------------------------------------------------------- config
-
-
-def test_convex_set_from_config_names():
-    s = SpaceDescriptor("X", 2)
-    assert convex_set_from_config(s, "whole").kind == "whole"
-    assert convex_set_from_config(s, "nonneg").kind == "nonneg"
-    assert convex_set_from_config(s, "singleton", point=[1.0, 0.0]).kind == "singleton"
-    assert convex_set_from_config(s, "box", lo=0.0, hi=2.0).kind == "box"
-    aff = convex_set_from_config(s, "affine", basis=np.eye(2)[:, :1])
-    assert aff.kind == "affine"
-    with pytest.raises(ValueError):
-        convex_set_from_config(s, "mystery")

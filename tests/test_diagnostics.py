@@ -14,7 +14,6 @@ from fcopt.diagnostics import (
     kernel_dimension,
     restricted_estimate_constant,
     compact_perturbed_constant,
-    closed_range_constant,
     codim_growth_verdict,
 )
 from fcopt.elliptic import elliptic_sweep
@@ -221,37 +220,6 @@ def test_compact_perturbed_monotone_in_g_rows(seed):
     assert c_big <= c_small * (1.0 + 1e-9) or not np.isfinite(c_small)
 
 
-# ---------------------------------------------------------------- closed range
-
-
-def test_closed_range_identity():
-    rep = closed_range_constant(idmap(3))
-    assert rep.constant == pytest.approx(1.0)
-    assert rep.extras["range_constant"] == pytest.approx(1.0)
-
-
-def test_closed_range_rank_one():
-    rep = closed_range_constant(idmap(2, np.array([[1.0, 0.0], [0.0, 0.0]])))
-    assert rep.extras["range_constant"] == pytest.approx(1.0)
-    assert rep.constant == pytest.approx(1.0)
-
-
-def test_closed_range_small_sigma():
-    rep = closed_range_constant(idmap(2, np.diag([1.0, 1e-3])))
-    assert rep.extras["range_constant"] == pytest.approx(1e3, rel=1e-10)
-    assert rep.constant == pytest.approx(1e3, rel=1e-10)
-
-
-def test_closed_range_agreement_factor_random():
-    # the two formulations agree within sqrt(2) once sigma_max is normalized
-    rng = np.random.default_rng(31)
-    for _ in range(100):
-        m = rng.normal(size=(4, 4))
-        m = m / np.linalg.svd(m, compute_uv=False).max()
-        rep = closed_range_constant(idmap(4, m))
-        assert rep.extras["agreement_factor"] <= np.sqrt(2.0) + 1e-9
-
-
 # ---------------------------------------------------------------- verdicts
 
 
@@ -314,7 +282,6 @@ _FIXED_SETTINGS = [
     (kernel_dimension, "tol"),
     (restricted_estimate_constant, "tol"),
     (compact_perturbed_constant, "tol"),
-    (closed_range_constant, "tol"),
     (codim_growth_verdict, "tol"),
     (sde_estimate_sweep, "growth_factor"),
     (wave_sweep, "growth_factor"),

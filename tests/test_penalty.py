@@ -34,7 +34,7 @@ def _unconstrained_quadratic():
         f=lambda u: u.copy(),
         f_jac=lambda u: np.eye(2),
         E=WholeSpace(X),
-        f0_hess=lambda u: 2.0 * np.eye(2),
+        f0_hess=2.0 * np.eye(2),
         name="unconstrained")
     p.u_bar = Element(np.array([1.0, 0.0]), V)
     return p
@@ -55,7 +55,7 @@ def _cone_problem():
         f=lambda u: u.copy(),
         f_jac=lambda u: np.eye(2),
         E=NonnegativeCone(X),
-        f0_hess=lambda u: np.zeros((2, 2)),
+        f0_hess=np.zeros((2, 2)),
         feasible_sampler=lambda ub, count, seed:
             np.abs(np.random.default_rng(seed).standard_normal((count, 2))),
         name="cone")
@@ -89,7 +89,7 @@ def _target_problem(kind):
         f0_grad=lambda u: c + u,
         f=lambda u: u @ M.T + m,
         f_jac=lambda u: M,
-        E=E, f0_hess=lambda u: np.eye(3), name="target-" + kind)
+        E=E, f0_hess=np.eye(3), name="target-" + kind)
     p.u_bar = Element(-c, V)
     return p
 
@@ -295,7 +295,7 @@ def test_difference_hessian_matches_f0_hess():
     p = equality_qp(dim=9, n_constraints=2, seed=5)
     u = p.u_bar.coords + 0.3
     exact = p.hessian(u)
-    assert np.array_equal(exact, p.extras["Q"])
+    assert np.array_equal(exact, p.extras["H"])
     p.f0_hess = None
     fd = p.hessian(u)
     assert np.array_equal(fd, fd.T)
@@ -314,7 +314,7 @@ def test_stacked_evaluation_rejects_single_point_callables():
         f=lambda u: np.array([u[0], u[1]]),
         f_jac=lambda u: np.eye(2),
         E=Singleton(X, np.zeros(2)),
-        f0_hess=lambda u: np.zeros((2, 2)),
+        f0_hess=np.zeros((2, 2)),
         name="single-point")
     assert p.objective(np.array([3.0, 4.0])) == 3.0
     stack = np.arange(10.0).reshape(5, 2)
@@ -340,7 +340,7 @@ def test_stacked_evaluation_checks_a_row_of_a_dim_row_stack():
         return ConstrainedProblem(
             V, X, f0=f0, f0_grad=lambda u: np.eye(48)[0],
             f=lambda u: u[..., 1:2], f_jac=lambda u: np.eye(48)[1:2],
-            E=Singleton(X, np.zeros(1)), f0_hess=lambda u: np.zeros((48, 48)),
+            E=Singleton(X, np.zeros(1)), f0_hess=np.zeros((48, 48)),
             name="first-row")
 
     p = make(lambda u: u[0])
@@ -413,7 +413,7 @@ def test_stacked_ekeland_residual_matches_per_point_probes(make):
 def test_minimize_rejects_non_optimal_reference():
     p = equality_qp()
     from scipy.linalg import null_space
-    ns = null_space(p.extras["A"])
+    ns = null_space(p.extras["G"])
     fake = Element(p.u_bar.coords + 0.5 * ns[:, 0], p.V)
     with pytest.raises(ValueError, match="local-optimality"):
         minimize_penalty(p, fake, 0.1)
@@ -737,13 +737,13 @@ def _direct_kkt_pair(p):
     Independent of the penalty code: null-space reduction for u_bar,
     least squares for the multiplier.
     """
-    Q, A, b, c = (p.extras[key] for key in ("Q", "A", "b", "c"))
+    H, G, r, c = (p.extras[key] for key in ("H", "G", "r", "c"))
     from scipy.linalg import null_space, lstsq
-    Z = null_space(A)
-    u_part = np.linalg.lstsq(A, b, rcond=None)[0]
-    y = np.linalg.solve(Z.T @ Q @ Z, -Z.T @ (Q @ u_part + c))
+    Z = null_space(G)
+    u_part = np.linalg.lstsq(G, r, rcond=None)[0]
+    y = np.linalg.solve(Z.T @ H @ Z, -Z.T @ (H @ u_part + c))
     u_star = u_part + Z @ y
-    lam = lstsq(A.T, -(Q @ u_star + c))[0]
+    lam = lstsq(G.T, -(H @ u_star + c))[0]
     assert_allclose(u_star, p.u_bar.coords, atol=1e-8)
     ref = np.concatenate([[1.0], lam])
     return ref / np.linalg.norm(ref)
@@ -801,12 +801,12 @@ def test_lq_endpoint_without_f0_hess_matches_kkt_multiplier(N):
                     ref / np.linalg.norm(ref), atol=1e-4)
 
 
-def _dense_path(p):
-    # the same constant Hessian handed over as a callable: the Newton
-    # solver then forms and solves the dense system
-    hess = p.f0_hess
-    p.f0_hess = lambda u: hess
-    return p
+def _no_woodbury_step(*args):
+    raise AssertionError("the dense path took a Woodbury step")
+
+
+def _no_dense_hessian(*args):
+    raise AssertionError("the Woodbury path formed the dense Hessian")
 
 
 @pytest.mark.parametrize("N", [17, 50, 200])
@@ -820,16 +820,14 @@ def test_lq_woodbury_pairs_match_dense_path(N, monkeypatch):
     sched = default_schedule(0.1, 23)
     p = lq_endpoint_problem(N)
     assert p.hessian_factor() is not None
-
-    def no_dense_hessian(*args):
-        raise AssertionError("the Woodbury path formed the dense Hessian")
-
     with monkeypatch.context() as m:
-        m.setattr(penalty, "_hess_phi2", no_dense_hessian)
+        m.setattr(penalty, "_WOODBURY_MIN_DIM", 1)
+        m.setattr(penalty, "_hess_phi2", _no_dense_hessian)
         pair, trace = extract_multiplier(p, p.u_bar, sched)
-    q = _dense_path(lq_endpoint_problem(N))
-    assert q.hessian_factor() is None
-    dense_pair, dense_trace = extract_multiplier(q, q.u_bar, sched)
+    with monkeypatch.context() as m:
+        m.setattr(penalty, "_WOODBURY_MIN_DIM", p.V.dim + 1)
+        m.setattr(penalty, "_woodbury_step", _no_woodbury_step)
+        dense_pair, dense_trace = extract_multiplier(p, p.u_bar, sched)
     ulp = np.spacing(abs(p.objective(p.u_bar)))
     for rec, ref in zip(trace, dense_trace):
         tol = 1e-9 + 8.0 * ulp / rec.eps
@@ -838,7 +836,7 @@ def test_lq_woodbury_pairs_match_dense_path(N, monkeypatch):
     assert abs(pair.z0 - dense_pair.z0) <= 1e-9 + 8.0 * ulp / sched[-1]
 
 
-def test_woodbury_iteration_forms_no_square_array():
+def test_woodbury_iteration_forms_no_square_array(monkeypatch):
     # a Newton iteration on the factor allocates vectors and V.dim x 5
     # blocks: the traced peak of a whole solve (Ekeland probe included)
     # stays below half of one V.dim x V.dim array, where the dense path
@@ -846,13 +844,13 @@ def test_woodbury_iteration_forms_no_square_array():
     p = lq_endpoint_problem(200)
     square = 8 * p.V.dim ** 2
     peaks = {}
-    for path, q in (("woodbury", p), ("dense", _dense_path(
-            lq_endpoint_problem(200)))):
+    for path, min_dim in (("woodbury", 1), ("dense", p.V.dim + 1)):
+        monkeypatch.setattr(penalty, "_WOODBURY_MIN_DIM", min_dim)
         # the first solve also pays one-time allocations of numpy
-        minimize_penalty(q, q.u_bar, 0.1, verify=False)
+        minimize_penalty(p, p.u_bar, 0.1, verify=False)
         tracemalloc.start()
         try:
-            minimize_penalty(q, q.u_bar, 0.05, verify=False)
+            minimize_penalty(p, p.u_bar, 0.05, verify=False)
             peaks[path] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -892,9 +890,9 @@ def test_woodbury_step_solves_the_newton_system():
 
 
 def test_constant_hessian_factored_once():
-    # the factor is computed on the first call and kept while f0_hess is
-    # the same array; a new array, a callable, None or an indefinite
-    # matrix give a new factor or None
+    # the factor is computed when f0_hess is set and kept while f0_hess is
+    # the same array; a new array, None or an indefinite matrix give a new
+    # factor or None
     p = lq_endpoint_problem(10)
     H = p.f0_hess
     chol = p.hessian_factor()
@@ -903,12 +901,56 @@ def test_constant_hessian_factored_once():
     p.f0_hess = H.copy()
     assert p.hessian_factor() is not chol
     assert_allclose(p.hessian_factor(), chol, rtol=0, atol=1e-15)
-    p.f0_hess = lambda u: H
-    assert p.hessian_factor() is None
     p.f0_hess = None
     assert p.hessian_factor() is None
     p.f0_hess = -H
     assert p.hessian_factor() is None
+
+
+def test_f0_hess_is_an_array_or_none():
+    # a callable, or an array of another shape, is refused when the
+    # problem is built and when f0_hess is replaced; the problem keeps the
+    # Hessian it had
+    p = equality_qp(dim=5, n_constraints=2, seed=1)
+    H = p.f0_hess
+    for bad in (lambda u: H, H[:4, :4], H.tolist()):
+        with pytest.raises(ValueError, match="f0_hess"):
+            ConstrainedProblem(p.V, p.X, f0=None, f0_grad=None, f=None,
+                               f_jac=None, E=p.E, f0_hess=bad)
+        with pytest.raises(ValueError, match="f0_hess"):
+            p.f0_hess = bad
+        assert p.f0_hess is H
+
+
+@pytest.mark.parametrize("make, woodbury", [
+    (lambda: equality_qp(14, 3, 0), False),
+    (lambda: equality_qp(penalty._WOODBURY_MIN_DIM - 1, 3, 0), False),
+    (lambda: equality_qp(penalty._WOODBURY_MIN_DIM, 3, 0), True),
+    (lambda: lq_endpoint_problem(50), False),
+    (lambda: lq_endpoint_problem(100), True),
+    (lambda: lq_endpoint_problem(200), True),
+    (lambda: lq_endpoint_problem(400), True),
+], ids=["qp-14", "qp-below", "qp-at", "lq-50", "lq-100", "lq-200", "lq-400"])
+def test_newton_path_chosen_by_dim(make, woodbury, monkeypatch):
+    # below _WOODBURY_MIN_DIM every Newton step is dense, from it on every
+    # step is a Woodbury step: the largest equality QP of the benchmark
+    # (dim 14) and lq-endpoint at mesh 50 stay dense, the lq-endpoint
+    # meshes 100, 200 and 400 (dim 200 and up) take Woodbury steps.  The
+    # inner solves run without the a-posteriori checks, which mesh 400
+    # fails (its near-minimizer leaves the sqrt(eps) ball)
+    p = make()
+    calls = {"_woodbury_step": 0, "_hess_phi2": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(penalty, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(penalty, name, counted)
+    ub = p.u_bar.coords
+    for eps in (0.1, 1e-3):
+        penalty._newton_minimize(p, ub, p.objective(ub), eps, 1e-2 * eps ** 2)
+    taken, avoided = (("_woodbury_step", "_hess_phi2") if woodbury
+                      else ("_hess_phi2", "_woodbury_step"))
+    assert calls[taken] > 0 and calls[avoided] == 0
 
 
 def test_domain_rejected_up_front():
@@ -926,7 +968,7 @@ def test_domain_rejected_up_front():
         f_jac=lambda u: np.array([[1.0, 1.0]]),
         E=Singleton(X, np.zeros(1)),
         domain=Box(V, -1.0, 1.0),
-        f0_hess=lambda u: np.zeros((2, 2)),
+        f0_hess=np.zeros((2, 2)),
         name="box-line")
     ub = Element(np.array([1.0, -1.0]), V)
     with pytest.raises(ValueError, match="domain"):

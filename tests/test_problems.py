@@ -13,26 +13,19 @@ from fcopt.evolution import (EvolutionSystem, adjoint_evolution,
 from fcopt.penalty import (MultiplierPair, extract_multiplier,
                            fritz_john_residual, kkt_check)
 from fcopt.problems import (equality_qp, l2_example, lq_endpoint_problem,
-                            null_space, scalar_problem, _kkt_solve, _LQ_A,
-                            _LQ_B)
+                            scalar_problem, _LQ_A, _LQ_B)
 from fcopt.spaces import Element
 
 
-@pytest.mark.parametrize("shape, rank", [((3, 7), 3), ((4, 9), 2),
-                                         ((6, 6), 6), ((5, 5), 3),
-                                         ((2, 3), 0)])
-def test_null_space_matches_scipy(shape, rank):
-    from scipy.linalg import null_space as scipy_null_space
-
-    rng = np.random.default_rng(sum(shape) + rank)
-    A = (rng.standard_normal((shape[0], rank))
-         @ rng.standard_normal((rank, shape[1])))
-    ns, ref = null_space(A), scipy_null_space(A)
-    assert ns.shape == ref.shape == (shape[1], shape[1] - rank)
-    # same subspace (bases may differ by an orthogonal change of basis)
-    assert_allclose(ns @ ns.T, ref @ ref.T, atol=1e-12)
-    assert_allclose(ns.T @ ns, np.eye(ns.shape[1]), atol=1e-12)
-    assert_allclose(A @ ns, 0.0, atol=1e-12)
+def _kkt_solve(H, A, g, r):
+    """Solve the dense KKT system [[H, A'], [A, 0]] (x, lam) = (g, r)."""
+    nx, nc = H.shape[0], A.shape[0]
+    kkt = np.zeros((nx + nc, nx + nc))
+    kkt[:nx, :nx] = H
+    kkt[:nx, nx:] = A.T
+    kkt[nx:, :nx] = A
+    sol = np.linalg.solve(kkt, np.concatenate([g, r]))
+    return sol[:nx], sol[nx:]
 
 
 def test_scalar_problem_shape():
@@ -83,15 +76,31 @@ def test_l2_dim_validation():
 
 def test_qp_builder_kkt_consistency():
     p = equality_qp(dim=9, n_constraints=2, seed=4)
-    Q, A, b, c = (p.extras[k] for k in ("Q", "A", "b", "c"))
+    H, G, r, c = (p.extras[k] for k in ("H", "G", "r", "c"))
     lam = p.extras["kkt_multiplier"]
     ub = p.u_bar.coords
-    assert_allclose(Q @ ub + c + A.T @ lam, np.zeros(9), atol=1e-10)
-    assert_allclose(A @ ub, b, atol=1e-10)
+    assert_allclose(H @ ub + c + G.T @ lam, np.zeros(9), atol=1e-10)
+    assert_allclose(G @ ub, r, atol=1e-10)
     pts = p.feasible_sampler(ub, 30, 0)
-    assert_allclose(pts @ A.T, np.tile(b, (30, 1)), atol=1e-8)
+    assert_allclose(pts @ G.T, np.tile(r, (30, 1)), atol=1e-8)
     with pytest.raises(ValueError):
         equality_qp(dim=3, n_constraints=3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_qp_reference_matches_dense_kkt_solve(seed):
+    # u_bar and lambda from the factor of H and the Schur complement
+    # against the dense KKT solve, on every shape dim 4..14, k 1..3 and
+    # the default problem, each within 1e-12 (1 + its max norm)
+    shapes = [(dim, k) for dim in range(4, 15) for k in range(1, 4)]
+    for dim, k in shapes + [(8, 3)]:
+        p = equality_qp(dim, k, seed)
+        H, G, r, c = (p.extras[key] for key in ("H", "G", "r", "c"))
+        ubar, lam = _kkt_solve(H, G, -c, r)
+        for got, want in ((p.u_bar.coords, ubar),
+                          (p.extras["kkt_multiplier"], lam)):
+            tol = 1e-12 * (1.0 + np.abs(want).max())
+            assert np.abs(got - want).max() <= tol, (dim, k, seed)
 
 
 def _lq_cost_by_simulation(p, u):
@@ -127,7 +136,7 @@ def test_lq_objective_matches_simulation_oracle(N):
 @pytest.mark.parametrize("N", [50, 400])
 def test_lq_builder_kkt_consistency(N):
     p = lq_endpoint_problem(N)
-    H, c, G = p.extras["H"], p.extras["c"], p.extras["endpoint_matrix"]
+    H, c, G = p.extras["H"], p.extras["c"], p.extras["G"]
     lam = p.extras["kkt_multiplier"]
     ub = p.u_bar.coords
     assert_allclose(H @ ub + c + G.T @ lam, np.zeros(p.V.dim), atol=1e-10)
@@ -183,7 +192,7 @@ def test_lq_builder_matches_identity_batch_oracle(N):
                            (p.extras["kkt_multiplier"], lam, 1e-11),
                            (p.extras["ybar_ref"], ybar_ref, 1e-11)):
         assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
-    assert np.array_equal(p.extras["endpoint_matrix"], G)
+    assert np.array_equal(p.extras["G"], G)
     assert np.array_equal(p.extras["H"], p.extras["H"].T)
     # f0_hess is H itself, a constant, and its factor is the one the
     # builder used
@@ -279,7 +288,7 @@ def test_lq_controllability_and_surjectivity():
     p = lq_endpoint_problem()
     pair = MultiplierPair(1.0, Element(p.extras["kkt_multiplier"], p.X))
     rep = kkt_check(p, p.u_bar, pair)
-    sigma_direct = np.linalg.svd(p.extras["endpoint_matrix"],
+    sigma_direct = np.linalg.svd(p.extras["G"],
                                  compute_uv=False)[-1]
     assert rep["surjectivity_sigma"] > 1e-4
     assert_allclose(rep["surjectivity_sigma"], sigma_direct, rtol=1e-10)
@@ -288,7 +297,7 @@ def test_lq_controllability_and_surjectivity():
 def test_lq_endpoint_map_agrees_with_forward_simulation():
     p = lq_endpoint_problem()
     sysm = p.extras["system"]
-    G = p.extras["endpoint_matrix"]
+    G = p.extras["G"]
     rng = np.random.default_rng(12)
     w = rng.standard_normal((50, 2))
     xi = simulate_variation_evolution(sysm, w)

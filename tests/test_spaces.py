@@ -19,8 +19,6 @@ from fcopt.spaces import (
     singular_triplets,
     rank_mask,
     RANK_RTOL,
-    gram_from_config,
-    space_from_config,
     stiffness1d,
     _solve_triangular,
 )
@@ -55,7 +53,7 @@ def test_norm_stiffness_oracle():
     x = np.array([1.0, 0.0, 0.0])
     expected = np.sqrt(x @ k @ x)  # = sqrt(2/h) = sqrt(8)
     assert expected == pytest.approx(np.sqrt(8.0))
-    s = SpaceDescriptor("H", 3, gram_from_config("stiffness1d(0.25)", 3))
+    s = SpaceDescriptor("H", 3, k)
     assert norm(s, s.element(x)) == pytest.approx(expected, rel=1e-12)
 
 
@@ -170,19 +168,6 @@ def test_gram_must_be_positive_definite():
                  [[1.0, 2.0], [2.0, 1.0]]):
         with pytest.raises(ValueError, match="not positive definite"):
             SpaceDescriptor("X", 2, gram)
-
-
-def test_gram_config_rows_and_errors():
-    g = gram_from_config([[2.0, 0.0], [0.0, 3.0]], 2)
-    assert_allclose(g, np.diag([2.0, 3.0]))
-    with pytest.raises(ValueError):
-        gram_from_config("sparkle", 2)
-
-
-def test_space_from_config():
-    s = space_from_config({"name": "V", "dim": 3, "gram": "identity"})
-    assert s.dim == 3
-    assert_allclose(s.gram, np.eye(3))
 
 
 # ---------------------------------------------------------------- dual norm
