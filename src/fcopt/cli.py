@@ -7,7 +7,9 @@ Four subcommands::
     fcopt example  <experiment-name> [overrides] --out report.json
     fcopt list
 
-``solve`` runs the penalty schedule on a registered problem and writes
+``solve`` runs the penalty schedule on a registered problem, through
+the schedule runner and parameter checks of the penalty experiments (a
+parameter out of range exits 2 before the problem is built), and writes
 the full trace (records, multiplier pair, residual checks) as JSON plus
 a CSV companion with columns eps, a, b_norm, dist, gap; it exits 1 when
 a record's pair is not normalized (|a^2 + |b|^2 - 1| > 1e-9).  ``example``
@@ -20,14 +22,14 @@ import argparse
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .config import load_config, coerce_value, merge_params
 from .spaces import SpaceDescriptor, LinearMap
-from .penalty import (PenaltyConfig, default_schedule, extract_multiplier,
-                      fritz_john_residual, kkt_check,
+from .penalty import (fritz_john_residual, kkt_check,
                       DegeneratePenaltyError, InnerConvergenceError)
 from .problems import (scalar_problem, l2_example, equality_qp,
                        lq_endpoint_problem)
@@ -35,23 +37,27 @@ from .diagnostics import OperatorFamily, codim_growth_verdict
 from .elliptic import elliptic_sweep
 from .experiments import (EXPERIMENTS, RunReport, run_experiment,
                           list_experiments, write_report, _jsonable,
-                          _normalization_deviation, _single_int, _NORM_TOL,
+                          _l2_dim, _lq_mesh, _normalization_deviation,
+                          _run_schedule, _single_int, _NORM_TOL,
                           _trace_table, _write_document)
 
 __all__ = ["main"]
 
 TRACE_SCHEMA = "fcopt-trace/1"
 
+# each entry checks the problem's parameters (with the checks of its
+# experiment, where it has one) and returns the problem's builder, which
+# _run_schedule calls only after the schedule parameters pass as well
 SOLVE_PROBLEMS = {
-    "scalar": lambda params: scalar_problem(),
-    "l2-fritz-john": lambda params: l2_example(
-        _single_int(params["dim"], "dim")),
-    "equality-qp": lambda params: equality_qp(
+    "scalar": lambda params: scalar_problem,
+    "l2-fritz-john": lambda params: partial(l2_example, _l2_dim(params)),
+    "equality-qp": lambda params: partial(
+        equality_qp,
         _single_int(params["dim"], "dim"),
         _single_int(params["n_constraints"], "n_constraints"),
         _single_int(params["seed"], "seed")),
-    "lq-endpoint": lambda params: lq_endpoint_problem(
-        _single_int(params["mesh"], "mesh")),
+    "lq-endpoint": lambda params: partial(lq_endpoint_problem,
+                                          _lq_mesh(params)),
 }
 
 SOLVE_DEFAULTS = {"eps0": 0.1, "steps": 15, "seed": 7, "dim": 6, "mesh": 50,
@@ -78,18 +84,8 @@ def _cmd_solve(args):
         if val is not None:
             overrides[key] = val
     params = merge_params(SOLVE_DEFAULTS, overrides)
-    eps0 = float(params["eps0"])
-    steps = int(params["steps"])
+    p, pair, trace = _run_schedule(params, SOLVE_PROBLEMS[name](params))
     seed = int(params["seed"])
-    if not 0 < eps0 < 1.0:
-        raise ValueError("eps0 must lie in (0, 1)")
-    if not 2 <= steps <= 200:
-        raise ValueError("steps must lie in [2, 200]")
-
-    p = SOLVE_PROBLEMS[name](params)
-    cfg = PenaltyConfig(seed=seed)
-    pair, trace = extract_multiplier(p, p.u_bar, default_schedule(eps0, steps),
-                                     cfg)
     kk = kkt_check(p, p.u_bar, pair)
     fj = fritz_john_residual(p, p.u_bar, pair,
                              p.variations(p.u_bar, int(params["samples"]),

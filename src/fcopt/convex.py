@@ -11,23 +11,20 @@ Normal-cone and radial-cone questions are answered by deterministic sampling
 
 import numpy as np
 
-from .spaces import Element, norm, dual_norm, pairing
+from .spaces import Element, norm
 
 __all__ = [
     "ConvexSet",
     "Singleton",
     "NonnegativeCone",
     "Box",
-    "AffineSubspace",
     "WholeSpace",
     "VariationSample",
-    "VariationEstimate",
     "project",
     "distance",
     "dist_subgradient",
     "normal_cone_residual",
     "tangent_cone_sample",
-    "directional_variation",
 ]
 
 _MEMBERSHIP_TOL = 1e-8
@@ -202,56 +199,6 @@ class Box(ConvexSet):
         return pts[:count]
 
 
-class AffineSubspace(ConvexSet):
-    """offset + span(basis columns), basis gram-orthonormal.
-
-    Parameters
-    ----------
-    space : SpaceDescriptor
-    basis : array_like, shape (dim, k)
-        Columns must be orthonormal in the gram inner product: B' G B = I.
-    offset : array_like, shape (dim,)
-    """
-
-    kind = "affine"
-
-    def __init__(self, space, basis, offset=None):
-        super().__init__(space)
-        basis = np.asarray(basis, dtype=float)
-        if basis.ndim == 1:
-            basis = basis[:, None]
-        if basis.shape[0] != space.dim:
-            raise ValueError("basis rows must match space dim")
-        gb = basis.T @ space.gram @ basis
-        if np.abs(gb - np.eye(basis.shape[1])).max() > 1e-8:
-            raise ValueError(
-                "affine basis is not gram-orthonormal (B' G B != I); "
-                "orthonormalize before constructing the set"
-            )
-        self.basis = basis
-        self.offset = (np.zeros(space.dim) if offset is None
-                       else np.asarray(offset, dtype=float))
-
-    def _project(self, coords):
-        # (M @ d.T).T is M @ d for one point and applies M to each row of a
-        # stack
-        d = (coords - self.offset).T
-        return self.offset + (
-            self.basis @ (self.basis.T @ self.space.apply_gram(d))).T
-
-    def _samples(self, count, seed, radius, around):
-        k = self.basis.shape[1]
-        extremes = []
-        for col in self.basis.T:
-            extremes.append(self.offset + radius * col)
-            extremes.append(self.offset - radius * col)
-        body_n = max(count - len(extremes), 0)
-        coeff = radius * (2.0 * _kronecker(k, body_n, seed) - 1.0)
-        body = self.offset + coeff @ self.basis.T
-        pts = np.vstack([np.asarray(extremes), body]) if extremes else body
-        return pts[:count]
-
-
 class WholeSpace(ConvexSet):
     """The whole space (no constraint)."""
 
@@ -282,32 +229,6 @@ class VariationSample:
 
     def __repr__(self):
         return "VariationSample(xi0=%g, xi=%r)" % (self.xi0, self.xi)
-
-
-class VariationEstimate:
-    """Result of a difference-quotient variation computation.
-
-    Attributes
-    ----------
-    value : ndarray or float
-        Quotient at the smallest step of the schedule.
-    error_estimate : float
-        Richardson-style estimate |q(h_last) - q(h_prev)|.
-    converged : bool
-        False when successive quotients diverge (non-differentiable
-        direction warning).
-    quotients : list
-        The quotient at every step of the schedule.
-    h_used : float
-        Smallest step.
-    """
-
-    def __init__(self, value, error_estimate, converged, quotients, h_used):
-        self.value = value
-        self.error_estimate = error_estimate
-        self.converged = converged
-        self.quotients = quotients
-        self.h_used = h_used
 
 
 def project(E, x):
@@ -374,39 +295,3 @@ def tangent_cone_sample(E, e, count, seed=0, radius=10.0):
             d = d / nd
         out.append(Element(alpha * d, E.space))
     return out
-
-
-def directional_variation(fmap, e, v, h_schedule=(1e-2, 1e-3, 1e-4, 1e-5)):
-    """One-sided difference-quotient variation of an evaluator along v.
-
-    Evaluates (f(e + h v) - f(e)) / h over the decreasing step schedule and
-    returns a VariationEstimate whose value is the quotient at the smallest
-    step.  ``converged`` is set to False when the quotient sequence diverges
-    (successive differences growing beyond 10x the previous difference),
-    which flags a direction where no variation exists.
-    """
-    h_schedule = sorted({float(h) for h in h_schedule}, reverse=True)
-    if not h_schedule or h_schedule[-1] <= 0.0:
-        raise ValueError("h_schedule must contain positive steps")
-    ecoords = e.coords if isinstance(e, Element) else np.asarray(e, dtype=float)
-    vcoords = v.coords if isinstance(v, Element) else np.asarray(v, dtype=float)
-    f0 = np.asarray(fmap(ecoords), dtype=float)
-    quotients = []
-    for h in h_schedule:
-        fh = np.asarray(fmap(ecoords + h * vcoords), dtype=float)
-        quotients.append((fh - f0) / h)
-    diffs = [float(np.max(np.abs(quotients[i] - quotients[i - 1])))
-             for i in range(1, len(quotients))]
-    if diffs:
-        err = diffs[-1]
-        converged = True
-        for i in range(1, len(diffs)):
-            if diffs[i] > 10.0 * diffs[i - 1] + 1e-14:
-                converged = False
-    else:
-        err = float("nan")
-        converged = True
-    value = quotients[-1]
-    if value.ndim == 0:
-        value = float(value)
-    return VariationEstimate(value, err, converged, quotients, h_schedule[-1])

@@ -34,11 +34,10 @@ from functools import cached_property
 import numpy as np
 
 from .diagnostics import EstimateReport, _finite_growth_verdict, _sweep
-from .spaces import RANK_RTOL, LinearMap, SpaceDescriptor
+from .spaces import RANK_RTOL
 
 __all__ = [
     "EllipticSystem",
-    "elliptic_operator_map",
     "elliptic_estimate_constant",
     "elliptic_sweep",
 ]
@@ -111,15 +110,6 @@ def _kth_eigenvalue(count, k, radius, negative, floor):
         else:
             lo = mid
     return 0.5 * (lo + hi) if lo * hi > 0.0 else 0.0
-
-
-def _laplace_inverse(N):
-    # closed-form inverse of tridiag(-1, 2, -1):
-    # (T^-1)_ij = min(i,j) (N+1-max(i,j)) / (N+1), 1-based indices
-    idx = np.arange(1, N + 1, dtype=float)
-    lo = np.minimum.outer(idx, idx)
-    hi = np.maximum.outer(idx, idx)
-    return lo * (N + 1 - hi) / (N + 1)
 
 
 class EllipticSystem:
@@ -222,36 +212,8 @@ class EllipticSystem:
         return _kth_eigenvalue(self._count_below, 1, self._norm_inf,
                                self._negative, self._pivmin)
 
-    def solution_space(self):
-        """Space the argument phi lives in, per the tag."""
-        if self.tag == "L2L2":
-            return SpaceDescriptor("elliptic-solution-L2", self.N,
-                                   gram=self.h * np.eye(self.N))
-        K0 = self._reference_stiffness()
-        return SpaceDescriptor("elliptic-solution-H10", self.N, gram=K0)
-
-    def data_space(self):
-        """Space the image h = L phi lives in, per the tag."""
-        if self.tag == "L2L2":
-            return SpaceDescriptor("elliptic-data-L2", self.N,
-                                   gram=self.h * np.eye(self.N))
-        gram = self.h ** 3 * _laplace_inverse(self.N)
-        return SpaceDescriptor("elliptic-data-Hm1", self.N, gram=gram)
-
-    def _reference_stiffness(self):
-        T = (np.diag(np.full(self.N, 2.0))
-             + np.diag(np.full(self.N - 1, -1.0), 1)
-             + np.diag(np.full(self.N - 1, -1.0), -1))
-        return T / self.h
-
     def __repr__(self):
         return "EllipticSystem(N=%d, tag=%r)" % (self.N, self.tag)
-
-
-def elliptic_operator_map(sys):
-    """The forward map phi -> L phi between the tagged spaces."""
-    return LinearMap(sys.matrix, domain=sys.solution_space(),
-                     codomain=sys.data_space())
 
 
 def elliptic_estimate_constant(sys):

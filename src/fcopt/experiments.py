@@ -4,7 +4,10 @@ Each experiment bundles a model build, a computation, and a list of
 criteria records ``{name, passed, value, threshold}``.  Runs are
 deterministic for a fixed parameter set: every sampled computation takes
 its generator seed from the parameters, so re-running an experiment
-reproduces all result values and CSV table bytes.
+reproduces all result values and CSV table bytes.  The two penalty
+experiments and ``fcopt solve`` run their schedule through one runner,
+``_run_schedule``, which checks eps0, steps and seed before the problem
+is built.
 
 The registry keys double as command-line names::
 
@@ -33,9 +36,8 @@ from .elliptic import elliptic_sweep
 from .tree import TreeModel, sde_estimate_sweep, rank_deficiency_witness
 from .wave import wave_sweep
 
-__all__ = ["RunReport", "list_experiments", "experiment_names",
-           "run_experiment", "format_table", "write_report",
-           "REPORT_SCHEMA"]
+__all__ = ["RunReport", "list_experiments", "run_experiment",
+           "format_table", "write_report", "REPORT_SCHEMA"]
 
 REPORT_SCHEMA = "fcopt-report/1"
 
@@ -281,21 +283,46 @@ def _sweep_table(keys, key_name, swept, extra=None):
 # ---------------------------------------------------------------- runners
 
 
-def _run_l2_fritz_john(params):
-    dim = int(params["dim"])
+def _l2_dim(params):
+    """The checked dim of the l2-fritz-john problem."""
+    dim = _single_int(params["dim"], "dim")
     _need(dim >= 4, "dim must be >= 4")
+    return dim
+
+
+def _lq_mesh(params):
+    """The checked mesh of the lq-endpoint problem."""
+    N = _single_int(params["mesh"], "mesh")
+    _need(2 <= N <= 2000, "mesh must lie in [2, 2000]")
+    return N
+
+
+def _run_schedule(params, build):
+    """Check eps0, steps and seed, build the problem, run its penalty schedule.
+
+    ``build`` is a no-argument callable returning the problem; the caller
+    has checked the problem's own parameters, and ``build`` runs only
+    after eps0, steps and seed pass too.  The schedule is
+    default_schedule(eps0, steps) and the config seed is ``seed``.
+    Returns (problem, pair, trace).
+    """
     eps0 = float(params["eps0"])
     _need(0 < eps0 < 1.0, "eps0 must lie in (0, 1)")
     steps = int(params["steps"])
     _need(2 <= steps <= 200, "steps must lie in [2, 200]")
-    samples = int(params["samples"])
-    _need(samples >= 1, "samples must be positive")
-    seed = int(params["seed"])
-
-    p = l2_example(dim)
-    cfg = PenaltyConfig(seed=seed)
+    cfg = PenaltyConfig(seed=params["seed"])
+    p = build()
     pair, trace = extract_multiplier(p, p.u_bar, default_schedule(eps0, steps),
                                      cfg)
+    return p, pair, trace
+
+
+def _run_l2_fritz_john(params):
+    dim = _l2_dim(params)
+    samples = int(params["samples"])
+    _need(samples >= 1, "samples must be positive")
+    p, pair, trace = _run_schedule(params, lambda: l2_example(dim))
+    seed = int(params["seed"])
     z = np.asarray(pair.z.coords)
     zdir = np.asarray(p.extras["z_direction"])
     cosine = abs(z @ zdir) / (np.linalg.norm(z) * np.linalg.norm(zdir))
@@ -328,20 +355,11 @@ def _run_l2_fritz_john(params):
 
 
 def _run_lq_endpoint(params):
-    N = _single_int(params["mesh"], "mesh")
-    _need(2 <= N <= 2000, "mesh must lie in [2, 2000]")
+    N = _lq_mesh(params)
     T = float(params["T"])
     _need(T > 0, "T must be positive")
-    eps0 = float(params["eps0"])
-    _need(0 < eps0 < 1.0, "eps0 must lie in (0, 1)")
-    steps = int(params["steps"])
-    _need(2 <= steps <= 200, "steps must lie in [2, 200]")
+    p, pair, trace = _run_schedule(params, lambda: lq_endpoint_problem(N, T))
     seed = int(params["seed"])
-
-    p = lq_endpoint_problem(N, T)
-    cfg = PenaltyConfig(seed=seed)
-    pair, trace = extract_multiplier(p, p.u_bar, default_schedule(eps0, steps),
-                                     cfg)
     lam = np.asarray(p.extras["kkt_multiplier"])
     ref = np.concatenate([[1.0], lam])
     ref /= np.linalg.norm(ref)
@@ -665,11 +683,6 @@ EXPERIMENTS = {
         "runner": _run_wave_obs,
     },
 }
-
-
-def experiment_names():
-    """Registry names in declaration order."""
-    return list(EXPERIMENTS)
 
 
 def list_experiments():

@@ -26,6 +26,12 @@ distance to a convex set and squared positive part both are), so the inner
 solver minimizes Phi_eps^2 by damped Newton descent (differencing grad f0
 when the problem has no f0_hess) and the Ekeland-type inequalities are
 verified a posteriori on probe points.
+
+The pipeline has one path.  extract_multiplier spot-checks the local
+optimality of u_bar once, then for each eps of the schedule calls
+minimize_penalty, which returns u_eps with the Phi parts (_phi_parts) its
+last Newton gradient computed there, and reads the pair (a, b) off those
+parts (_pair); Phi_eps is not evaluated again at u_eps.
 """
 
 import warnings
@@ -33,7 +39,7 @@ from operator import attrgetter, methodcaller
 
 import numpy as np
 
-from .convex import WholeSpace, dist_subgradient, project, tangent_cone_sample
+from .convex import WholeSpace, dist_subgradient, tangent_cone_sample
 from .convex import VariationSample
 from .spaces import (Element, dual_norm, norm, pairing, LinearMap,
                      singular_triplets, _cholesky, _solve_triangular)
@@ -48,9 +54,7 @@ __all__ = [
     "InnerConvergenceError",
     "InapplicableBranchError",
     "default_schedule",
-    "penalty_value",
     "minimize_penalty",
-    "multiplier_at",
     "extract_multiplier",
     "fritz_john_residual",
     "kkt_check",
@@ -453,27 +457,6 @@ def _phi_parts(p, u, f0_bar, eps):
     return d2 + gp * gp, np.sqrt(d2), gp, fx, pe
 
 
-def penalty_value(p, u_bar, eps, u):
-    """Phi_eps(u) = sqrt(dist(f(u), E)^2 + ((f0(u) - f0(u_bar) + eps)^+)^2).
-
-    Raises DegeneratePenaltyError when the value is 0 (a feasible point
-    improves f0(u_bar) by at least eps, contradicting local optimality),
-    and ValueError when eps is outside (0, 1) or u leaves the domain.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    ucoords = _coords(u)
-    if p.domain is not None and not p.domain.contains(Element(ucoords, p.V)):
-        raise ValueError("penalty_value: point outside the admissible domain")
-    phi2, _, _, _, _ = _phi_parts(p, ucoords, p.objective(u_bar), eps)
-    val = float(np.sqrt(phi2))
-    if val == 0.0:
-        raise DegeneratePenaltyError(
-            "penalty value vanished: found feasible u with "
-            "f0(u) <= f0(u_bar) - eps; u_bar is not locally optimal at this eps")
-    return val
-
-
 def _grad_phi2(p, u, f0_bar, eps):
     parts = _phi_parts(p, u, f0_bar, eps)
     _, dist, gp, fx, pe = parts
@@ -704,9 +687,8 @@ def _check_no_domain(p):
             % p.name)
 
 
-def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
-                     return_info=False, verify=True, f0_bar=None):
-    """Near-minimizer u_eps of Phi_eps with Phi_eps(u_eps) <= eps.
+def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None, f0_bar=None):
+    """Near-minimizer u_eps of Phi_eps with Phi_eps(u_eps) <= eps, and its info.
 
     Minimizes Phi_eps^2 (smooth) from u_bar, or from warm_start when given,
     by damped Newton, to a gradient dual norm of max(1e-13, 1e-2 eps^2).
@@ -721,10 +703,9 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
     _newton_minimize).  It then verifies a posteriori that
     Phi_eps(u_eps) <= eps, that u_eps stays within sqrt(eps) + 1e-6 of
     u_bar, and that the Ekeland-type inequality holds on 16 probe
-    directions up to 1e-8.  A warm start that fails triggers
-    one cold restart from u_bar.  With verify (the default), u_bar first
-    passes a local-optimality spot check on 64 points of the problem's
-    feasible_sampler, when it has one, seeded by cfg.seed.
+    directions (seeded by cfg.seed) up to 1e-8.  A warm start that fails
+    triggers one cold restart from u_bar.  The local-optimality spot check
+    of u_bar is not run here: extract_multiplier runs it once per schedule.
 
     The Phi parts of u_eps that the inner solver's last gradient computed
     serve the Phi <= eps check, the Ekeland residual and the info dict;
@@ -732,16 +713,17 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
     caller has it already (extract_multiplier passes it once per
     schedule); None computes it here.
 
-    With return_info=True returns (element, info dict) where info carries
-    phi, dist, gap_plus, f (the constraint value f(u_eps), from which
-    extract_multiplier forms the pair), inner_iters, grad_norm,
-    backtracks, wolfe_steps, ekeland_residual, ball, cold_start and eps.
+    Returns (element, info dict) where info carries phi, dist, gap_plus,
+    f (the constraint value f(u_eps); _pair forms the coefficient pair
+    from these four), inner_iters, grad_norm, backtracks, wolfe_steps,
+    ekeland_residual, ball, cold_start and eps.
 
     Raises InnerConvergenceError (carrying the best iterate) when the inner
     solver stalls or any a-posteriori check fails; its info dict carries
     the iteration count, grad_norm, tol and the failing quantity (phi,
-    ball or ekeland_residual).  Raises ValueError for a problem with a
-    domain: the solver minimizes over the whole space V.
+    ball or ekeland_residual).  Raises ValueError for eps outside (0, 1)
+    and for a problem with a domain: the solver minimizes over the whole
+    space V.
     """
     if cfg is None:
         cfg = PenaltyConfig()
@@ -751,8 +733,6 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
     ub = _coords(u_bar)
     if f0_bar is None:
         f0_bar = p.objective(ub)
-    if verify:
-        _verify_local_solution(p, ub, cfg.seed)
 
     tol = max(_INNER_FLOOR, _INNER_SCALE * eps * eps)
 
@@ -786,30 +766,20 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None,
             "a-posteriori variational inequality violated by %.3e" % res,
             best=u, info=dict(stats, tol=tol, ekeland_residual=res, eps=eps))
 
-    el = Element(u, p.V)
-    if not return_info:
-        return el
     info = dict(stats, phi=phi, dist=dist, gap_plus=gp, f=fx,
                 ekeland_residual=res, ball=ball, cold_start=cold, eps=eps)
-    return el, info
-
-
-def multiplier_at(p, u_bar, eps, u_eps):
-    """Normalized coefficient pair (a, b) at u_eps.
-
-    a = (f0 gap)^+ / Phi_eps(u_eps), b = dist * psi / Phi_eps(u_eps) with
-    psi the distance subgradient at f(u_eps) in dual coordinates; satisfies
-    a^2 + |b|^2 = 1.  Raises DegeneratePenaltyError when Phi_eps(u_eps) = 0.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    u = _coords(u_eps)
-    phi2, dist, gp, fx, _ = _phi_parts(p, u, p.objective(u_bar), eps)
-    return _pair(p, float(np.sqrt(phi2)), dist, gp, fx)
+    return Element(u, p.V), info
 
 
 def _pair(p, phi, dist, gp, fx):
-    """(a, b) from Phi_eps, dist, gap+ and f at u_eps (see multiplier_at)."""
+    """Normalized coefficient pair (a, b) at u_eps from its Phi parts.
+
+    phi = Phi_eps(u_eps), dist = dist(f(u_eps), E), gp = gap+ and
+    fx = f(u_eps), as _phi_parts and minimize_penalty give them.
+    a = gp / phi and b = dist psi / phi, with psi the distance subgradient
+    at f(u_eps) in dual coordinates, so a^2 + |b|^2 = 1.  Raises
+    DegeneratePenaltyError when phi = 0.
+    """
     if phi == 0.0:
         raise DegeneratePenaltyError("Phi_eps(u_eps) = 0: pair undefined")
     a = gp / phi
@@ -860,7 +830,6 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
     el = None
     for e in sched:
         el, info = minimize_penalty(p, ub, e, cfg, warm_start=el,
-                                    return_info=True, verify=False,
                                     f0_bar=f0_bar)
         a, b = _pair(p, info["phi"], info["dist"], info["gap_plus"], info["f"])
         trace.append(TraceRecord(

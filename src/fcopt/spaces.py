@@ -376,12 +376,6 @@ def singular_triplets(F, compute_uv=True):
             for i in range(s.size)]
 
 
-def stiffness1d(dim, h):
-    """Tridiagonal second-difference matrix tridiag(-1, 2, -1)/h."""
-    k = 2.0 * np.eye(dim) - np.eye(dim, k=1) - np.eye(dim, k=-1)
-    return k / float(h)
-
-
 def rank_mask(sigma, tol=RANK_RTOL):
     """Mask of the singular values above the numerical rank cutoff.
 

@@ -19,8 +19,7 @@ C = 1/sqrt(lambda_min) in  |initial data|_energy <= C |w|_{L^2(obs x (0,T))}.
 A sweep over mode counts decides whether C is bounded (observable) or
 grows; dropping the worst-observed eigendirections gives the constants
 on finite-codimension complements.  The constants need the eigenvalues
-only; worst_observed_mode returns the eigendirection behind lambda_min
-for callers that want it.
+only; no eigenvector is computed.
 """
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "observation_gramian",
     "wave_observability_constant",
     "wave_sweep",
-    "worst_observed_mode",
 ]
 
 
@@ -165,8 +163,7 @@ def wave_observability_constant(model, complement=0):
     singular values of the observation map), the extras hold the
     ascending eigenvalues and the constants obtained after removing the
     worst j <= complement eigendirections -- the finite-codimension
-    fallback when the full estimate degenerates.  worst_observed_mode
-    gives the eigendirection of lambda_min.
+    fallback when the full estimate degenerates.
     """
     complement = int(complement)
     if complement < 0 or complement >= 2 * model.modes:
@@ -193,18 +190,6 @@ def wave_observability_constant(model, complement=0):
                 "complement_constants": comp,
                 "interval": model.interval,
                 "T": model.T})
-
-
-def worst_observed_mode(model):
-    """Smallest Gramian eigenvalue and its unit eigenvector.
-
-    Returns (lambda_min, v): the initial data v in energy coordinates,
-    |v| = 1, that the observation sees least, with v^T Gram v =
-    lambda_min.  lambda_min is eigh's value, not clipped at zero, so it
-    can sit slightly below zero at rounding level.
-    """
-    eigvals, eigvecs = np.linalg.eigh(observation_gramian(model))
-    return eigvals[0], eigvecs[:, 0]
 
 
 def wave_sweep(mode_counts, interval=(0.4, 0.6), T=3.0, a=0.0):

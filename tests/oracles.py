@@ -1,0 +1,184 @@
+"""Test-side oracles: dense reference constructions the package does not run.
+
+Each builds, by plain dense linear algebra or difference quotients, an
+object the package computes another way (or does not need), so tests can
+compare against it:
+
+* ``stiffness1d``, ``laplace_inverse``, ``solution_space``, ``data_space``
+  and ``elliptic_operator_map``: the dense grams of the elliptic norm
+  pairs and the forward map between them, whose whitened SVD is the
+  oracle of the Sturm-bisection estimate in ``fcopt.elliptic``;
+* ``AffineSubspace``: an affine target set with a gram-orthonormal basis;
+* ``directional_variation`` with ``VariationEstimate``: one-sided
+  difference quotients of an evaluator along a direction.
+"""
+
+import numpy as np
+
+from fcopt.convex import ConvexSet, _kronecker
+from fcopt.spaces import Element, LinearMap, SpaceDescriptor
+
+
+# ---------------------------------------------------------------- elliptic
+
+
+def stiffness1d(dim, h):
+    """Tridiagonal second-difference matrix tridiag(-1, 2, -1)/h."""
+    k = 2.0 * np.eye(dim) - np.eye(dim, k=1) - np.eye(dim, k=-1)
+    return k / float(h)
+
+
+def laplace_inverse(N):
+    """Closed-form inverse of tridiag(-1, 2, -1) of size N.
+
+    (T^-1)_ij = min(i,j) (N+1-max(i,j)) / (N+1), 1-based indices.
+    """
+    idx = np.arange(1, N + 1, dtype=float)
+    lo = np.minimum.outer(idx, idx)
+    hi = np.maximum.outer(idx, idx)
+    return lo * (N + 1 - hi) / (N + 1)
+
+
+def solution_space(sys):
+    """Space the argument phi of an EllipticSystem lives in, per its tag.
+
+    L2L2: the lumped mass h I; H1H-1: the stiffness K0 = T/h.
+    """
+    if sys.tag == "L2L2":
+        return SpaceDescriptor("elliptic-solution-L2", sys.N,
+                               gram=sys.h * np.eye(sys.N))
+    return SpaceDescriptor("elliptic-solution-H10", sys.N,
+                           gram=stiffness1d(sys.N, sys.h))
+
+
+def data_space(sys):
+    """Space the image h = L phi lives in, per the tag.
+
+    L2L2: the lumped mass h I; H1H-1: the dual gram h^3 T^-1.
+    """
+    if sys.tag == "L2L2":
+        return SpaceDescriptor("elliptic-data-L2", sys.N,
+                               gram=sys.h * np.eye(sys.N))
+    return SpaceDescriptor("elliptic-data-Hm1", sys.N,
+                           gram=sys.h ** 3 * laplace_inverse(sys.N))
+
+
+def elliptic_operator_map(sys):
+    """The forward map phi -> L phi between the tagged spaces."""
+    return LinearMap(sys.matrix, domain=solution_space(sys),
+                     codomain=data_space(sys))
+
+
+# ------------------------------------------------------------------ convex
+
+
+class AffineSubspace(ConvexSet):
+    """offset + span(basis columns), basis gram-orthonormal.
+
+    Parameters
+    ----------
+    space : SpaceDescriptor
+    basis : array_like, shape (dim, k)
+        Columns must be orthonormal in the gram inner product: B' G B = I.
+    offset : array_like, shape (dim,)
+    """
+
+    kind = "affine"
+
+    def __init__(self, space, basis, offset=None):
+        super().__init__(space)
+        basis = np.asarray(basis, dtype=float)
+        if basis.ndim == 1:
+            basis = basis[:, None]
+        if basis.shape[0] != space.dim:
+            raise ValueError("basis rows must match space dim")
+        gb = basis.T @ space.gram @ basis
+        if np.abs(gb - np.eye(basis.shape[1])).max() > 1e-8:
+            raise ValueError(
+                "affine basis is not gram-orthonormal (B' G B != I); "
+                "orthonormalize before constructing the set"
+            )
+        self.basis = basis
+        self.offset = (np.zeros(space.dim) if offset is None
+                       else np.asarray(offset, dtype=float))
+
+    def _project(self, coords):
+        # (M @ d.T).T is M @ d for one point and applies M to each row of a
+        # stack
+        d = (coords - self.offset).T
+        return self.offset + (
+            self.basis @ (self.basis.T @ self.space.apply_gram(d))).T
+
+    def _samples(self, count, seed, radius, around):
+        k = self.basis.shape[1]
+        extremes = []
+        for col in self.basis.T:
+            extremes.append(self.offset + radius * col)
+            extremes.append(self.offset - radius * col)
+        body_n = max(count - len(extremes), 0)
+        coeff = radius * (2.0 * _kronecker(k, body_n, seed) - 1.0)
+        body = self.offset + coeff @ self.basis.T
+        pts = np.vstack([np.asarray(extremes), body]) if extremes else body
+        return pts[:count]
+
+
+class VariationEstimate:
+    """Result of a difference-quotient variation computation.
+
+    Attributes
+    ----------
+    value : ndarray or float
+        Quotient at the smallest step of the schedule.
+    error_estimate : float
+        Richardson-style estimate |q(h_last) - q(h_prev)|.
+    converged : bool
+        False when successive quotients diverge (non-differentiable
+        direction warning).
+    quotients : list
+        The quotient at every step of the schedule.
+    h_used : float
+        Smallest step.
+    """
+
+    def __init__(self, value, error_estimate, converged, quotients, h_used):
+        self.value = value
+        self.error_estimate = error_estimate
+        self.converged = converged
+        self.quotients = quotients
+        self.h_used = h_used
+
+
+def directional_variation(fmap, e, v, h_schedule=(1e-2, 1e-3, 1e-4, 1e-5)):
+    """One-sided difference-quotient variation of an evaluator along v.
+
+    Evaluates (f(e + h v) - f(e)) / h over the decreasing step schedule and
+    returns a VariationEstimate whose value is the quotient at the smallest
+    step.  ``converged`` is set to False when the quotient sequence diverges
+    (successive differences growing beyond 10x the previous difference),
+    which flags a direction where no variation exists.
+    """
+    h_schedule = sorted({float(h) for h in h_schedule}, reverse=True)
+    if not h_schedule or h_schedule[-1] <= 0.0:
+        raise ValueError("h_schedule must contain positive steps")
+    ecoords = e.coords if isinstance(e, Element) else np.asarray(e, dtype=float)
+    vcoords = v.coords if isinstance(v, Element) else np.asarray(v, dtype=float)
+    f0 = np.asarray(fmap(ecoords), dtype=float)
+    quotients = []
+    for h in h_schedule:
+        fh = np.asarray(fmap(ecoords + h * vcoords), dtype=float)
+        quotients.append((fh - f0) / h)
+    diffs = [float(np.max(np.abs(quotients[i] - quotients[i - 1])))
+             for i in range(1, len(quotients))]
+    if diffs:
+        err = diffs[-1]
+        converged = True
+        for i in range(1, len(diffs)):
+            if diffs[i] > 10.0 * diffs[i - 1] + 1e-14:
+                converged = False
+    else:
+        err = float("nan")
+        converged = True
+    value = quotients[-1]
+    if value.ndim == 0:
+        value = float(value)
+    return VariationEstimate(value, err, converged, quotients, h_schedule[-1])

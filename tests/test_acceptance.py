@@ -17,7 +17,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fcopt.spaces import SpaceDescriptor, LinearMap
-from fcopt.convex import directional_variation
 from fcopt.penalty import (PenaltyConfig, default_schedule, extract_multiplier,
                            fritz_john_residual, kkt_check,
                            enhanced_sequence_report)
@@ -32,6 +31,7 @@ from fcopt.elliptic import elliptic_sweep
 from fcopt.tree import (TreeModel, sde_estimate_sweep, sde_duality_residual,
                         rank_deficiency_witness)
 from fcopt.wave import wave_sweep
+from oracles import directional_variation
 
 
 @contextmanager

@@ -302,6 +302,25 @@ def test_lq_mesh_list_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mesh", [1, 5000])
+def test_solve_mesh_out_of_range_exit_2_before_build(mesh, tmp_path, capsys,
+                                                     monkeypatch):
+    # solve takes the mesh check of the lq-endpoint experiment: a mesh of 1
+    # (a singular system) or 5000 (a 10000^2 Hessian) is refused before the
+    # problem is built
+    import fcopt.cli as cli
+    built = []
+    monkeypatch.setattr(cli, "lq_endpoint_problem",
+                        lambda *args: built.append(args))
+    cfg = tmp_path / "lq.cfg"
+    cfg.write_text("problem = lq-endpoint\nmesh = %d\n" % mesh)
+    out = tmp_path / "lq.json"
+    assert main(["solve", "--problem", str(cfg), "--out", str(out)]) == 2
+    assert "mesh must lie in [2, 2000]" in capsys.readouterr().err
+    assert built == []
+    assert not out.exists()
+
+
 def test_example_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "w.cfg"
     cfg.write_text("modes = 8,16,32\nT = 0.2\n")

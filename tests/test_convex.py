@@ -12,16 +12,15 @@ from fcopt.convex import (
     Singleton,
     NonnegativeCone,
     Box,
-    AffineSubspace,
     WholeSpace,
     project,
     distance,
     dist_subgradient,
     normal_cone_residual,
     tangent_cone_sample,
-    directional_variation,
     _kronecker,
 )
+from oracles import AffineSubspace, directional_variation
 
 
 def random_spd(rng, dim):

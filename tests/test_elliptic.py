@@ -8,9 +8,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fcopt.elliptic import (EllipticSystem, _sturm_count,
-                            elliptic_estimate_constant,
-                            elliptic_operator_map, elliptic_sweep)
+                            elliptic_estimate_constant, elliptic_sweep)
 from fcopt.spaces import Element, norm, rank_mask, singular_triplets
+from oracles import (data_space, elliptic_operator_map, solution_space,
+                     stiffness1d)
 
 # c at which the lowest discrete eigenvalue of the N = 15 mesh vanishes
 _C_KERNEL_15 = 4.0 * 16 ** 2 * np.sin(np.pi / 32) ** 2
@@ -101,7 +102,7 @@ def test_h1_norms_bracket_operator_directly():
     s = EllipticSystem(24, a=lambda x: 1.0 + 0.5 * np.sin(3 * x),
                        c=0.3, tag="H1H-1")
     rep = elliptic_estimate_constant(s)
-    V, X = s.solution_space(), s.data_space()
+    V, X = solution_space(s), data_space(s)
     rng = np.random.default_rng(5)
     ratios = []
     for _ in range(64):
@@ -117,8 +118,8 @@ def test_h1_dual_norm_matches_variational_definition():
     # |h|_{H^-1} = sup_v <h, v>_{L^2} / |v|_{H^1_0}, realized by the
     # solution of the unit-coefficient problem
     s = EllipticSystem(12, tag="H1H-1")
-    X = s.data_space()
-    K0 = s._reference_stiffness()
+    X = data_space(s)
+    K0 = stiffness1d(s.N, s.h)
     M = s.h * np.eye(12)
     rng = np.random.default_rng(9)
     h_vec = rng.standard_normal(12)

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from fcopt.experiments import (EXPERIMENTS, RunReport, list_experiments,
-                               experiment_names, run_experiment, format_table,
-                               write_report, _successive_ratios,
-                               _expected_wave_regime)
+                               run_experiment, format_table, write_report,
+                               _successive_ratios, _expected_wave_regime)
 
 
 # ---------------------------------------------------------------- registry
 
 
 def test_registry_contents():
-    names = experiment_names()
+    names = [name for name, _ in list_experiments()]
+    assert names == list(EXPERIMENTS)
     assert len(names) >= 7
     assert "l2-fritz-john" in names
     assert "wave-obs" in names

@@ -10,17 +10,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import fcopt.penalty as penalty
-from fcopt.convex import (AffineSubspace, Box, NonnegativeCone, Singleton,
-                          WholeSpace, normal_cone_residual, project)
+from fcopt.convex import (Box, NonnegativeCone, Singleton, WholeSpace,
+                          normal_cone_residual, project)
 from fcopt.penalty import (ConstrainedProblem, DegeneratePenaltyError,
                            InapplicableBranchError, InnerConvergenceError,
                            MultiplierPair, PenaltyConfig, default_schedule,
                            enhanced_sequence_report, extract_multiplier,
-                           fritz_john_residual, kkt_check, minimize_penalty,
-                           multiplier_at, penalty_value)
+                           fritz_john_residual, kkt_check, minimize_penalty)
 from fcopt.problems import (equality_qp, l2_example, lq_endpoint_problem,
                             scalar_problem)
 from fcopt.spaces import Element, SpaceDescriptor, dual_norm, norm
+from oracles import AffineSubspace
 
 
 def _unconstrained_quadratic():
@@ -97,33 +97,48 @@ def _target_problem(kind):
 # ----------------------------------------------------------------- values
 
 
+def _phi(p, u_bar, eps, u):
+    """Phi_eps(u) from the pipeline's own parts, at one point."""
+    return float(np.sqrt(penalty._phi_parts(p, penalty._coords(u),
+                                            p.objective(u_bar), eps)[0]))
+
+
+def _pair_at(p, u_bar, eps, u):
+    """The pipeline's (a, b) at u, from a fresh evaluation of its parts."""
+    phi2, dist, gp, fx, _ = penalty._phi_parts(p, penalty._coords(u),
+                                               p.objective(u_bar), eps)
+    return penalty._pair(p, float(np.sqrt(phi2)), dist, gp, fx)
+
+
 def test_penalty_value_at_reference_equals_eps():
     for p in (scalar_problem(), l2_example()):
         for eps in (0.3, 0.1, 1e-3):
-            assert_allclose(penalty_value(p, p.u_bar, eps, p.u_bar), eps,
-                            rtol=1e-14)
+            assert_allclose(_phi(p, p.u_bar, eps, p.u_bar), eps, rtol=1e-14)
 
 
 def test_penalty_value_hand_arithmetic():
     p = scalar_problem()
-    val = penalty_value(p, p.u_bar, 0.1, np.array([0.2]))
+    val = _phi(p, p.u_bar, 0.1, np.array([0.2]))
     assert_allclose(val, np.sqrt(0.2 ** 2 + 0.3 ** 2), rtol=1e-14)
     assert_allclose(val, 0.36055512754639896, rtol=1e-12)
 
 
 def test_penalty_value_degenerate_flag():
-    # whole space and f0(u) <= f0(u_bar) - eps force the value to 0
+    # whole space and f0(u) <= f0(u_bar) - eps force the value to 0 (the
+    # pair is then undefined: test_multiplier_degenerate_error)
     p = _unconstrained_quadratic()
     bad_ref = Element(np.array([2.0, 0.0]), p.V)   # f0 = 1 there
-    with pytest.raises(DegeneratePenaltyError):
-        penalty_value(p, bad_ref, 0.5, np.array([1.0, 0.0]))   # f0 = 0
+    assert _phi(p, bad_ref, 0.5, np.array([1.0, 0.0])) == 0.0   # f0 = 0
 
 
 def test_penalty_value_eps_range():
+    # every entry point of the pipeline refuses an eps outside (0, 1)
     p = scalar_problem()
     for eps in (0.0, 1.0, -0.1, 2.0):
-        with pytest.raises(ValueError):
-            penalty_value(p, p.u_bar, eps, p.u_bar)
+        with pytest.raises(ValueError, match="eps must lie"):
+            minimize_penalty(p, p.u_bar, eps)
+        with pytest.raises(ValueError, match="schedule values"):
+            extract_multiplier(p, p.u_bar, [eps])
 
 
 # ------------------------------------------------------------- minimizers
@@ -153,14 +168,14 @@ def test_minimize_scalar_against_golden_section_oracle():
         # the oracle confirms the closed form -eps/2 up to its own
         # sqrt(machine-eps) resolution on a flat quadratic minimum
         assert abs(star - (-0.5 * eps)) < 5e-8
-        el = minimize_penalty(p, p.u_bar, eps)
+        el, _ = minimize_penalty(p, p.u_bar, eps)
         assert abs(el.coords[0] - star) < 5e-8
         assert abs(el.coords[0] - (-0.5 * eps)) < 1e-12
 
 
 def test_minimize_unconstrained_stays_at_reference():
     p = _unconstrained_quadratic()
-    el, info = minimize_penalty(p, p.u_bar, 0.05, return_info=True)
+    el, info = minimize_penalty(p, p.u_bar, 0.05)
     assert_allclose(el.coords, p.u_bar.coords, atol=1e-12)
     assert_allclose(info["phi"], 0.05, rtol=1e-12)
     assert info["ekeland_residual"] <= 0.0
@@ -190,7 +205,7 @@ def test_minimize_l2_against_dense_scan_oracle(monkeypatch):
     assert abs(t_scan - t_closed) < 1e-10
 
     _tight_inner_tolerance(monkeypatch)
-    el = minimize_penalty(p, p.u_bar, eps)
+    el, _ = minimize_penalty(p, p.u_bar, eps)
     assert abs((1.0 - el.coords[0]) - t_scan) < 1e-9
     assert_allclose(el.coords[1:], np.zeros(5), atol=1e-9)
 
@@ -198,14 +213,14 @@ def test_minimize_l2_against_dense_scan_oracle(monkeypatch):
 def test_minimize_cone_closed_form():
     p = _cone_problem()
     for eps in (0.09, 0.01):
-        el = minimize_penalty(p, p.u_bar, eps)
+        el, _ = minimize_penalty(p, p.u_bar, eps)
         assert_allclose(el.coords, -(eps / 6.0) * np.array([1.0, 2.0]),
                         atol=1e-10)
 
 
 def test_minimize_reports_ball_and_ekeland():
     p = equality_qp()
-    el, info = minimize_penalty(p, p.u_bar, 1e-3, return_info=True)
+    el, info = minimize_penalty(p, p.u_bar, 1e-3)
     assert info["phi"] <= 1e-3 * (1.0 + 1e-9)
     assert info["ball"] <= np.sqrt(1e-3) + 1e-6
     assert info["ekeland_residual"] <= 1e-8
@@ -278,8 +293,7 @@ def test_minimize_difference_hessian():
         f_jac=lambda u: np.eye(1),
         E=Singleton(X, np.zeros(1)),
         name="scalar-no-hess")
-    el, info = minimize_penalty(p, Element(np.zeros(1), V), 0.01,
-                                return_info=True)
+    el, info = minimize_penalty(p, Element(np.zeros(1), V), 0.01)
     assert abs(el.coords[0] + 0.005) < 1e-6
     # Phi^2 is quadratic here: one full Newton step, whose Hessian took
     # f0_grad at u0 +- h, between the gradients at u0 and at the step
@@ -355,7 +369,7 @@ def test_stacked_evaluation_checks_a_row_of_a_dim_row_stack():
     # the same problem with a stack-safe objective passes both
     q = make(lambda u: u[..., 0])
     assert_allclose(q.objective(stack), stack[:, 0])
-    el = minimize_penalty(q, Element(np.zeros(48), V), 0.01)
+    el, _ = minimize_penalty(q, Element(np.zeros(48), V), 0.01)
     assert el.coords.shape == (48,)
 
     # M @ u on a stack maps its columns: with X.dim = V.dim the result has
@@ -378,12 +392,12 @@ def _per_point_ekeland_residual(p, u, eps, seed):
     # same gram normalization, same radii
     rng = np.random.default_rng([seed, 1009, int(round(1.0 / eps))])
     se = np.sqrt(eps)
-    phi_u = penalty_value(p, p.u_bar, eps, u)
+    phi_u = _phi(p, p.u_bar, eps, u)
     worst = -np.inf
     for d in rng.standard_normal((penalty._EKELAND_PROBES, u.size)):
         d = d / norm(p.V, Element(d, p.V))
         for t in (0.25 * se, 0.05 * se, 0.01 * se):
-            phi = penalty_value(p, p.u_bar, eps, u + t * d)
+            phi = _phi(p, p.u_bar, eps, u + t * d)
             worst = max(worst, phi_u - phi - se * t)
     return worst, phi_u
 
@@ -410,13 +424,13 @@ def test_stacked_ekeland_residual_matches_per_point_probes(make):
         assert abs(stacked - oracle) <= 1e-12 * max(1.0, phi_u)
 
 
-def test_minimize_rejects_non_optimal_reference():
+def test_schedule_rejects_non_optimal_reference():
     p = equality_qp()
     from scipy.linalg import null_space
     ns = null_space(p.extras["G"])
     fake = Element(p.u_bar.coords + 0.5 * ns[:, 0], p.V)
     with pytest.raises(ValueError, match="local-optimality"):
-        minimize_penalty(p, fake, 0.1)
+        extract_multiplier(p, fake, default_schedule(0.1, 4))
 
 
 def test_penalty_config_holds_only_the_seed():
@@ -426,14 +440,13 @@ def test_penalty_config_holds_only_the_seed():
     assert list(inspect.signature(PenaltyConfig).parameters) == ["seed"]
     assert vars(PenaltyConfig(seed=4)) == {"seed": 4}
     assert list(inspect.signature(minimize_penalty).parameters) == [
-        "p", "u_bar", "eps", "cfg", "warm_start", "return_info", "verify",
-        "f0_bar"]
+        "p", "u_bar", "eps", "cfg", "warm_start", "f0_bar"]
 
 
-def test_spot_check_runs_once_per_schedule_and_per_call():
+def test_spot_check_runs_once_per_schedule():
     # the local-optimality spot check samples 64 feasible neighbours of
     # u_bar with the config seed: once for a whole extract_multiplier
-    # schedule, and once for each direct minimize_penalty call
+    # schedule, and never in a direct minimize_penalty call
     p = equality_qp()
     sampler = p.feasible_sampler
     calls = []
@@ -449,7 +462,7 @@ def test_spot_check_runs_once_per_schedule_and_per_call():
     assert calls == [(64, 5)]
     minimize_penalty(p, p.u_bar, 1e-2, PenaltyConfig(seed=2))
     minimize_penalty(p, p.u_bar, 1e-3)
-    assert calls == [(64, 5), (64, 2), (64, 0)]
+    assert calls == [(64, 5)]
 
 
 # ------------------------------------------------------------------ pairs
@@ -457,11 +470,11 @@ def test_spot_check_runs_once_per_schedule_and_per_call():
 
 def test_multiplier_whole_space_and_feasible_point():
     p = _unconstrained_quadratic()
-    a, b = multiplier_at(p, p.u_bar, 0.1, p.u_bar)
+    a, b = _pair_at(p, p.u_bar, 0.1, p.u_bar)
     assert_allclose(a, 1.0)
     assert_allclose(b.coords, np.zeros(2))
     ps = scalar_problem()
-    a, b = multiplier_at(ps, ps.u_bar, 0.2, ps.u_bar)
+    a, b = _pair_at(ps, ps.u_bar, 0.2, ps.u_bar)
     assert_allclose(a, 1.0)
     assert_allclose(b.coords, np.zeros(1))
 
@@ -470,7 +483,7 @@ def test_multiplier_degenerate_error():
     p = _unconstrained_quadratic()
     bad_ref = Element(np.array([2.0, 0.0]), p.V)
     with pytest.raises(DegeneratePenaltyError):
-        multiplier_at(p, bad_ref, 0.5, np.array([1.0, 0.0]))
+        _pair_at(p, bad_ref, 0.5, np.array([1.0, 0.0]))
 
 
 def test_multiplier_l2_fifth_order_asymptotics(monkeypatch):
@@ -479,8 +492,9 @@ def test_multiplier_l2_fifth_order_asymptotics(monkeypatch):
     p = l2_example()
     eps = 1e-2
     _tight_inner_tolerance(monkeypatch)
-    el = minimize_penalty(p, p.u_bar, eps)
-    a, b = multiplier_at(p, p.u_bar, eps, el)
+    _, info = minimize_penalty(p, p.u_bar, eps)
+    a, b = penalty._pair(p, info["phi"], info["dist"], info["gap_plus"],
+                         info["f"])
     assert_allclose(a, (6.0 / np.sqrt(2.0)) * eps ** 2, rtol=1e-4)
     expect = np.zeros(6)
     expect[:2] = -1.0 / np.sqrt(2.0)
@@ -847,10 +861,10 @@ def test_woodbury_iteration_forms_no_square_array(monkeypatch):
     for path, min_dim in (("woodbury", 1), ("dense", p.V.dim + 1)):
         monkeypatch.setattr(penalty, "_WOODBURY_MIN_DIM", min_dim)
         # the first solve also pays one-time allocations of numpy
-        minimize_penalty(p, p.u_bar, 0.1, verify=False)
+        minimize_penalty(p, p.u_bar, 0.1)
         tracemalloc.start()
         try:
-            minimize_penalty(p, p.u_bar, 0.05, verify=False)
+            minimize_penalty(p, p.u_bar, 0.05)
             peaks[path] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1024,7 +1038,7 @@ def test_schedule_reuses_the_parts_of_the_returned_point(make, steps,
     assert len(infos) == len(trace) == steps
     f0_bar = p.objective(ub)
     for rec, info in zip(trace, infos):
-        a, b = multiplier_at(p, p.u_bar, rec.eps, rec.u_eps)
+        a, b = _pair_at(p, p.u_bar, rec.eps, rec.u_eps)
         assert rec.a == a
         assert np.array_equal(rec.b.coords, b.coords)
         phi2, dist, gp, fx, _ = penalty._phi_parts(p, rec.u_eps.coords,

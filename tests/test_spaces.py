@@ -19,9 +19,9 @@ from fcopt.spaces import (
     singular_triplets,
     rank_mask,
     RANK_RTOL,
-    stiffness1d,
     _solve_triangular,
 )
+from oracles import stiffness1d
 
 
 def random_spd(rng, dim):

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from fcopt.wave import (WaveModel, _integral_cos_sin, mode_overlap_matrix,
                         observation_gramian, wave_observability_constant,
-                        wave_sweep, worst_observed_mode)
+                        wave_sweep)
 
 
 def test_frequencies_with_potential():
@@ -110,18 +110,6 @@ def test_complement_recovers_finite_constant_when_degenerate():
     assert rep.infinite
     comp = rep.extras["complement_constants"]
     assert np.isfinite(comp[rep.kernel_dim + 1])
-
-
-def test_worst_mode_minimizes_quadratic_form():
-    m = WaveModel(12, interval=(0.4, 0.6), T=1.0)
-    G = observation_gramian(m)
-    lam_min, v = worst_observed_mode(m)
-    assert_allclose(v @ G @ v, lam_min, rtol=1e-9)
-    rng = np.random.default_rng(2)
-    for _ in range(32):
-        u = rng.standard_normal(24)
-        u /= np.linalg.norm(u)
-        assert u @ G @ u >= lam_min * (1 - 1e-9)
 
 
 def test_validation_errors():
