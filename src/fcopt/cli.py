@@ -8,8 +8,9 @@ Four subcommands::
     fcopt list
 
 ``solve`` runs the penalty schedule on a registered problem, through
-the schedule runner and parameter checks of the penalty experiments (a
-parameter out of range exits 2 before the problem is built), and writes
+the schedule runner of the penalty experiments and with the parameter
+declarations they use (a parameter not of its kind or out of range
+exits 2 before the problem is built), and writes
 the full trace (records, multiplier pair, residual checks) as JSON plus
 a CSV companion with columns eps, a, b_norm, dist, gap; it exits 1 when
 a record's pair is not normalized (|a^2 + |b|^2 - 1| > 1e-9).  ``example``
@@ -22,12 +23,11 @@ import argparse
 import os
 import sys
 import time
-from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .config import load_config, coerce_value, merge_params
+from .config import load_config
 from .spaces import SpaceDescriptor, LinearMap
 from .penalty import (fritz_john_residual, kkt_check,
                       DegeneratePenaltyError, InnerConvergenceError)
@@ -35,33 +35,34 @@ from .problems import (scalar_problem, l2_example, equality_qp,
                        lq_endpoint_problem)
 from .diagnostics import OperatorFamily, codim_growth_verdict
 from .elliptic import elliptic_sweep
-from .experiments import (EXPERIMENTS, RunReport, run_experiment,
-                          list_experiments, write_report, _jsonable,
-                          _l2_dim, _lq_mesh, _normalization_deviation,
-                          _run_schedule, _single_int, _NORM_TOL,
-                          _trace_table, _write_document)
+from .experiments import (EXPERIMENTS, Param, RunReport, run_experiment,
+                          list_experiments, validate, write_report,
+                          _jsonable, _normalization_deviation, _run_schedule,
+                          _NORM_TOL, _trace_table, _write_document)
 
 __all__ = ["main"]
 
 TRACE_SCHEMA = "fcopt-trace/1"
 
-# each entry checks the problem's parameters (with the checks of its
-# experiment, where it has one) and returns the problem's builder, which
-# _run_schedule calls only after the schedule parameters pass as well
+# each problem's builder and the parameters it takes, in order
 SOLVE_PROBLEMS = {
-    "scalar": lambda params: scalar_problem,
-    "l2-fritz-john": lambda params: partial(l2_example, _l2_dim(params)),
-    "equality-qp": lambda params: partial(
-        equality_qp,
-        _single_int(params["dim"], "dim"),
-        _single_int(params["n_constraints"], "n_constraints"),
-        _single_int(params["seed"], "seed")),
-    "lq-endpoint": lambda params: partial(lq_endpoint_problem,
-                                          _lq_mesh(params)),
+    "scalar": (scalar_problem, ()),
+    "l2-fritz-john": (l2_example, ("dim",)),
+    "equality-qp": (equality_qp, ("dim", "n_constraints", "seed")),
+    "lq-endpoint": (lq_endpoint_problem, ("mesh",)),
 }
 
-SOLVE_DEFAULTS = {"eps0": 0.1, "steps": 15, "seed": 7, "dim": 6, "mesh": 50,
-                  "n_constraints": 3, "samples": 256}
+# the declarations of the penalty experiments, with solve's defaults, and
+# equality-qp's n_constraints
+_L2 = EXPERIMENTS["l2-fritz-john"]["params"]
+SOLVE_PARAMS = dict(_L2, samples=_L2["samples"].with_default(256),
+                    mesh=EXPERIMENTS["lq-endpoint"]["params"]["mesh"],
+                    n_constraints=Param("int", 3, "[1, 64]"))
+_SCHEDULE_KEYS = ("eps0", "steps", "seed", "samples")
+
+DIAGNOSE_PARAMS = {"levels": Param("ints", (8, 16, 32, 64), "[1, 4096]",
+                                   min_len=3),
+                   "growth_factor": Param("float", 2.0, "(1, inf)")}
 
 
 # ------------------------------------------------------------------- solve
@@ -71,11 +72,10 @@ def _cmd_solve(args):
     overrides = {}
     name = args.problem
     if os.path.isfile(name):
-        file_params = load_config(name)
-        if "problem" not in file_params:
+        overrides = load_config(name)
+        if "problem" not in overrides:
             raise ValueError("config %s does not set 'problem'" % name)
-        name = str(file_params.pop("problem"))
-        overrides.update(file_params)
+        name = overrides.pop("problem")
     if name not in SOLVE_PROBLEMS:
         raise ValueError("unknown problem %r (known: %s)"
                          % (name, ", ".join(sorted(SOLVE_PROBLEMS))))
@@ -83,13 +83,14 @@ def _cmd_solve(args):
         val = getattr(args, key)
         if val is not None:
             overrides[key] = val
-    params = merge_params(SOLVE_DEFAULTS, overrides)
-    p, pair, trace = _run_schedule(params, SOLVE_PROBLEMS[name](params))
-    seed = int(params["seed"])
+    params = validate(SOLVE_PARAMS, overrides)
+    build, keys = SOLVE_PROBLEMS[name]
+    p = build(*(params[key] for key in keys))
+    pair, trace = _run_schedule(p, params)
     kk = kkt_check(p, p.u_bar, pair)
     fj = fritz_john_residual(p, p.u_bar, pair,
-                             p.variations(p.u_bar, int(params["samples"]),
-                                          seed=seed))
+                             p.variations(p.u_bar, params["samples"],
+                                          seed=params["seed"]))
     records = []
     for r in trace:
         records.append({
@@ -169,10 +170,9 @@ def _custom_family(path):
 
 
 def _cmd_diagnose(args):
-    levels = [int(v) for v in str(args.levels).split(",") if v.strip()]
-    if len(levels) < 3:
-        raise ValueError("need at least 3 levels, got %r" % args.levels)
-    factor = float(args.growth_factor)
+    params = validate(DIAGNOSE_PARAMS, {"levels": args.levels,
+                                        "growth_factor": args.growth_factor})
+    levels, factor = params["levels"], params["growth_factor"]
 
     t0 = time.perf_counter()
     family = args.family
@@ -213,18 +213,14 @@ def _cmd_diagnose(args):
 # ----------------------------------------------------------------- example
 
 
-def _example_overrides(args, defaults):
+def _example_overrides(args, params):
     """Map command-line flags onto the experiment's parameter names."""
     over = {}
     if args.depth is not None:
-        key = "depths" if "depths" in defaults else "depth"
-        over[key] = coerce_value(args.depth)
-    if args.modes is not None:
-        over["modes"] = coerce_value(args.modes)
+        over["depths" if "depths" in params else "depth"] = args.depth
     if args.mesh is not None:
-        key = "levels" if "levels" in defaults else "mesh"
-        over[key] = coerce_value(args.mesh)
-    for key in ("T", "eps0", "steps", "seed", "c2", "expect"):
+        over["levels" if "levels" in params else "mesh"] = args.mesh
+    for key in ("modes", "T", "eps0", "steps", "seed", "c2", "expect"):
         val = getattr(args, key)
         if val is not None:
             over[key] = val
@@ -232,7 +228,7 @@ def _example_overrides(args, defaults):
         if "=" not in item:
             raise ValueError("--set expects key=value, got %r" % item)
         key, _, val = item.partition("=")
-        over[key.strip()] = coerce_value(val)
+        over[key.strip()] = val
     return over
 
 
@@ -241,10 +237,8 @@ def _cmd_example(args):
     if name not in EXPERIMENTS:
         raise ValueError("unknown experiment %r (known: %s)"
                          % (name, ", ".join(EXPERIMENTS)))
-    defaults = EXPERIMENTS[name]["defaults"]
-    file_params = load_config(args.config) if args.config else {}
-    overrides = merge_params(defaults, file_params,
-                             _example_overrides(args, defaults))
+    overrides = load_config(args.config) if args.config else {}
+    overrides.update(_example_overrides(args, EXPERIMENTS[name]["params"]))
     report = run_experiment(name, overrides)
     if args.out:
         write_report(report, args.out)
@@ -261,13 +255,21 @@ def _cmd_example(args):
 # -------------------------------------------------------------------- list
 
 
+def _print_params(params):
+    for key, p in params.items():
+        print("      %-14s %-8s %-16s %s" % ((key,) + p.describe()))
+
+
 def _cmd_list(args):
     print("registered experiments (fcopt example <name>):")
     for name, desc in list_experiments():
         print("  %-14s %s" % (name, desc))
+        _print_params(EXPERIMENTS[name]["params"])
     print("registered problems (fcopt solve --problem <name>):")
     for name in sorted(SOLVE_PROBLEMS):
         print("  %s" % name)
+        keys = dict.fromkeys(_SCHEDULE_KEYS + SOLVE_PROBLEMS[name][1])
+        _print_params({key: SOLVE_PARAMS[key] for key in keys})
     return 0
 
 
@@ -286,12 +288,12 @@ def _build_parser():
     ps = sub.add_parser("solve", help="run the penalty schedule on a problem")
     ps.add_argument("--problem", required=True,
                     help="problem name or key=value config file")
-    ps.add_argument("--eps0", type=float, default=None,
+    ps.add_argument("--eps0", default=None,
                     help="initial schedule value in (0, 1) (default 0.1)")
-    ps.add_argument("--steps", type=int, default=None,
+    ps.add_argument("--steps", default=None,
                     help="number of schedule values, halved successively "
                          "(default 15)")
-    ps.add_argument("--seed", type=int, default=None,
+    ps.add_argument("--seed", default=None,
                     help="generator seed for sampled checks (default 7)")
     ps.add_argument("--out", required=True, help="trace JSON output path")
 
@@ -299,10 +301,10 @@ def _build_parser():
                                          "for an operator family")
     pd.add_argument("--family", required=True,
                     help="diag, elliptic-l2, elliptic-h1, or an .npz path")
-    pd.add_argument("--levels", default="8,16,32,64",
+    pd.add_argument("--levels", default=DIAGNOSE_PARAMS["levels"].default,
                     help="comma-separated level sizes (default 8,16,32,64)")
-    pd.add_argument("--growth-factor", type=float, default=2.0,
-                    dest="growth_factor",
+    pd.add_argument("--growth-factor", dest="growth_factor",
+                    default=DIAGNOSE_PARAMS["growth_factor"].default,
                     help="ratio treated as growth between levels "
                          "(finite, > 1)")
     pd.add_argument("--out", required=True, help="report JSON output path")
@@ -315,12 +317,12 @@ def _build_parser():
                     help="comma list of mode counts")
     pe.add_argument("--mesh", default=None,
                     help="mesh size (or comma list of mesh levels)")
-    pe.add_argument("--T", type=float, default=None, help="time horizon")
-    pe.add_argument("--eps0", type=float, default=None,
+    pe.add_argument("--T", default=None, help="time horizon")
+    pe.add_argument("--eps0", default=None,
                     help="initial schedule value in (0, 1)")
-    pe.add_argument("--steps", type=int, default=None,
+    pe.add_argument("--steps", default=None,
                     help="number of schedule values")
-    pe.add_argument("--seed", type=int, default=None, help="generator seed")
+    pe.add_argument("--seed", default=None, help="generator seed")
     pe.add_argument("--c2", default=None,
                     help="diffusion control rank: identity or deficient")
     pe.add_argument("--expect", default=None,
@@ -331,7 +333,8 @@ def _build_parser():
                     help="key=value config file with parameter overrides")
     pe.add_argument("--out", default=None, help="report JSON output path")
 
-    sub.add_parser("list", help="list registered experiments and problems")
+    sub.add_parser("list", help="list registered experiments and problems, "
+                                "with their parameters")
     return parser
 
 

@@ -2,56 +2,20 @@
 
 A configuration file is a plain text file with one ``key = value`` entry
 per line.  Blank lines are skipped and ``#`` starts a comment that runs
-to the end of the line.  Values are coerced in a fixed order: integers,
-floats, booleans, comma-separated tuples of the former, and finally raw
-strings.  Command-line flags override file entries which override the
-experiment defaults.
+to the end of the line.  Keys and values are read as stripped strings:
+each value is typed and range-checked by the parameter declaration of
+the experiment or problem it is for (``experiments.validate``), the same
+way as a ``--set`` value.  Command-line flags override file entries
+which override the declared defaults.
 """
 
 import os
 
-__all__ = ["parse_config_text", "load_config", "coerce_value", "merge_params"]
-
-
-def coerce_value(text):
-    """Coerce a raw config string to int, float, bool, tuple, or str.
-
-    Parameters
-    ----------
-    text : str
-        Raw value text, already stripped of comments and whitespace.
-
-    Returns
-    -------
-    object
-        ``int`` if the text parses as one, else ``float``, else ``True``
-        / ``False`` for the literals ``true`` / ``false`` (any case),
-        else a tuple of coerced scalars when the text contains commas,
-        else the stripped string itself.
-    """
-    text = str(text).strip()
-    if "," in text:
-        parts = [p.strip() for p in text.split(",")]
-        if any(not p for p in parts):
-            raise ValueError("empty entry in list value %r" % text)
-        return tuple(coerce_value(p) for p in parts)
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if text.lower() == "true":
-        return True
-    if text.lower() == "false":
-        return False
-    return text
+__all__ = ["parse_config_text", "load_config"]
 
 
 def parse_config_text(text):
-    """Parse ``key = value`` lines into a dict of coerced values.
+    """Parse ``key = value`` lines into a dict of stripped strings.
 
     Parameters
     ----------
@@ -61,8 +25,8 @@ def parse_config_text(text):
     Returns
     -------
     dict
-        Mapping key -> coerced value, in file order.  Later duplicate
-        keys overwrite earlier ones.
+        Mapping key -> value text, in file order.  Later duplicate keys
+        overwrite earlier ones.
 
     Raises
     ------
@@ -81,7 +45,7 @@ def parse_config_text(text):
         key = key.strip()
         if not key:
             raise ValueError("config line %d: empty key" % lineno)
-        out[key] = coerce_value(val)
+        out[key] = val.strip()
     return out
 
 
@@ -96,7 +60,7 @@ def load_config(path):
     Returns
     -------
     dict
-        Parsed key -> value mapping.
+        Parsed key -> value text mapping.
 
     Raises
     ------
@@ -107,36 +71,3 @@ def load_config(path):
         raise ValueError("config file not found: %s" % path)
     with open(path, "r") as fh:
         return parse_config_text(fh.read())
-
-
-def merge_params(defaults, *layers):
-    """Layer override dicts on top of defaults, rejecting unknown keys.
-
-    Parameters
-    ----------
-    defaults : dict
-        Known keys with their default values.
-    *layers : dict
-        Override mappings applied in order; ``None`` layers are skipped.
-
-    Returns
-    -------
-    dict
-        A fresh dict with the same keys as ``defaults``.
-
-    Raises
-    ------
-    ValueError
-        If any layer contains a key absent from ``defaults``.
-    """
-    merged = dict(defaults)
-    for layer in layers:
-        if not layer:
-            continue
-        for key, val in layer.items():
-            if key not in defaults:
-                raise ValueError(
-                    "unknown parameter %r (known: %s)"
-                    % (key, ", ".join(sorted(defaults))))
-            merged[key] = val
-    return merged

@@ -4,10 +4,14 @@ Each experiment bundles a model build, a computation, and a list of
 criteria records ``{name, passed, value, threshold}``.  Runs are
 deterministic for a fixed parameter set: every sampled computation takes
 its generator seed from the parameters, so re-running an experiment
-reproduces all result values and CSV table bytes.  The two penalty
-experiments and ``fcopt solve`` run their schedule through one runner,
-``_run_schedule``, which checks eps0, steps and seed before the problem
-is built.
+reproduces all result values and CSV table bytes.
+
+Each registry entry declares its parameters once, as ``params`` (name ->
+``Param``).  ``run_experiment``, ``fcopt solve`` and ``fcopt diagnose``
+type and range-check every value with ``validate`` before any model is
+built, so a runner checks only what involves more than one parameter.
+The two penalty experiments and ``fcopt solve`` run their schedule
+through one runner, ``_run_schedule``.
 
 The registry keys double as command-line names::
 
@@ -21,13 +25,14 @@ The registry keys double as command-line names::
 """
 
 import json
+import math
+import operator
 import os
 import time
 
 import numpy as np
 
 from . import __version__
-from .config import merge_params
 from .penalty import (PenaltyConfig, default_schedule, extract_multiplier,
                       fritz_john_residual, kkt_check, enhanced_sequence_report)
 from .problems import l2_example, lq_endpoint_problem
@@ -36,8 +41,8 @@ from .elliptic import elliptic_sweep
 from .tree import TreeModel, sde_estimate_sweep, rank_deficiency_witness
 from .wave import wave_sweep
 
-__all__ = ["RunReport", "list_experiments", "run_experiment",
-           "format_table", "write_report", "REPORT_SCHEMA"]
+__all__ = ["RunReport", "Param", "validate", "list_experiments",
+           "run_experiment", "format_table", "write_report", "REPORT_SCHEMA"]
 
 REPORT_SCHEMA = "fcopt-report/1"
 
@@ -205,6 +210,104 @@ def write_report(report, path):
     return _write_document(report.to_dict(), report.tables, path)
 
 
+# ------------------------------------------------------------- parameters
+
+
+def _show(value):
+    """A value as the command line spells it (lists comma-joined)."""
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _number(kind, value):
+    """Text or a number as an int, or as a finite float."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    if kind != "float":
+        return int(value) if isinstance(value, str) else operator.index(value)
+    if not math.isfinite(float(value)):
+        raise ValueError(value)
+    return float(value)
+
+
+class Param:
+    """The kind, default and admissible values of one parameter.
+
+    ``kind`` is "int", "float" (finite), "str" or "ints" (a tuple of at
+    least ``min_len`` ints).  ``allowed`` is an interval such as
+    "[2, 200]" or "(0, inf)" for the numeric kinds, bounding each entry
+    of an "ints" value, and the tuple of choices for "str".
+    """
+
+    def __init__(self, kind, default, allowed, min_len=1):
+        self.kind, self.default = kind, default
+        self.allowed, self.min_len = allowed, min_len
+        self.range = allowed
+        if kind == "str":
+            self.range = "{%s}" % ", ".join(allowed)
+        else:
+            self.closed = (allowed[0] == "[", allowed[-1] == "]")
+            self.lo, self.hi = (float(b) for b in allowed[1:-1].split(","))
+
+    def with_default(self, default):
+        """The same declaration with another default."""
+        return Param(self.kind, default, self.allowed, self.min_len)
+
+    def describe(self):
+        """(kind, default, range) as ``fcopt list`` and the README show them."""
+        kind = "%d+ ints" % self.min_len if self.kind == "ints" else self.kind
+        return kind, _show(self.default), self.range
+
+    def check(self, name, value):
+        """``value`` typed by this kind; ValueError unless it is admitted."""
+        try:
+            if self.kind == "ints":
+                parts = value.split(",") if isinstance(value, str) else value
+                typed = tuple(_number("int", v) for v in parts)
+                if len(typed) < self.min_len:
+                    raise ValueError(value)
+            elif self.kind == "str":
+                typed = str(value).strip()
+            else:
+                typed = _number(self.kind, value)
+        except (TypeError, ValueError):
+            noun = {"int": "a single integer", "float": "a finite number",
+                    "ints": "a comma list of at least %d integers"
+                            % self.min_len}[self.kind]
+            raise ValueError("%s must be %s, got %s"
+                             % (name, noun, _show(value))) from None
+        if self.kind == "str":
+            admitted = typed in self.allowed
+        else:
+            admitted = all(
+                (v >= self.lo if self.closed[0] else v > self.lo)
+                and (v <= self.hi if self.closed[1] else v < self.hi)
+                for v in (typed if self.kind == "ints" else (typed,)))
+        if not admitted:
+            raise ValueError("%s must lie in %s, got %s"
+                             % (name, self.range, _show(value)))
+        return typed
+
+
+def validate(params, overrides=None):
+    """Every parameter of the declaration ``params`` (name -> Param), typed.
+
+    ``overrides`` maps names to text (``"2.5"``, ``"8,16,32"``) or to
+    typed values; a name it omits takes its default.  Raises ValueError,
+    before anything is built, with ``unknown parameter 'x' (known: ...)``,
+    ``<name> must be <kind>, got <value>`` or ``<name> must lie in
+    <range>, got <value>``.
+    """
+    overrides = overrides or {}
+    unknown = [key for key in overrides if key not in params]
+    if unknown:
+        raise ValueError("unknown parameter %r (known: %s)"
+                         % (unknown[0], ", ".join(sorted(params))))
+    return {name: p.check(name, overrides.get(name, p.default))
+            for name, p in params.items()}
+
+
 # ---------------------------------------------------------------- helpers
 
 
@@ -221,24 +324,6 @@ def _criterion(name, passed, value, threshold):
 def _need(cond, msg):
     if not cond:
         raise ValueError(msg)
-
-
-def _int_tuple(val, what, min_len=1):
-    vals = val if isinstance(val, (tuple, list, np.ndarray)) else (val,)
-    out = []
-    for v in vals:
-        iv = int(v)
-        _need(iv == v, "%s entries must be integers" % what)
-        out.append(iv)
-    _need(len(out) >= min_len, "%s needs at least %d entries" % (what, min_len))
-    return tuple(out)
-
-
-def _single_int(val, what):
-    vals = _int_tuple(val, what)
-    _need(len(vals) == 1, "%s must be a single integer, got %s"
-          % (what, ",".join(map(str, vals))))
-    return vals[0]
 
 
 def _normalization_deviation(trace):
@@ -283,52 +368,27 @@ def _sweep_table(keys, key_name, swept, extra=None):
 # ---------------------------------------------------------------- runners
 
 
-def _l2_dim(params):
-    """The checked dim of the l2-fritz-john problem."""
-    dim = _single_int(params["dim"], "dim")
-    _need(dim >= 4, "dim must be >= 4")
-    return dim
+def _run_schedule(p, params):
+    """Run the penalty schedule of ``params`` on the built problem ``p``.
 
-
-def _lq_mesh(params):
-    """The checked mesh of the lq-endpoint problem."""
-    N = _single_int(params["mesh"], "mesh")
-    _need(2 <= N <= 2000, "mesh must lie in [2, 2000]")
-    return N
-
-
-def _run_schedule(params, build):
-    """Check eps0, steps and seed, build the problem, run its penalty schedule.
-
-    ``build`` is a no-argument callable returning the problem; the caller
-    has checked the problem's own parameters, and ``build`` runs only
-    after eps0, steps and seed pass too.  The schedule is
-    default_schedule(eps0, steps) and the config seed is ``seed``.
-    Returns (problem, pair, trace).
+    The schedule is default_schedule(eps0, steps) and the config seed is
+    ``seed``, all checked by ``validate``.  Returns (pair, trace).
     """
-    eps0 = float(params["eps0"])
-    _need(0 < eps0 < 1.0, "eps0 must lie in (0, 1)")
-    steps = int(params["steps"])
-    _need(2 <= steps <= 200, "steps must lie in [2, 200]")
-    cfg = PenaltyConfig(seed=params["seed"])
-    p = build()
-    pair, trace = extract_multiplier(p, p.u_bar, default_schedule(eps0, steps),
-                                     cfg)
-    return p, pair, trace
+    return extract_multiplier(
+        p, p.u_bar, default_schedule(params["eps0"], params["steps"]),
+        PenaltyConfig(seed=params["seed"]))
 
 
 def _run_l2_fritz_john(params):
-    dim = _l2_dim(params)
-    samples = int(params["samples"])
-    _need(samples >= 1, "samples must be positive")
-    p, pair, trace = _run_schedule(params, lambda: l2_example(dim))
-    seed = int(params["seed"])
+    p = l2_example(params["dim"])
+    pair, trace = _run_schedule(p, params)
     z = np.asarray(pair.z.coords)
     zdir = np.asarray(p.extras["z_direction"])
     cosine = abs(z @ zdir) / (np.linalg.norm(z) * np.linalg.norm(zdir))
     kk = kkt_check(p, p.u_bar, pair)
     fj = fritz_john_residual(p, p.u_bar, pair,
-                             p.variations(p.u_bar, samples, seed=seed))
+                             p.variations(p.u_bar, params["samples"],
+                                          seed=params["seed"]))
     enh = enhanced_sequence_report(p, p.u_bar, trace)
     norm_dev = _normalization_deviation(trace)
 
@@ -355,11 +415,8 @@ def _run_l2_fritz_john(params):
 
 
 def _run_lq_endpoint(params):
-    N = _lq_mesh(params)
-    T = float(params["T"])
-    _need(T > 0, "T must be positive")
-    p, pair, trace = _run_schedule(params, lambda: lq_endpoint_problem(N, T))
-    seed = int(params["seed"])
+    p = lq_endpoint_problem(params["mesh"], params["T"])
+    pair, trace = _run_schedule(p, params)
     lam = np.asarray(p.extras["kkt_multiplier"])
     ref = np.concatenate([[1.0], lam])
     ref /= np.linalg.norm(ref)
@@ -369,7 +426,7 @@ def _run_lq_endpoint(params):
 
     sysm = p.extras["system"]
     psi = adjoint_evolution(sysm, pair.z0, pair.z)
-    mp = maximum_principle_residual(sysm, pair, psi, seed=seed)
+    mp = maximum_principle_residual(sysm, pair, psi, seed=params["seed"])
     norm_dev = _normalization_deviation(trace)
 
     criteria = [
@@ -391,11 +448,9 @@ def _run_lq_endpoint(params):
 
 
 def _elliptic_common(params, tag):
-    levels = _int_tuple(params["levels"], "levels", min_len=3)
-    a = float(params["a"])
-    c = float(params["c"])
-    factor = float(params["growth_factor"])
-    swept = elliptic_sweep(levels, tag=tag, a=a, c=c, growth_factor=factor)
+    levels = params["levels"]
+    swept = elliptic_sweep(levels, tag=tag, a=params["a"], c=params["c"],
+                           growth_factor=params["growth_factor"])
     consts = swept.constants
     table = _sweep_table(levels, "N", swept,
                          extra=("h", lambda rep: rep.extras["h"]))
@@ -441,18 +496,9 @@ def _rank_models(depths, c2, seed, scale, T):
 
 
 def _run_sde_rank(params):
-    depths = _int_tuple(params["depths"], "depths", min_len=3)
-    _need(all(1 <= d <= 14 for d in depths), "depths must lie in [1, 14]")
-    c2 = str(params["c2"])
-    _need(c2 in ("identity", "deficient"),
-          "c2 must be 'identity' or 'deficient'")
-    seed = int(params["seed"])
-    scale = float(params["scale"])
-    _need(0 < scale < 1, "scale must lie in (0, 1)")
-    T = float(params["T"])
-    _need(T > 0, "T must be positive")
-
-    models = _rank_models(depths, c2, seed, scale, T)
+    depths, c2 = params["depths"], params["c2"]
+    models = _rank_models(depths, c2, params["seed"], params["scale"],
+                          params["T"])
     swept = sde_estimate_sweep(models)
     consts = swept.constants
     kd = swept.kernel_dims
@@ -487,15 +533,9 @@ def _run_sde_rank(params):
 
 
 def _run_sde_witness(params):
-    depth = int(params["depth"])
-    _need(2 <= depth <= 14, "depth must lie in [2, 14]")
-    seed = int(params["seed"])
-    scale = float(params["scale"])
-    _need(0 < scale < 1, "scale must lie in (0, 1)")
-    T = float(params["T"])
-    _need(T > 0, "T must be positive")
-
-    model = _rank_models([depth], "deficient", seed, scale, T)[0]
+    depth, T = params["depth"], params["T"]
+    model = _rank_models([depth], "deficient", params["seed"],
+                         params["scale"], T)[0]
     r_hat = np.array([0.0, 1.0])
     rows, scaled, inverse = [], [], []
     for k in range(1, depth + 1):
@@ -564,17 +604,9 @@ def _expected_wave_regime(lo, hi, T):
 
 
 def _run_wave_obs(params):
-    modes = _int_tuple(params["modes"], "modes", min_len=3)
-    lo = float(params["x_lo"])
-    hi = float(params["x_hi"])
-    _need(0.0 <= lo < hi <= 1.0, "need 0 <= x_lo < x_hi <= 1")
-    T = float(params["T"])
-    _need(T > 0, "T must be positive")
-    a = float(params["a"])
-    _need(np.isfinite(a), "potential a must be finite")
-    expect = str(params["expect"])
-    _need(expect in ("auto", "bounded", "growing"),
-          "expect must be auto, bounded, or growing")
+    modes, lo, hi = params["modes"], params["x_lo"], params["x_hi"]
+    T, a, expect = params["T"], params["a"], params["expect"]
+    _need(lo < hi, "need x_lo < x_hi")
     t_star = _travel_time(lo, hi)
     band = WAVE_AUTO_BAND[0] * t_star, WAVE_AUTO_BAND[1] * t_star
     _need(expect != "auto" or not band[0] < T < band[1],
@@ -633,53 +665,76 @@ def _run_wave_obs(params):
 # ---------------------------------------------------------------- registry
 
 
+# The upper bounds of the size parameters (dim, samples, levels, modes)
+# are the largest values of doubling ladders that pass in one cold
+# process within 60 s on a 2-core machine with one BLAS thread and no
+# more than half of its 7 GB; CHANGES.md records the ladders.
+_SCHEDULE = {"eps0": Param("float", 0.1, "(0, 1)"),
+             "steps": Param("int", 15, "[2, 200]"),
+             "seed": Param("int", 7, "[0, inf)")}
+_ELLIPTIC = {"levels": Param("ints", (15, 31, 63, 127), "[1, 2097151]",
+                             min_len=3),
+             "a": Param("float", 1.0, "(0, inf)"),
+             "c": Param("float", 0.0, "(-inf, inf)"),
+             "growth_factor": Param("float", 2.0, "(1, inf)")}
+_TREE = {"seed": Param("int", 42, "[0, inf)"),
+         "scale": Param("float", 0.5, "(0, 1)"),
+         "T": Param("float", 1.0, "(0, inf)")}
+
 EXPERIMENTS = {
     "l2-fritz-john": {
         "describe": "degenerate sequence-space problem: abnormal multiplier "
                     "(z0 ~ 0) along span{(1,1,0,...)}",
-        "defaults": {"dim": 6, "eps0": 0.1, "steps": 15, "samples": 1000,
-                     "seed": 7},
+        "params": dict(_SCHEDULE, dim=Param("int", 6, "[4, 2000]"),
+                       samples=Param("int", 1000, "[1, 1024000]")),
         "runner": _run_l2_fritz_john,
     },
     "lq-endpoint": {
         "describe": "endpoint-constrained LQ control: extracted pair vs "
                     "dense KKT solve and adjoint stationarity",
-        "defaults": {"mesh": 50, "T": 1.0, "eps0": 0.1, "steps": 23,
-                     "seed": 7},
+        "params": dict(_SCHEDULE, steps=_SCHEDULE["steps"].with_default(23),
+                       mesh=Param("int", 50, "[2, 2000]"),
+                       T=Param("float", 1.0, "(0, inf)")),
         "runner": _run_lq_endpoint,
     },
     "elliptic-l2": {
         "describe": "1-D elliptic operator between L2 grams: estimate "
                     "constant grows like 4(N+1)^2",
-        "defaults": {"levels": (15, 31, 63, 127), "a": 1.0, "c": 0.0,
-                     "growth_factor": 2.0},
+        "params": _ELLIPTIC,
         "runner": _run_elliptic_l2,
     },
     "elliptic-h1": {
         "describe": "1-D elliptic operator between H1_0 and H-1 grams: "
                     "estimate constant stays at 1",
-        "defaults": {"levels": (15, 31, 63, 127), "a": 1.0, "c": 0.0,
-                     "growth_factor": 2.0},
+        "params": _ELLIPTIC,
         "runner": _run_elliptic_h1,
     },
     "sde-rank": {
         "describe": "tree-SDE estimate constants across depths: bounded for "
                     "full-rank C2, kernel inflation for deficient C2",
-        "defaults": {"depths": (4, 5, 6, 7, 8), "c2": "identity", "seed": 42,
-                     "scale": 0.5, "T": 1.0},
+        "params": dict(depths=Param("ints", (4, 5, 6, 7, 8), "[1, 14]",
+                                    min_len=3),
+                       c2=Param("str", "identity", ("identity", "deficient")),
+                       **_TREE),
         "runner": _run_sde_rank,
     },
     "sde-witness": {
         "describe": "terminal-energy witness of diffusion rank deficiency: "
                     "k*lhs bounded while 1/lhs grows with k",
-        "defaults": {"depth": 8, "seed": 42, "scale": 0.5, "T": 1.0},
+        "params": dict(depth=Param("int", 8, "[2, 14]"), **_TREE),
         "runner": _run_sde_witness,
     },
     "wave-obs": {
         "describe": "string observability from a subinterval: bounded "
                     "constants for large T, growth below travel time",
-        "defaults": {"modes": (8, 16, 32, 64), "x_lo": 0.4, "x_hi": 0.6,
-                     "T": 3.0, "a": 0.0, "expect": "auto"},
+        "params": {"modes": Param("ints", (8, 16, 32, 64), "[1, 4096]",
+                                  min_len=3),
+                   "x_lo": Param("float", 0.4, "[0, 1]"),
+                   "x_hi": Param("float", 0.6, "[0, 1]"),
+                   "T": Param("float", 3.0, "(0, inf)"),
+                   "a": Param("float", 0.0, "(-inf, inf)"),
+                   "expect": Param("str", "auto",
+                                   ("auto", "bounded", "growing"))},
         "runner": _run_wave_obs,
     },
 }
@@ -698,7 +753,8 @@ def run_experiment(name, overrides=None):
     name : str
         Registry key, e.g. ``"l2-fritz-john"``.
     overrides : dict, optional
-        Parameter overrides; keys must exist in the experiment defaults.
+        Parameter overrides, as text or typed values; each key must be
+        declared in the experiment's ``params`` (see ``validate``).
 
     Returns
     -------
@@ -708,14 +764,15 @@ def run_experiment(name, overrides=None):
     Raises
     ------
     ValueError
-        For an unknown name, unknown parameter key, or a parameter
-        outside its documented range.
+        For an unknown name, or a parameter that ``validate`` refuses
+        (unknown, not of its kind, or out of its range); raised before
+        any model is built.
     """
     if name not in EXPERIMENTS:
         raise ValueError("unknown experiment %r (known: %s)"
                          % (name, ", ".join(EXPERIMENTS)))
     entry = EXPERIMENTS[name]
-    params = merge_params(entry["defaults"], overrides)
+    params = validate(entry["params"], overrides)
     t0 = time.perf_counter()
     results, criteria, tables = entry["runner"](params)
     wall = time.perf_counter() - t0

@@ -305,19 +305,71 @@ def test_lq_mesh_list_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("mesh", [1, 5000])
 def test_solve_mesh_out_of_range_exit_2_before_build(mesh, tmp_path, capsys,
                                                      monkeypatch):
-    # solve takes the mesh check of the lq-endpoint experiment: a mesh of 1
-    # (a singular system) or 5000 (a 10000^2 Hessian) is refused before the
-    # problem is built
+    # solve takes the mesh declaration of the lq-endpoint experiment: a mesh
+    # of 1 (a singular system) or 5000 (a 10000^2 Hessian) is refused before
+    # the problem is built
     import fcopt.cli as cli
     built = []
-    monkeypatch.setattr(cli, "lq_endpoint_problem",
-                        lambda *args: built.append(args))
+    monkeypatch.setitem(cli.SOLVE_PROBLEMS, "lq-endpoint",
+                        (lambda *args: built.append(args), ("mesh",)))
     cfg = tmp_path / "lq.cfg"
     cfg.write_text("problem = lq-endpoint\nmesh = %d\n" % mesh)
     out = tmp_path / "lq.json"
     assert main(["solve", "--problem", str(cfg), "--out", str(out)]) == 2
     assert "mesh must lie in [2, 2000]" in capsys.readouterr().err
     assert built == []
+    assert not out.exists()
+
+
+# each of these once ran truncated (depth=3.5 as depth 3), crashed (a
+# TypeError on a list, a numpy allocation of 74.5 GiB) or failed after the
+# whole schedule (samples=0); the declarations refuse them before any build
+REFUSED_UP_FRONT = [
+    pytest.param(["example", "sde-witness", "--set", "depth=3.5"],
+                 "depth must be a single integer, got 3.5", id="depth=3.5"),
+    pytest.param(["example", "sde-witness", "--set", "depth=3,4"],
+                 "depth must be a single integer, got 3,4", id="depth=3,4"),
+    pytest.param(["example", "l2-fritz-john", "--set", "steps=2.5"],
+                 "steps must be a single integer, got 2.5", id="steps=2.5"),
+    pytest.param(["example", "l2-fritz-john", "--set", "samples=2.5"],
+                 "samples must be a single integer, got 2.5",
+                 id="samples=2.5"),
+    pytest.param(["example", "l2-fritz-john", "--set", "seed=1.5"],
+                 "seed must be a single integer, got 1.5", id="seed=1.5"),
+    pytest.param("problem = equality-qp\nsteps = 2.5\n",
+                 "steps must be a single integer, got 2.5",
+                 id="solve-steps=2.5"),
+    pytest.param("problem = equality-qp\ndim = 6.0\n",
+                 "dim must be a single integer, got 6.0", id="solve-dim=6.0"),
+    pytest.param(["example", "l2-fritz-john", "--set", "dim=100000"],
+                 "dim must lie in [4, ", id="dim=100000"),
+    pytest.param(["example", "wave-obs", "--set", "modes=8,16,32,100000"],
+                 "modes must lie in [1, ", id="modes=8,16,32,100000"),
+    pytest.param("problem = lq-endpoint\nsamples = 0\n",
+                 "samples must lie in [1, ", id="solve-samples=0"),
+]
+
+
+@pytest.mark.parametrize("command, message", REFUSED_UP_FRONT)
+def test_refused_up_front_exit_2(command, message, tmp_path, capsys,
+                                 monkeypatch):
+    import fcopt.cli as cli
+    from fcopt.experiments import EXPERIMENTS
+
+    def build(*args):
+        raise AssertionError("built before the parameters were checked")
+
+    for entry in EXPERIMENTS.values():
+        monkeypatch.setitem(entry, "runner", build)
+    for name, (_, keys) in list(cli.SOLVE_PROBLEMS.items()):
+        monkeypatch.setitem(cli.SOLVE_PROBLEMS, name, (build, keys))
+    out = tmp_path / "out.json"
+    if isinstance(command, str):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(command)
+        command = ["solve", "--problem", str(cfg)]
+    assert main(command + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -369,6 +421,14 @@ def test_installed_entry_point():
     proc = subprocess.run(cmd + ["list"], capture_output=True, text=True,
                           env=_checkout_env())
     assert proc.returncode == 0
+    assert "wave-obs" in proc.stdout
+
+
+def test_python_m_fcopt():
+    # python -m fcopt runs the same main as the console script
+    proc = subprocess.run([sys.executable, "-m", "fcopt", "list"],
+                          capture_output=True, text=True, env=_checkout_env())
+    assert proc.returncode == 0, proc.stderr
     assert "wave-obs" in proc.stdout
 
 

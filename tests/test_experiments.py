@@ -19,7 +19,7 @@ def test_registry_contents():
     assert "wave-obs" in names
     for name, desc in list_experiments():
         assert isinstance(desc, str) and desc
-        assert set(EXPERIMENTS[name]) == {"describe", "defaults", "runner"}
+        assert set(EXPERIMENTS[name]) == {"describe", "params", "runner"}
 
 
 def test_unknown_experiment():

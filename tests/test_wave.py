@@ -132,7 +132,8 @@ def test_validation_errors():
 @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
 def test_non_finite_potential_rejected(a, monkeypatch):
     # NaN passes the lowest-mode sign test; it is refused before the
-    # Gramian, by the model and by the experiment under every expect
+    # Gramian, by the model and by the experiment's declaration of a
+    # (a finite float) under every expect
     from fcopt import wave
     from fcopt.experiments import run_experiment
 
@@ -144,7 +145,7 @@ def test_non_finite_potential_rejected(a, monkeypatch):
 
     monkeypatch.setattr(wave, "observation_gramian", no_gramian)
     for expect in ("auto", "bounded", "growing"):
-        with pytest.raises(ValueError, match="potential a must be finite"):
+        with pytest.raises(ValueError, match="a must be a finite number"):
             run_experiment("wave-obs", {"a": a, "expect": expect})
 
 
