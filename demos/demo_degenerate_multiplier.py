@@ -28,7 +28,8 @@ for r in trace:
 print()
 print("extracted pair: z0 = %.3g, z = %s" % (pair.z0,
                                              np.round(pair.z.coords, 6)))
-print("normalization:  z0^2 + |z|^2 = %.12f" % pair.total_norm() ** 2)
+print("normalization:  z0^2 + |z|^2 = %.12f"
+      % (pair.z0 ** 2 + pair.z_norm() ** 2))
 
 kk = kkt_check(p, p.u_bar, pair)
 print("kkt_check:      normal = %s (surjectivity sigma %.3g)"

@@ -29,13 +29,6 @@ __all__ = [
 
 _MEMBERSHIP_TOL = 1e-8
 
-# The gram box projection frees a held coordinate only when its gradient
-# pulls it inward by more than this multiple of |G|_max |x - c|_inf, the
-# roundoff of that gradient; it gives up after _BVLS_PASSES (dim + 1)
-# passes, far more than any small problem takes.
-_BVLS_RTOL = 1e-12
-_BVLS_PASSES = 10
-
 
 def _kronecker(dim, count, seed):
     """Deterministic quasi-random points in [0,1)^dim: a shifted R_d sequence.
@@ -54,55 +47,6 @@ def _kronecker(dim, count, seed):
     return (shift + k * alpha) % 1.0
 
 
-def _gram_bvls(space, coords, lo, hi):
-    """Projection onto the box [lo, hi] in a non-diagonal gram metric.
-
-    Minimizes (x - c)' G (x - c) over lo <= x <= hi by a primal active-set
-    loop in the manner of BVLS (Stark and Parker, Comput. Stat. 10, 1995),
-    one row at a time for a (k, dim) stack.  Each pass minimizes over the
-    free coordinates with the others held at their bounds.  If that point
-    leaves the box, the pass steps toward it up to the first bound it
-    meets and holds that coordinate there.  Otherwise the pass frees the
-    held coordinate whose gradient most pushes it back into the box, and
-    the loop stops when no held gradient does.
-    """
-    if coords.ndim == 2:
-        return np.array([_gram_bvls(space, row, lo, hi) for row in coords]
-                        ).reshape(coords.shape)
-    g = space.gram
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
-                                 np.asarray(hi, dtype=float), coords)[:2]
-    x = np.clip(coords, lo, hi)
-    free = x == coords
-    passes = _BVLS_PASSES * (coords.size + 1)
-    for _ in range(passes):
-        f, held = np.flatnonzero(free), np.flatnonzero(~free)
-        z = x.copy()
-        z[f] = coords[f] - np.linalg.solve(
-            g[np.ix_(f, f)], g[np.ix_(f, held)] @ (x[held] - coords[held]))
-        out = np.flatnonzero((z < lo) | (z > hi))
-        if out.size:
-            bound = np.where(z[out] < lo[out], lo[out], hi[out])
-            alpha = (bound - x[out]) / (z[out] - x[out])
-            k = int(np.argmin(alpha))
-            x = x + alpha[k] * (z - x)
-            x[out[k]] = bound[k]
-            free[out[k]] = False
-            continue
-        x = z
-        grad = g @ (x - coords)
-        # inward pull of each held coordinate: -grad at lo, grad at hi; a
-        # coordinate with lo = hi stays held
-        pull = np.where(x[held] == lo[held], -grad[held], grad[held])
-        pull[lo[held] == hi[held]] = -np.inf
-        tol = _BVLS_RTOL * float(np.abs(g).max() * np.abs(x - coords).max())
-        if not held.size or pull.max() <= tol:
-            return x
-        free[held[int(np.argmax(pull))]] = True
-    raise RuntimeError("gram box projection did not settle in %d passes"
-                       % passes)
-
-
 class ConvexSet:
     """Base class; concrete sets implement ``_project`` and ``_samples``.
 
@@ -114,9 +58,6 @@ class ConvexSet:
 
     def __init__(self, space):
         self.space = space
-
-    def contains(self, x, tol=_MEMBERSHIP_TOL):
-        return distance(self, x) <= tol
 
     # concrete sets override
     def _project(self, coords):
@@ -149,15 +90,29 @@ class Singleton(ConvexSet):
         return np.repeat(self.point[None, :], max(count, 1), axis=0)
 
 
+def _require_diagonal(space, what):
+    # in a diagonal gram the projection onto a box is the clip per
+    # coordinate; no planned problem clips in any other gram
+    if not space.is_diagonal:
+        raise ValueError("a %s needs a diagonal gram; space %r has a "
+                         "non-diagonal one" % (what, space.name))
+
+
 class NonnegativeCone(ConvexSet):
-    """The cone {x : x_i >= 0 componentwise}."""
+    """The cone {x : x_i >= 0 componentwise}, in a diagonal gram.
+
+    The gram projection onto it is the clip at 0 per coordinate.  A space
+    with a non-diagonal gram raises ValueError.
+    """
 
     kind = "nonneg"
 
+    def __init__(self, space):
+        _require_diagonal(space, "nonnegative cone")
+        super().__init__(space)
+
     def _project(self, coords):
-        if self.space.is_diagonal:
-            return np.clip(coords, 0.0, None)
-        return _gram_bvls(self.space, coords, 0.0, np.inf)
+        return np.clip(coords, 0.0, None)
 
     def _samples(self, count, seed, radius, around):
         dim = self.space.dim
@@ -168,11 +123,16 @@ class NonnegativeCone(ConvexSet):
 
 
 class Box(ConvexSet):
-    """The box {x : lo_i <= x_i <= hi_i}."""
+    """The box {x : lo_i <= x_i <= hi_i}, in a diagonal gram.
+
+    The gram projection onto it is the clip to [lo_i, hi_i] per
+    coordinate.  A space with a non-diagonal gram raises ValueError.
+    """
 
     kind = "box"
 
     def __init__(self, space, lo, hi):
+        _require_diagonal(space, "box")
         super().__init__(space)
         self.lo = np.broadcast_to(np.asarray(lo, dtype=float), (space.dim,)).copy()
         self.hi = np.broadcast_to(np.asarray(hi, dtype=float), (space.dim,)).copy()
@@ -180,9 +140,7 @@ class Box(ConvexSet):
             raise ValueError("box bounds must satisfy lo <= hi")
 
     def _project(self, coords):
-        if self.space.is_diagonal:
-            return np.clip(coords, self.lo, self.hi)
-        return _gram_bvls(self.space, coords, self.lo, self.hi)
+        return np.clip(coords, self.lo, self.hi)
 
     def _samples(self, count, seed, radius, around):
         dim = self.space.dim

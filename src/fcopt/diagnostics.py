@@ -94,10 +94,6 @@ class EstimateReport:
         self.note = note
         self.extras = dict(extras or {})
 
-    @property
-    def infinite(self):
-        return not np.isfinite(self.constant)
-
     def __repr__(self):
         return ("EstimateReport(constant=%s, kernel_dim=%d, verdict=%r)"
                 % (self.constant, self.kernel_dim, self.verdict))

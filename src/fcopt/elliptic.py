@@ -133,16 +133,13 @@ class EllipticSystem:
 
     Attributes
     ----------
-    matrix : ndarray
-        The symmetric (N, N) operator matrix (assembled when first read;
-        the estimate works on the three diagonals alone).
     min_eig : float
         Smallest eigenvalue of the operator matrix (computed when read).
     positive_definite : bool
         Whether the operator matrix is positive definite.
     shift : float
-        max |c| over interior nodes; the shifted matrix
-        ``matrix + shift * I`` is the SPD diffusion stiffness plus the
+        max |c| over interior nodes; the shifted operator matrix
+        ``L + shift * I`` is the SPD diffusion stiffness plus the
         nonnegative diagonal ``shift - c``, so it is always SPD.
     """
 
@@ -182,12 +179,6 @@ class EllipticSystem:
         self.shift = float(np.max(np.abs(self.c_nodes), initial=0.0))
         self._negative = self._count_below(0.0)
         self.positive_definite = self._negative == 0
-
-    @cached_property
-    def matrix(self):
-        return (np.diag(self._main)
-                + np.diag(self._off, 1)
-                + np.diag(self._off, -1))
 
     def _count_below(self, shift):
         return _sturm_count(self._diag, self._off2, shift, self._pivmin)

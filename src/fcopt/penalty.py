@@ -23,9 +23,9 @@ bounded away from 0 the pair rescales to a KKT multiplier z/z0.
 
 Phi_eps itself is not differentiable, but Phi_eps^2 is C^1 (squared
 distance to a convex set and squared positive part both are), so the inner
-solver minimizes Phi_eps^2 by damped Newton descent (differencing grad f0
-when the problem has no f0_hess) and the Ekeland-type inequalities are
-verified a posteriori on probe points.
+solver minimizes Phi_eps^2 by damped Newton descent, with the problem's
+constant f0_hess as the Hessian of f0, and the Ekeland-type inequalities
+are verified a posteriori on probe points.
 
 The pipeline has one path.  extract_multiplier spot-checks the local
 optimality of u_bar once, then for each eps of the schedule calls
@@ -35,7 +35,6 @@ parts (_pair); Phi_eps is not evaluated again at u_eps.
 """
 
 import warnings
-from operator import attrgetter, methodcaller
 
 import numpy as np
 
@@ -93,23 +92,11 @@ class InapplicableBranchError(ValueError):
 # of a stack returns data of another point.
 _ROW_RTOL = 1e-9
 
-# Step of the differences of grad f0 that stand in for a missing f0_hess,
-# relative to max(1, |u|_inf): the cube root of the machine epsilon balances
-# the O(h^2) truncation and O(eps/h) rounding errors of a central difference
-# (Nocedal and Wright, Numerical Optimization, section 8.1).
-_HESS_FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)
-
 
 def _coords(u):
     if isinstance(u, Element):
         return np.asarray(u.coords, dtype=float)
     return np.asarray(u, dtype=float)
-
-
-def _central_differences(fn, u, h):
-    """Columns (fn(u + h e_j) - fn(u - h e_j)) / 2h, j = 0..u.size-1."""
-    return np.stack([(fn(u + s) - fn(u - s)) / (2.0 * h)
-                     for s in h * np.eye(u.size)], axis=-1)
 
 
 class ConstrainedProblem:
@@ -138,14 +125,12 @@ class ConstrainedProblem:
         Target set in X.
     domain : ConvexSet or None
         Admissible set in V; None means the whole space.
-    f0_hess : ndarray or None
-        Constant objective Hessian, a (V.dim, V.dim) array; anything else
-        but None raises ValueError.  A positive definite one is
-        Cholesky-factored once (see ``hessian_factor``), which lets a large
-        problem without f_hess_combo take its Newton steps by the Woodbury
-        identity (see _newton_minimize).  None makes the Newton inner
-        solver difference grad f0 instead, at 2 V.dim gradient calls per
-        iteration (see ``hessian``).
+    f0_hess : ndarray
+        Constant objective Hessian, a (V.dim, V.dim) array; it is required,
+        and anything else (None included) raises ValueError.  A positive
+        definite one is Cholesky-factored once (see ``hessian_factor``),
+        which lets a large problem without f_hess_combo take its Newton
+        steps by the Woodbury identity (see _newton_minimize).
     f_hess_combo : callable or None
         (u, w) -> sum_i w_i * Hess f_i(u), the second-order term of the
         constraint map weighted by a dual vector w; 0 for affine maps.
@@ -174,23 +159,21 @@ class ConstrainedProblem:
 
     @property
     def f0_hess(self):
-        """Constant (V.dim, V.dim) Hessian of f0, or None."""
+        """Constant (V.dim, V.dim) Hessian of f0."""
         return self._f0_hess
 
     @f0_hess.setter
     def f0_hess(self, hess):
-        if hess is not None and not (isinstance(hess, np.ndarray)
-                                     and hess.shape == (self.V.dim,) * 2):
+        if not (isinstance(hess, np.ndarray)
+                and hess.shape == (self.V.dim,) * 2):
             raise ValueError(
-                "f0_hess of problem %r must be a (%d, %d) array or None"
+                "f0_hess of problem %r must be a (%d, %d) array"
                 % (self.name, self.V.dim, self.V.dim))
         self._f0_hess = hess
-        self._factor = None
-        if hess is not None:
-            try:
-                self._factor = _cholesky(hess)
-            except np.linalg.LinAlgError:
-                pass
+        try:
+            self._factor = _cholesky(hess)
+        except np.linalg.LinAlgError:
+            self._factor = None
 
     def objective(self, u):
         """Evaluate f0 at u: a float for one point, (k,) for a (k, V.dim) stack.
@@ -231,24 +214,11 @@ class ConstrainedProblem:
                 % (name, self.name, val.shape, shape[0], shape))
         return val
 
-    def hessian(self, u):
-        """Hessian of f0 at u as a (V.dim, V.dim) array.
-
-        f0_hess, or, for a problem without it, the symmetrized central
-        differences of f0_grad (2 V.dim gradient calls).
-        """
-        if self.f0_hess is not None:
-            return self.f0_hess
-        u = _coords(u)
-        h = _HESS_FD_STEP * max(1.0, float(np.abs(u).max()))
-        fd = _central_differences(self.gradient, u, h)
-        return 0.5 * (fd + fd.T)
-
     def hessian_factor(self):
         """Lower Cholesky factor of f0_hess, or None.
 
-        None when f0_hess is None or not positive definite.  The factor is
-        computed when f0_hess is set.
+        None when f0_hess is not positive definite.  The factor is computed
+        when f0_hess is set.
         """
         return self._factor
 
@@ -259,23 +229,6 @@ class ConstrainedProblem:
     def jacobian_map(self, u):
         """Jacobian of f at u wrapped as a LinearMap from V to X."""
         return LinearMap(self.jacobian(u), domain=self.V, codomain=self.X)
-
-    def jacobian_fd_error(self, u, h=1e-6):
-        """Max relative error of the analytic Jacobian vs central differences."""
-        u = _coords(u)
-        jac = self.jacobian(u)
-        fd = _central_differences(self.constraint, u, h)
-        scale = max(1.0, float(np.abs(jac).max()))
-        return float(np.abs(fd - jac).max()) / scale
-
-    def check_reference(self, u_bar, tol=1e-5, h=1e-6):
-        """Raise ValueError if the Jacobian fails the difference check at u_bar."""
-        err = self.jacobian_fd_error(u_bar, h=h)
-        if err > tol:
-            raise ValueError(
-                "jacobian check failed at the reference point: "
-                "relative error %.3e > %.1e" % (err, tol))
-        return err
 
     def variations(self, u, count, seed=0):
         """Sample admissible variations (xi0, xi) of (f0, f) at u.
@@ -367,10 +320,6 @@ class MultiplierPair:
         """Dual norm |z| on the constraint space."""
         return dual_norm(self.z.space, self.z)
 
-    def total_norm(self):
-        """sqrt(z0^2 + |z|^2); 1 up to the Cauchy gap for extracted pairs."""
-        return float(np.sqrt(self.z0 ** 2 + self.z_norm() ** 2))
-
     def __repr__(self):
         return "MultiplierPair(z0=%.6g, |z|=%.6g, gap=%.2g)" % (
             self.z0, self.z_norm(), self.cauchy_gap)
@@ -404,16 +353,6 @@ class TraceRecord:
 class PenaltyTrace:
     """Ordered schedule records with strictly decreasing eps."""
 
-    _COLUMNS = {
-        "eps": attrgetter("eps"),
-        "a": attrgetter("a"),
-        "b_norm": methodcaller("b_norm"),
-        "dist": attrgetter("dist_val"),
-        "gap": attrgetter("f0_gap"),
-        "phi": attrgetter("phi"),
-        "inner_iters": attrgetter("inner_iters"),
-    }
-
     def __init__(self):
         self.records = []
 
@@ -421,14 +360,6 @@ class PenaltyTrace:
         if self.records and rec.eps >= self.records[-1].eps:
             raise ValueError("trace eps values must be strictly decreasing")
         self.records.append(rec)
-
-    def column(self, name):
-        """Array view of one column: eps, a, b_norm, dist, gap, phi, inner_iters.
-
-        Raises KeyError for any other name.
-        """
-        get = self._COLUMNS[name]
-        return np.array([get(r) for r in self.records])
 
     def __len__(self):
         return len(self.records)
@@ -475,7 +406,7 @@ def _hess_phi2(p, u, aux):
     h = 2.0 * (jac.T @ gx_j)
     if gp > 0.0:
         h = h + 2.0 * np.outer(g0, g0)
-        h = h + 2.0 * gp * p.hessian(u)
+        h = h + 2.0 * gp * p.f0_hess
     if p.f_hess_combo is not None:
         w = p.X.apply_gram(fx - pe)
         h = h + 2.0 * np.asarray(p.f_hess_combo(u, w), dtype=float)
@@ -692,11 +623,10 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None, f0_bar=None):
 
     Minimizes Phi_eps^2 (smooth) from u_bar, or from warm_start when given,
     by damped Newton, to a gradient dual norm of max(1e-13, 1e-2 eps^2).
-    The Hessian of f0 in the Newton system is the problem's f0_hess, or
-    central differences of f0_grad when it has none (see
-    ConstrainedProblem.hessian); on a large problem a positive definite
-    f0_hess is factored once and the steps are taken by the Woodbury
-    identity (see _newton_minimize).
+    The Hessian of f0 in the Newton system is the problem's constant
+    f0_hess; on a large problem a positive definite f0_hess is factored
+    once and the steps are taken by the Woodbury identity (see
+    _newton_minimize).
     The line search accepts a step by the Armijo decrease of Phi_eps^2,
     or, when the change of Phi_eps^2 is below its rounding noise, by the
     approximate Wolfe condition on the slope along the step (see
@@ -789,6 +719,9 @@ def _pair(p, phi, dist, gp, fx):
 
 
 def _cauchy_gap(trace):
+    # a single record has no difference to bound the gap by
+    if len(trace) < 2:
+        return np.inf
     recs = trace.records[-3:]
     gap = 0.0
     for r0, r1 in zip(recs, recs[1:]):
@@ -807,7 +740,8 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
     reads the pair (z0, z) off the final record.  The Cauchy gap
     max(|a_k - a_{k-1}|, |b_k - b_{k-1}|) over the final three records is
     reported on the pair; a gap above 1e-2 raises a non-convergence
-    warning but still returns the result.  The local-optimality spot
+    warning but still returns the result.  A schedule of one eps has no
+    difference to bound: its gap is inf and its pair is not converged.  The local-optimality spot
     check of u_bar runs once, before the first eps.  Raises ValueError for
     a problem with a domain (see minimize_penalty).
     """

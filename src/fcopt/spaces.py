@@ -103,8 +103,8 @@ class SpaceDescriptor:
 
     A diagonal gram (the identity, a lumped mass h I) is kept as its
     diagonal vector, so such a space costs O(dim) memory and every gram
-    product is elementwise; ``gram`` and ``chol_lower`` form the dense
-    matrix only when read.
+    product is elementwise; ``gram`` forms the dense matrix only when
+    read.
 
     Parameters
     ----------
@@ -169,12 +169,6 @@ class SpaceDescriptor:
         """The gram matrix G (formed on each read for a diagonal gram)."""
         return np.diag(self._gram) if self.is_diagonal else self._gram
 
-    @property
-    def chol_lower(self):
-        """Lower Cholesky factor L with G = L L' (formed on each read for a
-        diagonal gram)."""
-        return np.diag(self._chol) if self.is_diagonal else self._chol
-
     def apply_gram(self, coords):
         """Return G x for a coordinate vector or a (dim, k) matrix."""
         coords = np.asarray(coords, dtype=float)
@@ -215,10 +209,6 @@ class SpaceDescriptor:
         if self.is_diagonal:
             return coords * self._diag_rows(self._chol, coords)
         return self._chol.T @ coords
-
-    def element(self, coords):
-        """Wrap a coordinate array as an Element of this space."""
-        return Element(coords, self)
 
     def zero(self):
         """The zero element."""

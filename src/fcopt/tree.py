@@ -114,14 +114,6 @@ class TreeModel:
     def leaf_count(self):
         return 2 ** self.d
 
-    def node_counts(self):
-        """Nodes per level, root through leaves."""
-        return [2 ** j for j in range(self.d + 1)]
-
-    def increments(self):
-        """The two equally likely noise increments (child 0, child 1)."""
-        return np.array([self.sqrt_dt, -self.sqrt_dt])
-
     def __repr__(self):
         return ("TreeModel(T=%g, d=%d, n=%d, m=%d)"
                 % (self.T, self.d, self.n, self.m))

@@ -4,13 +4,16 @@ Each builds, by plain dense linear algebra or difference quotients, an
 object the package computes another way (or does not need), so tests can
 compare against it:
 
-* ``stiffness1d``, ``laplace_inverse``, ``solution_space``, ``data_space``
-  and ``elliptic_operator_map``: the dense grams of the elliptic norm
-  pairs and the forward map between them, whose whitened SVD is the
-  oracle of the Sturm-bisection estimate in ``fcopt.elliptic``;
+* ``stiffness1d``, ``laplace_inverse``, ``solution_space``, ``data_space``,
+  ``operator_matrix`` and ``elliptic_operator_map``: the dense grams of
+  the elliptic norm pairs, the dense operator matrix and the forward map
+  between them, whose whitened SVD is the oracle of the Sturm-bisection
+  estimate in ``fcopt.elliptic``;
 * ``AffineSubspace``: an affine target set with a gram-orthonormal basis;
 * ``directional_variation`` with ``VariationEstimate``: one-sided
-  difference quotients of an evaluator along a direction.
+  difference quotients of an evaluator along a direction;
+* ``jacobian_fd_error`` and ``check_reference``: a problem's analytic
+  constraint Jacobian against central differences of its constraint map.
 """
 
 import numpy as np
@@ -63,9 +66,15 @@ def data_space(sys):
                            gram=sys.h ** 3 * laplace_inverse(sys.N))
 
 
+def operator_matrix(sys):
+    """The symmetric (N, N) operator matrix of an EllipticSystem, dense."""
+    return (np.diag(sys._main) + np.diag(sys._off, 1)
+            + np.diag(sys._off, -1))
+
+
 def elliptic_operator_map(sys):
     """The forward map phi -> L phi between the tagged spaces."""
-    return LinearMap(sys.matrix, domain=solution_space(sys),
+    return LinearMap(operator_matrix(sys), domain=solution_space(sys),
                      codomain=data_space(sys))
 
 
@@ -182,3 +191,31 @@ def directional_variation(fmap, e, v, h_schedule=(1e-2, 1e-3, 1e-4, 1e-5)):
     if value.ndim == 0:
         value = float(value)
     return VariationEstimate(value, err, converged, quotients, h_schedule[-1])
+
+
+# ----------------------------------------------------------------- penalty
+
+
+def _central_differences(fn, u, h):
+    """Columns (fn(u + h e_j) - fn(u - h e_j)) / 2h, j = 0..u.size-1."""
+    return np.stack([(fn(u + s) - fn(u - s)) / (2.0 * h)
+                     for s in h * np.eye(u.size)], axis=-1)
+
+
+def jacobian_fd_error(p, u, h=1e-6):
+    """Max relative error of p's analytic Jacobian vs central differences."""
+    u = u.coords if isinstance(u, Element) else np.asarray(u, dtype=float)
+    jac = p.jacobian(u)
+    fd = _central_differences(p.constraint, u, h)
+    scale = max(1.0, float(np.abs(jac).max()))
+    return float(np.abs(fd - jac).max()) / scale
+
+
+def check_reference(p, u_bar, tol=1e-5, h=1e-6):
+    """Raise ValueError if p's Jacobian fails the difference check at u_bar."""
+    err = jacobian_fd_error(p, u_bar, h=h)
+    if err > tol:
+        raise ValueError(
+            "jacobian check failed at the reference point: "
+            "relative error %.3e > %.1e" % (err, tol))
+    return err

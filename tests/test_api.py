@@ -1,13 +1,18 @@
 """Guards on the package surface, read from the source of src/fcopt.
 
 Every name a module lists in ``__all__`` must be referenced by the
-package's own code (a caller, a subclass, a default), unless
-WIRED_LATER names the ROADMAP item that will give it one; and no module
-may import a name it never uses.
+package's own code (a caller, a subclass, a default), and so must every
+public method and property of a class listed there, unless WIRED_LATER
+names the ROADMAP item that will give it one; and no module may import a
+name it never uses.  The functions the benchmark's tracer times
+(perfbench/tracer.py) must exist and be traceable.
 """
 
 import ast
+import importlib
+from collections import Counter
 import pathlib
+import types
 
 import pytest
 
@@ -15,8 +20,12 @@ import fcopt
 
 SRC = pathlib.Path(fcopt.__file__).parent
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+TRACER = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+          / "tracer.py")
 
-# public names without a caller in the package, and what will call them
+# public names (module.name) and public methods or properties
+# (module.Class.name) without a reader in the package, and what will read
+# them
 WIRED_LATER = {
     "convex.Box": "ROADMAP 5",
     "convex.NonnegativeCone": "ROADMAP 5",
@@ -82,9 +91,54 @@ def test_public_names_have_production_callers(module):
         "that will call them in WIRED_LATER" % (module, ", ".join(missing)))
 
 
+def _methods(module):
+    """Public methods and properties of the classes in a module's __all__.
+
+    Yields (key, node), key being "module.Class.name"; a property's getter
+    and setter are two nodes of one key.
+    """
+    tree = _tree(module)
+    public = set(_public(tree))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in public:
+            for sub in node.body:
+                if (isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("_")):
+                    yield "%s.%s.%s" % (module, node.name, sub.name), sub
+
+
+def _attributes(node):
+    """Attribute names under node, with their number of occurrences."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute))
+
+
+ATTRIBUTES = sum((_attributes(_tree(module)) for module in MODULES),
+                 Counter())
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_methods_have_production_readers(module):
+    # a method is read when its name appears as an attribute (x.name)
+    # somewhere in src/fcopt outside its own body; a recursive call or a
+    # property's own setter decorator does not count
+    missing = []
+    for key, node in _methods(module):
+        name = node.name
+        if key in WIRED_LATER or key in missing:
+            continue
+        if ATTRIBUTES[name] <= _attributes(node)[name]:
+            missing.append(key)
+    assert missing == [], (
+        "public methods of fcopt.%s that no code in src/fcopt reads: %s; "
+        "read them, move them into the tests, or name the ROADMAP item "
+        "that will read them in WIRED_LATER" % (module, ", ".join(missing)))
+
+
 def test_wired_later_lists_public_names():
     public = {"%s.%s" % (module, name) for module in MODULES
               for name in _public(_tree(module))}
+    public |= {key for module in MODULES for key, _ in _methods(module)}
     assert sorted(set(WIRED_LATER) - public) == []
 
 
@@ -101,3 +155,56 @@ def test_no_unused_imports(module):
                     unused.append(bound)
     assert unused == [], "fcopt.%s imports unused names: %s" % (
         module, ", ".join(unused))
+
+
+def _tracer_tables():
+    """LAYER_METRICS and EXTRA_HOOKS of perfbench/tracer.py, as literals."""
+    tables = {}
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if getattr(target, "id", None) in ("LAYER_METRICS",
+                                                   "EXTRA_HOOKS"):
+                    tables[target.id] = ast.literal_eval(node.value)
+    return tables["LAYER_METRICS"], tables["EXTRA_HOOKS"]
+
+
+def _traceable(key, extra_hooks):
+    """Whether the tracer can wrap the function of a metric key.
+
+    It wraps a function that a module defines and lists in __all__, and
+    the (module, class or None, function) entries of EXTRA_HOOKS.
+    """
+    module_name, _, qualname = key.partition(".")
+    module = importlib.import_module("fcopt." + module_name)
+    owner_name, _, attr = qualname.rpartition(".")
+    owner = getattr(module, owner_name, None) if owner_name else module
+    fn = getattr(owner, attr, None)
+    if not isinstance(fn, types.FunctionType):
+        return False
+    if ("fcopt." + module_name, owner_name or None, attr) in extra_hooks:
+        return True
+    return (not owner_name and attr in getattr(module, "__all__", ())
+            and fn.__module__ == module.__name__)
+
+
+# keys the tracer still lists for a function the package has deleted; the
+# metric reads its other keys (ROADMAP 1 drops this one from the benchmark)
+STALE_TRACED = {"diagnostics.closed_range_constant"}
+
+
+def test_benchmark_traced_functions_exist():
+    # the benchmark's self-check fails a traced run in which a layer saw
+    # no calls, so each function key it requires must still be defined
+    # and traceable here; a key ending in "." covers a whole module
+    metrics, extra_hooks = _tracer_tables()
+    keys = sorted({key for _, _, kind, keys, _ in metrics if kind != "import"
+                   for key in keys if not key.endswith(".")})
+    assert "elliptic.EllipticSystem.__init__" in keys
+    assert not any(_traceable(key, extra_hooks) for key in STALE_TRACED)
+    missing = [key for key in keys
+               if key not in STALE_TRACED and not _traceable(key, extra_hooks)]
+    assert missing == [], (
+        "perfbench/tracer.py times %s, which fcopt no longer defines or "
+        "exports; retire that layer in the benchmark (a change to "
+        "perfbench/) before removing the function" % ", ".join(missing))

@@ -28,18 +28,22 @@ def random_spd(rng, dim):
     return a.T @ a + 0.5 * np.eye(dim)
 
 
+def random_diagonal(rng, dim):
+    return np.diag(rng.uniform(0.5, 2.0, size=dim))
+
+
 # ---------------------------------------------------------------- project
 
 
 def test_project_cone_clips():
     s = SpaceDescriptor("X", 2)
-    e = project(NonnegativeCone(s), s.element([-1.0, 2.0]))
+    e = project(NonnegativeCone(s), Element([-1.0, 2.0], s))
     assert_allclose(e.coords, [0.0, 2.0])
 
 
 def test_project_singleton():
     s = SpaceDescriptor("X", 2)
-    e = project(Singleton(s, [0.0, 0.0]), s.element([3.0, 4.0]))
+    e = project(Singleton(s, [0.0, 0.0]), Element([3.0, 4.0], s))
     assert_allclose(e.coords, [0.0, 0.0])
 
 
@@ -53,7 +57,7 @@ def test_project_box_against_grid_oracle():
     i, j = np.unravel_index(np.argmin(d2), d2.shape)
     oracle = np.array([grid[i], grid[j]])
     assert_allclose(oracle, [1.0, 0.0], atol=1e-12)
-    got = project(Box(s, 0.0, 1.0), s.element(x))
+    got = project(Box(s, 0.0, 1.0), Element(x, s))
     assert_allclose(got.coords, oracle, atol=1e-3)
     assert_allclose(got.coords, [1.0, 0.0], atol=1e-12)
 
@@ -62,45 +66,29 @@ def test_project_affine_subspace():
     s = SpaceDescriptor("X", 3)
     # span{e1} shifted to pass through (0,1,0)
     aff = AffineSubspace(s, np.eye(3)[:, :1], offset=[0.0, 1.0, 0.0])
-    p = project(aff, s.element([2.0, 5.0, -3.0]))
+    p = project(aff, Element([2.0, 5.0, -3.0], s))
     assert_allclose(p.coords, [2.0, 1.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("make, clipped", [
+    (lambda s: Box(s, 0.0, 1.0), [0.0, 1.0]),
+    (NonnegativeCone, [0.0, 3.0]),
+], ids=["box", "nonneg"])
+def test_box_and_cone_refuse_a_nondiagonal_gram(make, clipped):
+    # their projection is the clip per coordinate, which is the gram
+    # projection in a diagonal gram only
+    s = SpaceDescriptor("X", 2, [[2.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(ValueError, match="diagonal gram"):
+        make(s)
+    d = SpaceDescriptor("X", 2, [[2.0, 0.0], [0.0, 0.5]])
+    got = project(make(d), Element([-1.0, 3.0], d)).coords
+    assert np.array_equal(got, clipped)
 
 
 def test_affine_requires_gram_orthonormal_basis():
     s = SpaceDescriptor("X", 2, [[2.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         AffineSubspace(s, np.eye(2)[:, :1])  # |e1|_G = sqrt(2) != 1
-
-
-def test_project_nondiagonal_gram_variational_inequality():
-    # optimality of the metric projection: <G(x - Px), e - Px> <= 0 on members
-    rng = np.random.default_rng(5)
-    g = random_spd(rng, 3)
-    s = SpaceDescriptor("X", 3, g)
-    cone = NonnegativeCone(s)
-    for _ in range(20):
-        x = rng.normal(scale=2.0, size=3)
-        p = project(cone, s.element(x)).coords
-        assert p.min() >= -1e-12
-        grad = g @ (x - p)
-        members = cone._samples(500, 3, 5.0, p)
-        assert ((members - p) @ grad).max() <= 1e-8
-
-
-def test_project_box_nondiagonal_gram_matches_bruteforce():
-    rng = np.random.default_rng(8)
-    g = random_spd(rng, 2)
-    s = SpaceDescriptor("X", 2, g)
-    box = Box(s, 0.0, 1.0)
-    x = np.array([1.7, -0.9])
-    grid = np.linspace(0.0, 1.0, 401)
-    gx, gy = np.meshgrid(grid, grid, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    diffs = pts - x
-    vals = np.einsum("ni,ij,nj->n", diffs, g, diffs)
-    oracle = pts[np.argmin(vals)]
-    got = project(box, s.element(x)).coords
-    assert np.abs(got - oracle).max() <= 5e-3
 
 
 def _kkt_enumeration(g, c, lo, hi):
@@ -133,11 +121,12 @@ def _kkt_enumeration(g, c, lo, hi):
 
 @pytest.mark.parametrize("kind", ["box", "nonneg"])
 @pytest.mark.parametrize("dim", range(1, 7))
-def test_project_nondiagonal_gram_matches_kkt_enumeration(kind, dim):
-    # the projection is the unique KKT point; bounds include +-inf
+def test_project_diagonal_gram_matches_kkt_enumeration(kind, dim):
+    # the projection, a clip per coordinate, is the unique KKT point in a
+    # diagonal gram other than the identity; bounds include +-inf
     rng = np.random.default_rng([dim, 11])
     for _ in range(8):
-        g = random_spd(rng, dim)
+        g = random_diagonal(rng, dim)
         s = SpaceDescriptor("X", dim, g)
         if kind == "box":
             lo = np.where(rng.random(dim) < 0.3, -np.inf,
@@ -150,7 +139,7 @@ def test_project_nondiagonal_gram_matches_kkt_enumeration(kind, dim):
             lo, hi = np.zeros(dim), np.full(dim, np.inf)
             E = NonnegativeCone(s)
         x = rng.normal(scale=3.0, size=dim)
-        got = project(E, s.element(x)).coords
+        got = project(E, Element(x, s)).coords
         found = _kkt_enumeration(g, x, lo, hi)
         assert found
         for ref in found:
@@ -187,27 +176,30 @@ def _random_set(rng, s, kind):
 def test_projection_invariants(seed, kind):
     rng = np.random.default_rng(seed)
     dim = 3
-    s = SpaceDescriptor("X", dim, random_spd(rng, dim))
+    # the box and the cone admit diagonal grams only
+    gram = random_diagonal if kind in ("nonneg", "box") else random_spd
+    s = SpaceDescriptor("X", dim, gram(rng, dim))
     E = _random_set(rng, s, kind)
-    x = s.element(rng.normal(scale=2.0, size=dim))
+    x = Element(rng.normal(scale=2.0, size=dim), s)
     p = project(E, x)
     # membership and idempotence
     assert distance(E, p) <= 1e-10
     p2 = project(E, p)
     assert np.abs(p2.coords - p.coords).max() <= 1e-10
     # optimality against sampled members
-    d = norm(s, s.element(x.coords - p.coords))
+    d = norm(s, Element(x.coords - p.coords, s))
     members = E._samples(1000, seed % 97, 4.0, p.coords)
     for e in members[:: max(1, len(members) // 100)]:
-        de = norm(s, s.element(x.coords - e))
+        de = norm(s, Element(x.coords - e, s))
         assert d <= de + 1e-8
 
 
-@pytest.mark.parametrize("gram", ["diagonal", "spd"])
-@pytest.mark.parametrize("kind", ["singleton", "nonneg", "box", "affine", "whole"])
+@pytest.mark.parametrize("kind, gram", [
+    (kind, gram) for kind in ["singleton", "nonneg", "box", "affine", "whole"]
+    for gram in ["diagonal", "spd"]
+    # the box and the cone admit diagonal grams only
+    if gram == "diagonal" or kind in ("singleton", "affine", "whole")])
 def test_project_stack_matches_row_by_row(kind, gram):
-    # a non-diagonal gram sends the cone and the box through BVLS, which
-    # projects a stack one row at a time
     rng = np.random.default_rng(4)
     dim = 3
     g = np.diag([1.0, 2.0, 0.5]) if gram == "diagonal" else random_spd(rng, dim)
@@ -225,12 +217,12 @@ def test_project_stack_matches_row_by_row(kind, gram):
 
 def test_distance_singleton():
     s = SpaceDescriptor("X", 2)
-    assert distance(Singleton(s, [0.0, 0.0]), s.element([3.0, 4.0])) == pytest.approx(5.0)
+    assert distance(Singleton(s, [0.0, 0.0]), Element([3.0, 4.0], s)) == pytest.approx(5.0)
 
 
 def test_distance_member_is_zero():
     s = SpaceDescriptor("X", 2)
-    assert distance(Box(s, 0.0, 1.0), s.element([0.5, 0.25])) == pytest.approx(0.0, abs=1e-14)
+    assert distance(Box(s, 0.0, 1.0), Element([0.5, 0.25], s)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_distance_cone_grid_oracle():
@@ -238,7 +230,7 @@ def test_distance_cone_grid_oracle():
     # a coarse feasible grid never beats it
     s = SpaceDescriptor("X", 3)
     cone = NonnegativeCone(s)
-    x = s.element([-1.0, -2.0, 3.0])
+    x = Element([-1.0, -2.0, 3.0], s)
     d = distance(cone, x)
     assert d == pytest.approx(np.sqrt(5.0), rel=1e-12)
     grid = np.linspace(0.0, 4.0, 41)
@@ -253,13 +245,13 @@ def test_distance_cone_grid_oracle():
 
 def test_dist_subgradient_singleton_unit_direction():
     s = SpaceDescriptor("X", 2)
-    w = dist_subgradient(Singleton(s, [0.0, 0.0]), s.element([3.0, 4.0]))
+    w = dist_subgradient(Singleton(s, [0.0, 0.0]), Element([3.0, 4.0], s))
     assert_allclose(w.coords, [0.6, 0.8], atol=1e-12)
 
 
 def test_dist_subgradient_zero_selection_inside():
     s = SpaceDescriptor("X", 2)
-    w = dist_subgradient(Box(s, 0.0, 1.0), s.element([0.3, 0.9]))
+    w = dist_subgradient(Box(s, 0.0, 1.0), Element([0.3, 0.9], s))
     assert_allclose(w.coords, [0.0, 0.0])
 
 
@@ -267,35 +259,39 @@ def test_dist_subgradient_cone_and_inequality():
     # sampled subgradient-inequality oracle on 1000 random y
     s = SpaceDescriptor("X", 2)
     cone = NonnegativeCone(s)
-    x = s.element([-3.0, 4.0])
+    x = Element([-3.0, 4.0], s)
     w = dist_subgradient(cone, x)
     assert_allclose(w.coords, [-1.0, 0.0], atol=1e-12)
     rng = np.random.default_rng(17)
     dx = distance(cone, x)
     for _ in range(1000):
-        y = s.element(rng.normal(scale=3.0, size=2))
+        y = Element(rng.normal(scale=3.0, size=2), s)
         lhs = distance(cone, y) - dx
-        rhs = pairing(w, s.element(y.coords - x.coords))
+        rhs = pairing(w, Element(y.coords - x.coords, s))
         assert lhs >= rhs - 1e-10
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 10**6))
 def test_dist_subgradient_riesz_identities(seed):
-    # invariants: unit dual norm and <w, x - Px> = dist, any gram
+    # invariants: unit dual norm and <w, x - Px> = dist, any gram the set
+    # admits (the cone a diagonal one, a point any)
     rng = np.random.default_rng(seed)
     dim = 3
-    s = SpaceDescriptor("X", dim, random_spd(rng, dim))
-    E = NonnegativeCone(s)
-    x = s.element(rng.normal(scale=2.0, size=dim) - 1.0)
-    d = distance(E, x)
-    w = dist_subgradient(E, x)
-    if d > 1e-8:
-        assert dual_norm(s, w) == pytest.approx(1.0, rel=1e-9)
-        gap = pairing(w, s.element(x.coords - project(E, x).coords))
-        assert gap == pytest.approx(d, rel=1e-9)
-    else:
-        assert dual_norm(s, w) <= 1.0 + 1e-12
+    cone = NonnegativeCone(SpaceDescriptor("X", dim, random_diagonal(rng, dim)))
+    point = Singleton(SpaceDescriptor("Y", dim, random_spd(rng, dim)),
+                      rng.normal(size=dim))
+    for E in (cone, point):
+        s = E.space
+        x = Element(rng.normal(scale=2.0, size=dim) - 1.0, s)
+        d = distance(E, x)
+        w = dist_subgradient(E, x)
+        if d > 1e-8:
+            assert dual_norm(s, w) == pytest.approx(1.0, rel=1e-9)
+            gap = pairing(w, Element(x.coords - project(E, x).coords, s))
+            assert gap == pytest.approx(d, rel=1e-9)
+        else:
+            assert dual_norm(s, w) <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------- normal cone
@@ -304,14 +300,14 @@ def test_dist_subgradient_riesz_identities(seed):
 def test_normal_cone_residual_singleton_always_zero():
     s = SpaceDescriptor("X", 2)
     E = Singleton(s, [1.0, 2.0])
-    r = normal_cone_residual(E, s.element([1.0, 2.0]), s.element([5.0, -3.0]))
+    r = normal_cone_residual(E, Element([1.0, 2.0], s), Element([5.0, -3.0], s))
     assert r == pytest.approx(0.0, abs=1e-12)
 
 
 def test_normal_cone_residual_cone_origin():
     s = SpaceDescriptor("X", 2)
     E = NonnegativeCone(s)
-    r = normal_cone_residual(E, s.zero(), s.element([-1.0, -1.0]))
+    r = normal_cone_residual(E, s.zero(), Element([-1.0, -1.0], s))
     assert r <= 1e-12
 
 
@@ -321,7 +317,7 @@ def test_normal_cone_residual_box_endpoints_vertex_oracle():
     # vertex-enumeration oracle: sup over {0,1} of w (e~ - e)
     for e, w in [(1.0, 1.0), (0.0, -1.0)]:
         oracle = max(wv * (v - e) for v in (0.0, 1.0) for wv in [w])
-        got = normal_cone_residual(E, s.element([e]), s.element([w]))
+        got = normal_cone_residual(E, Element([e], s), Element([w], s))
         assert oracle == pytest.approx(0.0)
         assert got == pytest.approx(0.0, abs=1e-12)
 
@@ -333,7 +329,7 @@ def test_normal_cone_residual_box2_matches_vertex_oracle():
     w = np.array([1.0, 0.5])
     verts = np.array([[a, b] for a in (0.0, 1.0) for b in (0.0, 1.0)])
     oracle = ((verts - e) @ w).max()
-    got = normal_cone_residual(E, s.element(e), s.element(w))
+    got = normal_cone_residual(E, Element(e, s), Element(w, s))
     assert got == pytest.approx(oracle, abs=1e-12)
 
 
@@ -341,7 +337,7 @@ def test_normal_cone_residual_requires_membership():
     s = SpaceDescriptor("X", 2)
     E = Box(s, 0.0, 1.0)
     with pytest.raises(ValueError):
-        normal_cone_residual(E, s.element([2.0, 0.5]), s.element([1.0, 0.0]))
+        normal_cone_residual(E, Element([2.0, 0.5], s), Element([1.0, 0.0], s))
 
 
 def test_bepsilon_vector_in_normal_cone():
@@ -350,9 +346,9 @@ def test_bepsilon_vector_in_normal_cone():
     s = SpaceDescriptor("X", 3)
     E = NonnegativeCone(s)
     for _ in range(10):
-        x = s.element(rng.normal(scale=2.0, size=3))
+        x = Element(rng.normal(scale=2.0, size=3), s)
         w = dist_subgradient(E, x)
-        b = s.element(distance(E, x) * w.coords)
+        b = Element(distance(E, x) * w.coords, s)
         r = normal_cone_residual(E, project(E, x), b)
         assert r <= 1e-8
 
@@ -384,7 +380,7 @@ def test_kronecker_points_fill_every_grid_cell(seed, dim):
 def test_tangent_cone_sample_singleton_all_zero():
     s = SpaceDescriptor("X", 2)
     E = Singleton(s, [1.0, 1.0])
-    for v in tangent_cone_sample(E, s.element([1.0, 1.0]), 32, seed=4):
+    for v in tangent_cone_sample(E, Element([1.0, 1.0], s), 32, seed=4):
         assert norm(s, v) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -411,8 +407,8 @@ def test_tangent_cone_sample_nonneg_cone_signs():
 def test_tangent_cone_sample_deterministic():
     s = SpaceDescriptor("X", 2)
     E = Box(s, 0.0, 1.0)
-    a = tangent_cone_sample(E, s.element([0.5, 0.5]), 16, seed=3)
-    b = tangent_cone_sample(E, s.element([0.5, 0.5]), 16, seed=3)
+    a = tangent_cone_sample(E, Element([0.5, 0.5], s), 16, seed=3)
+    b = tangent_cone_sample(E, Element([0.5, 0.5], s), 16, seed=3)
     for va, vb in zip(a, b):
         assert_allclose(va.coords, vb.coords)
 

@@ -124,7 +124,7 @@ def test_restricted_constant_rank_deficient():
 
 def test_restricted_constant_zero_operator():
     rep = restricted_estimate_constant(idmap(3, np.zeros((3, 3))))
-    assert rep.infinite
+    assert np.isinf(rep.constant)
     assert rep.kernel_dim == 3
 
 
