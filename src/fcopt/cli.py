@@ -13,7 +13,8 @@ declarations they use (a parameter not of its kind or out of range
 exits 2 before the problem is built), and writes
 the full trace (records, multiplier pair, residual checks) as JSON plus
 a CSV companion with columns eps, a, b_norm, dist, gap; it exits 1 when
-a record's pair is not normalized (|a^2 + |b|^2 - 1| > 1e-9).  ``example``
+a record's pair is not normalized (|a^2 + |b|^2 - 1| > 1e-9) or the
+final pair is not converged (a Cauchy gap above 1e-2).  ``example``
 runs a registered experiment and exits 1 when any of its criteria fail.
 Exit codes: 0 success, 1 a criterion or the computation failed, 2 bad
 usage (unknown name, malformed parameter, unreadable input).
@@ -126,6 +127,12 @@ def _cmd_solve(args):
     if norm_dev > _NORM_TOL:
         print("error: pair not normalized: max |a^2+|b|^2-1| = %.3e > %.0e"
               % (norm_dev, _NORM_TOL), file=sys.stderr)
+        return 1
+    # the last pair of a schedule whose final records still move is not
+    # the limit pair the run reports
+    if not pair.converged:
+        print("error: pair not converged: Cauchy gap %.3e over the final "
+              "records" % pair.cauchy_gap, file=sys.stderr)
         return 1
     return 0
 

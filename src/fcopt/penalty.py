@@ -31,7 +31,9 @@ The pipeline has one path.  extract_multiplier spot-checks the local
 optimality of u_bar once, then for each eps of the schedule calls
 minimize_penalty, which returns u_eps with the Phi parts (_phi_parts) its
 last Newton gradient computed there, and reads the pair (a, b) off those
-parts (_pair); Phi_eps is not evaluated again at u_eps.
+parts (_pair); Phi_eps is not evaluated again at u_eps.  Each eps after
+the first starts from the secant prediction through the last two
+near-minimizers (_secant_start).
 """
 
 import warnings
@@ -621,8 +623,16 @@ def _check_no_domain(p):
 def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None, f0_bar=None):
     """Near-minimizer u_eps of Phi_eps with Phi_eps(u_eps) <= eps, and its info.
 
-    Minimizes Phi_eps^2 (smooth) from u_bar, or from warm_start when given,
-    by damped Newton, to a gradient dual norm of max(1e-13, 1e-2 eps^2).
+    Minimizes Phi_eps^2 (smooth) by damped Newton, to a gradient dual
+    norm of max(1e-13, 1e-2 eps^2), walking a chain of starts until one
+    attempt succeeds: a prediction, the previous near-minimizer, then
+    u_bar.  warm_start is None (u_bar alone), the previous near-minimizer,
+    or a tuple (prediction, previous) as extract_multiplier passes it.
+    An attempt that fails gives way to the next start.  So does a
+    prediction that meets the tolerance with 0 Newton iterations: it lies
+    anywhere within the tolerance of the path, while a Newton step lands
+    far below it, and the pair read off the unmoved prediction loses that
+    accuracy (on lq-endpoint the pair error grew from 1e-8 to 3e-5).
     The Hessian of f0 in the Newton system is the problem's constant
     f0_hess; on a large problem a positive definite f0_hess is factored
     once and the steps are taken by the Woodbury identity (see
@@ -633,9 +643,9 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None, f0_bar=None):
     _newton_minimize).  It then verifies a posteriori that
     Phi_eps(u_eps) <= eps, that u_eps stays within sqrt(eps) + 1e-6 of
     u_bar, and that the Ekeland-type inequality holds on 16 probe
-    directions (seeded by cfg.seed) up to 1e-8.  A warm start that fails
-    triggers one cold restart from u_bar.  The local-optimality spot check
-    of u_bar is not run here: extract_multiplier runs it once per schedule.
+    directions (seeded by cfg.seed) up to 1e-8; these checks run once, on
+    the attempt that succeeded.  The local-optimality spot check of u_bar
+    is not run here: extract_multiplier runs it once per schedule.
 
     The Phi parts of u_eps that the inner solver's last gradient computed
     serve the Phi <= eps check, the Ekeland residual and the info dict;
@@ -645,8 +655,12 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None, f0_bar=None):
 
     Returns (element, info dict) where info carries phi, dist, gap_plus,
     f (the constraint value f(u_eps); _pair forms the coefficient pair
-    from these four), inner_iters, grad_norm, backtracks, wolfe_steps,
-    ekeland_residual, ball, cold_start and eps.
+    from these four), inner_iters, grad_norm, backtracks, wolfe_steps
+    (the last four of the attempt that succeeded), ekeland_residual, ball,
+    start (the start that succeeded: "predicted", "previous" or
+    "reference"), rejected_starts (the starts given up before it: failed
+    attempts and 0-iteration predictions), cold_start (start ==
+    "reference") and eps.
 
     Raises InnerConvergenceError (carrying the best iterate) when the inner
     solver stalls or any a-posteriori check fails; its info dict carries
@@ -666,22 +680,31 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None, f0_bar=None):
 
     tol = max(_INNER_FLOOR, _INNER_SCALE * eps * eps)
 
-    start = ub if warm_start is None else _coords(warm_start)
-    cold = warm_start is None
-    while True:
+    predicted, previous = (warm_start if isinstance(warm_start, tuple)
+                           else (None, warm_start))
+    chain = [(kind, _coords(x)) for kind, x in
+             (("predicted", predicted), ("previous", previous))
+             if x is not None]
+    chain.append(("reference", ub))
+    rejected = 0
+    for kind, start in chain:
         try:
             u, (phi2, dist, gp, fx, _), stats = _newton_minimize(
                 p, start, f0_bar, eps, tol)
-            phi = float(np.sqrt(phi2))
-            if phi > eps * (1.0 + 1e-9) + 1e-15:
-                raise InnerConvergenceError(
-                    "inner solve stalled at Phi = %.6e > eps = %.6e" % (phi, eps),
-                    best=u, info=dict(stats, tol=tol, phi=phi, eps=eps))
         except InnerConvergenceError:
-            if cold:
+            if kind == "reference":
                 raise
-            start = ub
-            cold = True
+            rejected += 1
+            continue
+        phi = float(np.sqrt(phi2))
+        stalled = phi > eps * (1.0 + 1e-9) + 1e-15
+        if stalled and kind == "reference":
+            raise InnerConvergenceError(
+                "inner solve stalled at Phi = %.6e > eps = %.6e" % (phi, eps),
+                best=u, info=dict(stats, tol=tol, phi=phi, eps=eps))
+        # a prediction that meets tol as it stands is not taken (see above)
+        if stalled or (kind == "predicted" and stats["inner_iters"] == 0):
+            rejected += 1
             continue
         break
 
@@ -697,7 +720,9 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None, f0_bar=None):
             best=u, info=dict(stats, tol=tol, ekeland_residual=res, eps=eps))
 
     info = dict(stats, phi=phi, dist=dist, gap_plus=gp, f=fx,
-                ekeland_residual=res, ball=ball, cold_start=cold, eps=eps)
+                ekeland_residual=res, ball=ball, start=kind,
+                rejected_starts=rejected, cold_start=kind == "reference",
+                eps=eps)
     return Element(u, p.V), info
 
 
@@ -731,19 +756,42 @@ def _cauchy_gap(trace):
     return gap
 
 
+def _secant_start(trace, ub, eps):
+    """Warm start (prediction, previous near-minimizer) at eps, or None.
+
+    The prediction is the secant through the last two points (eps_k, u_k)
+    of the penalty path, the first of them (0, u_bar): u_1 + (eps - eps_1)
+    (u_1 - u_2) / (eps_1 - eps_2).  None before the first record.
+    """
+    if not trace:
+        return None
+    e1, u1 = trace[-1].eps, trace[-1].u_eps.coords
+    e2, u2 = ((trace[-2].eps, trace[-2].u_eps.coords) if len(trace) > 1
+              else (0.0, ub))
+    return u1 + (eps - e1) / (e1 - e2) * (u1 - u2), u1
+
+
 def extract_multiplier(p, u_bar, schedule, cfg=None):
     """Run the schedule and return (MultiplierPair, PenaltyTrace).
 
     Sequentially minimizes Phi_eps along the strictly decreasing schedule,
-    warm-starting each step from the previous near-minimizer, records
-    (eps, u_eps, phi, a, b, dist, f0 gap, iteration count) per step, and
-    reads the pair (z0, z) off the final record.  The Cauchy gap
-    max(|a_k - a_{k-1}|, |b_k - b_{k-1}|) over the final three records is
-    reported on the pair; a gap above 1e-2 raises a non-convergence
-    warning but still returns the result.  A schedule of one eps has no
-    difference to bound: its gap is inf and its pair is not converged.  The local-optimality spot
-    check of u_bar runs once, before the first eps.  Raises ValueError for
-    a problem with a domain (see minimize_penalty).
+    records (eps, u_eps, phi, a, b, dist, f0 gap, iteration count) per
+    step, and reads the pair (z0, z) off the final record.  The first eps
+    starts from u_bar.  Every later one starts from the predictor step of
+    a continuation in eps (Allgower and Georg, Numerical Continuation
+    Methods, Springer 1990): the near-minimizers lie on a path u_eps ~
+    u_bar + eps w, and the secant through its last two points (the first
+    of them (0, u_bar)) predicts the next (see _secant_start).
+    minimize_penalty falls back from the prediction to the previous
+    near-minimizer, then to u_bar, and gives up a prediction that meets
+    the inner tolerance with 0 iterations, which keeps the pair's
+    accuracy.  The Cauchy gap max(|a_k - a_{k-1}|, |b_k - b_{k-1}|) over
+    the final three records is reported on the pair; a gap above 1e-2
+    raises a non-convergence warning but still returns the result.  A
+    schedule of one eps has no difference to bound: its gap is inf and
+    its pair is not converged.  The local-optimality spot check of u_bar
+    runs once, before the first eps.  Raises ValueError for a problem
+    with a domain (see minimize_penalty).
     """
     if cfg is None:
         cfg = PenaltyConfig()
@@ -761,9 +809,9 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
     _verify_local_solution(p, ub, cfg.seed)
 
     trace = PenaltyTrace()
-    el = None
     for e in sched:
-        el, info = minimize_penalty(p, ub, e, cfg, warm_start=el,
+        el, info = minimize_penalty(p, ub, e, cfg,
+                                    warm_start=_secant_start(trace, ub, e),
                                     f0_bar=f0_bar)
         a, b = _pair(p, info["phi"], info["dist"], info["gap_plus"], info["f"])
         trace.append(TraceRecord(

@@ -96,6 +96,36 @@ def test_solve_exits_0_only_with_normalized_pairs(problem, steps, tmp_path,
         assert "pair not normalized" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem, steps", [
+    ("equality-qp", 2), ("l2-fritz-john", 2), ("lq-endpoint", 2),
+    ("lq-endpoint", 3)])
+def test_solve_exits_1_on_a_pair_that_is_not_cauchy(problem, steps, tmp_path,
+                                                    capsys):
+    # too short a schedule ends before the pairs settle: the report is
+    # written, flagged not converged, and solve exits 1
+    out = tmp_path / "t.json"
+    with pytest.warns(RuntimeWarning, match="not Cauchy"):
+        rc = main(["solve", "--problem", problem, "--steps", str(steps),
+                   "--out", str(out)])
+    assert rc == 1
+    assert "pair not converged" in capsys.readouterr().err
+    pair = json.loads(out.read_text())["pair"]
+    assert pair["converged"] is False and pair["cauchy_gap"] > 1e-2
+
+
+def test_solve_l2_at_17_steps_stays_in_the_ball(tmp_path):
+    # the 17th eps meets its inner tolerance with 0 iterations at the 16th
+    # near-minimizer.  Warm-started from the previous point at every eps,
+    # that point was 1.441e-3 from u_bar, outside the sqrt(eps) = 1.2353e-3
+    # ball; on the path the secant predictions lead along it is 1.2350e-3
+    # away.  At 30 and 40 steps the ball still fails (the plain minimizer
+    # of Phi_eps^2 need not lie in it)
+    out = tmp_path / "t.json"
+    assert main(["solve", "--problem", "l2-fritz-john", "--steps", "17",
+                 "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["records"]) == 17
+
+
 def test_solve_unknown_problem(tmp_path):
     rc = main(["solve", "--problem", "nope", "--out",
                str(tmp_path / "t.json")])

@@ -936,17 +936,33 @@ def test_domain_rejected_up_front():
         extract_multiplier(p, ub, default_schedule(0.1, 4))
 
 
+def _recorded_schedule(p, sched, monkeypatch):
+    # extract_multiplier with the info dict of every minimize_penalty call
+    infos = []
+    minimize = penalty.minimize_penalty
+
+    def recording(*args, **kwargs):
+        el, info = minimize(*args, **kwargs)
+        infos.append(info)
+        return el, info
+
+    monkeypatch.setattr(penalty, "minimize_penalty", recording)
+    pair, trace = extract_multiplier(p, p.u_bar, sched)
+    return pair, trace, infos
+
+
 @pytest.mark.parametrize("make, steps", [
     (equality_qp, 14), (lambda: lq_endpoint_problem(10), 10),
 ], ids=["equality-qp", "lq-endpoint"])
 def test_schedule_reuses_the_parts_of_the_returned_point(make, steps,
                                                          monkeypatch):
     # every record's pair, and its info phi, dist and gap_plus, must be
-    # those of a fresh evaluation at u_eps.  The warm attempt at the third
-    # eps is forced to fail: it returns its minimizer moved by 1 in every
-    # coordinate, with that point's parts, whose Phi > eps sends the step
-    # into a cold restart; parts kept from that attempt (or from any
-    # rejected trial point) show here
+    # those of a fresh evaluation at u_eps.  Both warm attempts at the
+    # third eps (the prediction and the previous point) are forced to
+    # fail: each returns its minimizer moved by 1 in every coordinate,
+    # with that point's parts, whose Phi > eps sends the step on to the
+    # cold restart; parts kept from those attempts (or from any rejected
+    # trial point) show here
     p = make()
     ub = p.u_bar.coords
     sched = default_schedule(0.1, steps)
@@ -961,18 +977,11 @@ def test_schedule_reuses_the_parts_of_the_returned_point(make, steps,
             return far, penalty._phi_parts(q, far, f0_bar, eps), stats
         return solve(q, u0, f0_bar, eps, tol)
 
-    infos = []
-    minimize = penalty.minimize_penalty
-
-    def recording(*args, **kwargs):
-        el, info = minimize(*args, **kwargs)
-        infos.append(info)
-        return el, info
-
     monkeypatch.setattr(penalty, "_newton_minimize", failing_warm_start)
-    monkeypatch.setattr(penalty, "minimize_penalty", recording)
-    pair, trace = extract_multiplier(p, p.u_bar, sched)
-    assert forced == [sched[2]] and infos[2]["cold_start"]
+    pair, trace, infos = _recorded_schedule(p, sched, monkeypatch)
+    assert forced == [sched[2]] * 2 and infos[2]["cold_start"]
+    assert infos[2]["start"] == "reference"
+    assert infos[2]["rejected_starts"] == 2
     assert len(infos) == len(trace) == steps
     f0_bar = p.objective(ub)
     for rec, info in zip(trace, infos):
@@ -1017,3 +1026,51 @@ def test_default_qp_schedule_phi_evaluation_budget(monkeypatch):
     # Phi <= eps check, the probe's Phi(u_eps), the info dict and the pair
     # reuse the parts of the last gradient (151 with one evaluation each)
     assert singles[0] <= 109
+
+
+def test_secant_start_when_a_is_below_half(monkeypatch):
+    # z0 = 0.476 < 1/2: the previous near-minimizer u_eps has gap
+    # (a - 1/2) eps < 0 at eps/2, and Newton spends 3 iterations per eps
+    # getting back onto the path (41 over the schedule); from the secant
+    # prediction it takes 1.  The pair keeps its distance to the Schur
+    # reference, 1.13e-6 either way
+    p = equality_qp(8, 3, 0)
+    pair, trace, infos = _recorded_schedule(p, default_schedule(0.1, 14),
+                                            monkeypatch)
+    assert 0.45 < pair.z0 < 0.5
+    assert sum(r.inner_iters for r in trace) <= 20
+    ref = np.concatenate([[1.0], p.extras["kkt_multiplier"]])
+    got = np.concatenate([[pair.z0], pair.z.coords])
+    err = np.abs(got / np.linalg.norm(got) - ref / np.linalg.norm(ref))
+    assert err.max() <= 2e-6
+    # the first eps starts cold from u_bar, every later one from its
+    # prediction, the second one's from the secant through (0, u_bar)
+    assert [i["start"] for i in infos] == ["reference"] + ["predicted"] * 13
+    assert [i["cold_start"] for i in infos] == [True] + [False] * 13
+    assert all(i["rejected_starts"] == 0 for i in infos)
+
+
+@pytest.mark.parametrize("N", [100, 200])
+def test_prediction_on_the_path_is_not_taken_unmoved(N, monkeypatch):
+    # on lq-endpoint the secant prediction meets the inner tolerance as it
+    # stands at most eps; taken unmoved, its pair is only tol-accurate (a
+    # pair error of 2.9e-5 at mesh 100, stationarity 2.0e-5).  Such a start
+    # is given up, so every record is at least one Newton step from its
+    # start.  Mesh 200 takes the Woodbury path
+    from fcopt.evolution import adjoint_evolution, maximum_principle_residual
+    p = lq_endpoint_problem(N)
+    pair, trace, infos = _recorded_schedule(p, p.extras["schedule"],
+                                            monkeypatch)
+    assert min(r.inner_iters for r in trace) >= 1
+    ref = np.concatenate([[1.0], p.extras["kkt_multiplier"]])
+    got = np.concatenate([[pair.z0], pair.z.coords])
+    assert np.linalg.norm(got / np.linalg.norm(got)
+                          - ref / np.linalg.norm(ref)) <= 1e-7
+    sysm = p.extras["system"]
+    mp = maximum_principle_residual(sysm, pair,
+                                    adjoint_evolution(sysm, pair.z0, pair.z))
+    assert mp["stationarity"] <= 1e-6
+    # a start given up falls through to the next in the chain
+    for info in infos:
+        assert info["rejected_starts"] == {"predicted": 0, "previous": 1,
+                                           "reference": 0}[info["start"]]
