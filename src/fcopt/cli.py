@@ -109,7 +109,8 @@ def _cmd_solve(args):
         "inputs": _jsonable(params),
         "pair": {"z0": pair.z0, "z": np.asarray(pair.z.coords),
                  "cauchy_gap": pair.cauchy_gap, "converged": pair.converged,
-                 "degenerate": pair.degenerate},
+                 "degenerate": pair.degenerate,
+                 "extrapolated": pair.extrapolated},
         "kkt": {"normal": kk["normal"],
                 "surjectivity_sigma": kk["surjectivity_sigma"],
                 "z_tilde": None if z_tilde is None
@@ -298,8 +299,8 @@ def _build_parser():
     ps.add_argument("--eps0", default=None,
                     help="initial schedule value in (0, 1) (default 0.1)")
     ps.add_argument("--steps", default=None,
-                    help="number of schedule values, halved successively "
-                         "(default 15)")
+                    help="largest number of schedule values, halved "
+                         "successively (default 15)")
     ps.add_argument("--seed", default=None,
                     help="generator seed for sampled checks (default 7)")
     ps.add_argument("--out", required=True, help="trace JSON output path")
@@ -328,7 +329,7 @@ def _build_parser():
     pe.add_argument("--eps0", default=None,
                     help="initial schedule value in (0, 1)")
     pe.add_argument("--steps", default=None,
-                    help="number of schedule values")
+                    help="largest number of schedule values")
     pe.add_argument("--seed", default=None, help="generator seed")
     pe.add_argument("--c2", default=None,
                     help="diffusion control rank: identity or deficient")

@@ -371,8 +371,9 @@ def _sweep_table(keys, key_name, swept, extra=None):
 def _run_schedule(p, params):
     """Run the penalty schedule of ``params`` on the built problem ``p``.
 
-    The schedule is default_schedule(eps0, steps) and the config seed is
-    ``seed``, all checked by ``validate``.  Returns (pair, trace).
+    The schedule is default_schedule(eps0, steps), which
+    extract_multiplier may end early, and the config seed is ``seed``,
+    all checked by ``validate``.  Returns (pair, trace).
     """
     return extract_multiplier(
         p, p.u_bar, default_schedule(params["eps0"], params["steps"]),
@@ -410,6 +411,7 @@ def _run_l2_fritz_john(params):
         "fritz_john_min": fj, "normalization_deviation": norm_dev,
         "kkt_normal": kk["normal"], "enhanced_passed": enh["passed"],
         "cauchy_gap": pair.cauchy_gap, "records": len(trace),
+        "extrapolated": pair.extrapolated,
     }
     return results, criteria, {"trace": _trace_table(trace)}
 
@@ -443,6 +445,7 @@ def _run_lq_endpoint(params):
         "kkt_multiplier": lam, "pair_error": pair_err,
         "stationarity": mp["stationarity"],
         "normalization_deviation": norm_dev, "records": len(trace),
+        "extrapolated": pair.extrapolated,
     }
     return results, criteria, {"trace": _trace_table(trace)}
 

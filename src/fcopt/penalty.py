@@ -33,7 +33,10 @@ minimize_penalty, which returns u_eps with the Phi parts (_phi_parts) its
 last Newton gradient computed there, and reads the pair (a, b) off those
 parts (_pair); Phi_eps is not evaluated again at u_eps.  Each eps after
 the first starts from the secant prediction through the last two
-near-minimizers (_secant_start).
+near-minimizers (_secant_start).  The same secant, taken through the last
+two pairs and evaluated at eps = 0 (_PairLimit), extrapolates the pair to
+its limit; the schedule ends at the first record where that limit is
+resolved, and otherwise runs out and reports its final record.
 """
 
 import warnings
@@ -274,6 +277,13 @@ _SOLUTION_SLACK = 1e-8
 _SOLUTION_SAMPLES = 64
 # Cauchy gap over the final records above which extract_multiplier warns.
 _LIMIT_TOL = 1e-2
+# The pair extrapolated to eps = 0 ends the schedule, from this record on,
+# when the limits from the last two pairs of records agree within
+# _EXTRAP_TOL and the last two raw differences shrink by the ratio of
+# their eps differences within a factor 2^(+-_ORDER_SLACK) (first order).
+_EXTRAP_MIN_RECORDS = 4
+_EXTRAP_TOL = 1e-8
+_ORDER_SLACK = 0.1
 # Threshold declaring z0, or |z|, nonzero in the branch reports.
 _NONZERO_TOL = 1e-6
 # Slack of the monotone-decay checks, and the number of final records
@@ -307,15 +317,19 @@ class MultiplierPair:
     """Extracted pair (z0, z): z0 >= 0 real, z a dual vector on X.
 
     The pair is nonzero (z0 + |z| >= 1e-6) unless flagged degenerate.
+    extrapolated is True for a limit that extract_multiplier extrapolated
+    to eps = 0, False for a pair read off one record.
     """
 
-    def __init__(self, z0, z, cauchy_gap=0.0, converged=True):
+    def __init__(self, z0, z, cauchy_gap=0.0, converged=True,
+                 extrapolated=False):
         if z0 < 0:
             raise ValueError("z0 must be nonnegative")
         self.z0 = float(z0)
         self.z = z
         self.cauchy_gap = float(cauchy_gap)
         self.converged = bool(converged)
+        self.extrapolated = bool(extrapolated)
         self.degenerate = (self.z0 + self.z_norm()) < 1e-6
 
     def z_norm(self):
@@ -659,8 +673,9 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None, f0_bar=None):
     (the last four of the attempt that succeeded), ekeland_residual, ball,
     start (the start that succeeded: "predicted", "previous" or
     "reference"), rejected_starts (the starts given up before it: failed
-    attempts and 0-iteration predictions), cold_start (start ==
-    "reference") and eps.
+    attempts, stalled ones with Phi > eps and 0-iteration predictions),
+    rejected_iters (the Newton iterations those starts took in all),
+    cold_start (start == "reference") and eps.
 
     Raises InnerConvergenceError (carrying the best iterate) when the inner
     solver stalls or any a-posteriori check fails; its info dict carries
@@ -686,15 +701,16 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None, f0_bar=None):
              (("predicted", predicted), ("previous", previous))
              if x is not None]
     chain.append(("reference", ub))
-    rejected = 0
+    rejected = rejected_iters = 0
     for kind, start in chain:
         try:
             u, (phi2, dist, gp, fx, _), stats = _newton_minimize(
                 p, start, f0_bar, eps, tol)
-        except InnerConvergenceError:
+        except InnerConvergenceError as err:
             if kind == "reference":
                 raise
             rejected += 1
+            rejected_iters += (err.info or {}).get("inner_iters", 0)
             continue
         phi = float(np.sqrt(phi2))
         stalled = phi > eps * (1.0 + 1e-9) + 1e-15
@@ -705,6 +721,7 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None, f0_bar=None):
         # a prediction that meets tol as it stands is not taken (see above)
         if stalled or (kind == "predicted" and stats["inner_iters"] == 0):
             rejected += 1
+            rejected_iters += stats["inner_iters"]
             continue
         break
 
@@ -721,8 +738,8 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None, f0_bar=None):
 
     info = dict(stats, phi=phi, dist=dist, gap_plus=gp, f=fx,
                 ekeland_residual=res, ball=ball, start=kind,
-                rejected_starts=rejected, cold_start=kind == "reference",
-                eps=eps)
+                rejected_starts=rejected, rejected_iters=rejected_iters,
+                cold_start=kind == "reference", eps=eps)
     return Element(u, p.V), info
 
 
@@ -756,6 +773,11 @@ def _cauchy_gap(trace):
     return gap
 
 
+def _secant(e1, x1, e2, x2, eps):
+    """Value at eps of the secant through (e1, x1) and (e2, x2), e1 != e2."""
+    return x1 + (eps - e1) / (e1 - e2) * (x1 - x2)
+
+
 def _secant_start(trace, ub, eps):
     """Warm start (prediction, previous near-minimizer) at eps, or None.
 
@@ -768,7 +790,56 @@ def _secant_start(trace, ub, eps):
     e1, u1 = trace[-1].eps, trace[-1].u_eps.coords
     e2, u2 = ((trace[-2].eps, trace[-2].u_eps.coords) if len(trace) > 1
               else (0.0, ub))
-    return u1 + (eps - e1) / (e1 - e2) * (u1 - u2), u1
+    return _secant(e1, u1, e2, u2, eps), u1
+
+
+def _dual_hypot(da, db, gdb):
+    """hypot(|da|, |db|) for a real da and a dual db, with gdb = G^-1 db."""
+    return float(np.hypot(da, np.sqrt(max(float(db @ gdb), 0.0))))
+
+
+class _PairLimit:
+    """Pair at eps = 0 on the secant through two consecutive records.
+
+    a and b are the secant's value at eps = 0 (one Richardson step on a
+    halving schedule), renormalized to a^2 + |b|^2 = 1; gb = G^-1 b.  step
+    is hypot(|a_1 - a_2|, |b_1 - b_2|) of the raw difference and de the
+    eps difference of the two records.  One solve with the gram of X per
+    record serves both dual norms.
+    """
+
+    def __init__(self, X, r1, r2):
+        g1 = np.concatenate([[r1.a], r1.b.coords])
+        g2 = np.concatenate([[r2.a], r2.b.coords])
+        lim = _secant(r1.eps, g1, r2.eps, g2, 0.0)
+        diff = g1 - g2
+        gi = X.apply_gram_inverse(np.column_stack([lim[1:], diff[1:]]))
+        scale = _dual_hypot(lim[0], lim[1:], gi[:, 0])
+        self.a = lim[0] / scale
+        self.b = lim[1:] / scale
+        self.gb = gi[:, 0] / scale
+        self.step = _dual_hypot(diff[0], diff[1:], gi[:, 1])
+        self.de = r2.eps - r1.eps
+
+    def gap(self, other):
+        """hypot(|a - a'|, |b - b'|) to the limit of another record pair."""
+        return _dual_hypot(self.a - other.a, self.b - other.b,
+                           self.gb - other.gb)
+
+
+def _resolved(prev, last):
+    """Agreement of the limits prev and last, or None if it is unresolved.
+
+    Resolved: the two limits agree within _EXTRAP_TOL, the raw differences
+    shrink by the ratio of their eps differences within 2^(+-_ORDER_SLACK),
+    and the limit's z0 is nonnegative.
+    """
+    gap = last.gap(prev)
+    if not (gap <= _EXTRAP_TOL and last.a >= 0.0
+            and min(prev.step, last.step) > 0.0):
+        return None
+    order = np.log2(prev.step / last.step) - np.log2(prev.de / last.de)
+    return gap if abs(order) <= _ORDER_SLACK else None
 
 
 def extract_multiplier(p, u_bar, schedule, cfg=None):
@@ -776,7 +847,7 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
 
     Sequentially minimizes Phi_eps along the strictly decreasing schedule,
     records (eps, u_eps, phi, a, b, dist, f0 gap, iteration count) per
-    step, and reads the pair (z0, z) off the final record.  The first eps
+    step, and reads the pair (z0, z) off the records.  The first eps
     starts from u_bar.  Every later one starts from the predictor step of
     a continuation in eps (Allgower and Georg, Numerical Continuation
     Methods, Springer 1990): the near-minimizers lie on a path u_eps ~
@@ -785,13 +856,26 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
     minimize_penalty falls back from the prediction to the previous
     near-minimizer, then to u_bar, and gives up a prediction that meets
     the inner tolerance with 0 iterations, which keeps the pair's
-    accuracy.  The Cauchy gap max(|a_k - a_{k-1}|, |b_k - b_{k-1}|) over
-    the final three records is reported on the pair; a gap above 1e-2
-    raises a non-convergence warning but still returns the result.  A
-    schedule of one eps has no difference to bound: its gap is inf and
-    its pair is not converged.  The local-optimality spot check of u_bar
-    runs once, before the first eps.  Raises ValueError for a problem
-    with a domain (see minimize_penalty).
+    accuracy.
+
+    The schedule is a maximum.  The raw pair (a_eps, b_eps) is first order
+    in eps, so from the 4th record on the pair is extrapolated to eps = 0
+    by the same secant, through the last two records (one Richardson
+    step, 2 g(eps) - g(2 eps), on a halving schedule; Richardson, Phil.
+    Trans. R. Soc. A 210, 1911), and renormalized to a^2 + |b|^2 = 1.
+    The schedule stops at the first record where this limit is resolved:
+    it agrees within 1e-8 with the limit from the previous two records,
+    the last two raw differences shrink by the ratio of their eps
+    differences within a factor 2^(+-0.1), and its z0 is >= 0.  That
+    limit is the pair, flagged extrapolated, with their agreement as its
+    Cauchy gap.  A schedule that runs out first reports its final record,
+    with the Cauchy gap max(|a_k - a_{k-1}|, |b_k - b_{k-1}|) over the
+    final three records; a gap above 1e-2 raises a non-convergence
+    warning but still returns the result.  A schedule of one eps has no
+    difference to bound: its gap is inf and its pair is not converged.
+    The local-optimality spot check of u_bar runs once, before the first
+    eps.  Raises ValueError for a problem with a domain (see
+    minimize_penalty).
     """
     if cfg is None:
         cfg = PenaltyConfig()
@@ -809,6 +893,7 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
     _verify_local_solution(p, ub, cfg.seed)
 
     trace = PenaltyTrace()
+    limits = []
     for e in sched:
         el, info = minimize_penalty(p, ub, e, cfg,
                                     warm_start=_secant_start(trace, ub, e),
@@ -819,6 +904,14 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
             dist_val=info["dist"], f0_gap=p.objective(el) - f0_bar,
             inner_iters=info["inner_iters"], grad_norm=info["grad_norm"],
             ekeland_residual=info["ekeland_residual"]))
+        if len(trace) > 1:
+            limits.append(_PairLimit(p.X, trace[-1], trace[-2]))
+        if len(trace) >= _EXTRAP_MIN_RECORDS:
+            gap = _resolved(limits[-2], limits[-1])
+            if gap is not None:
+                lim = limits[-1]
+                return MultiplierPair(lim.a, Element(lim.b, p.X),
+                                      cauchy_gap=gap, extrapolated=True), trace
 
     last = trace[-1]
     gap = _cauchy_gap(trace)

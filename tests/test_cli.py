@@ -79,9 +79,10 @@ def test_solve_from_config_file(tmp_path):
 def test_solve_exits_0_only_with_normalized_pairs(problem, steps, tmp_path,
                                                   capsys):
     # every record's pair has a^2 + |b|^2 = 1 by construction, up to
-    # roundoff; a pair below the resolution of Phi_eps loses it (lq-endpoint
-    # at 55 steps ends with |z| = 0), and solve then exits 1, as the
-    # experiments' normalization criterion does
+    # roundoff; a pair below the resolution of Phi_eps loses it, and solve
+    # then exits 1, as the experiments' normalization criterion does.
+    # lq-endpoint run to 55 steps would reach that floor (|z| = 0 on its
+    # last records); its extrapolated pair ends the schedule at 14 records
     out = tmp_path / "t.json"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -92,8 +93,9 @@ def test_solve_exits_0_only_with_normalized_pairs(problem, steps, tmp_path,
               if r["phi"] > 0)
     assert rc == (0 if dev <= 1e-9 else 1)
     if steps == 55:
-        assert rc == 1
-        assert "pair not normalized" in capsys.readouterr().err
+        assert rc == 0
+        assert len(records) < 55
+        assert "pair not normalized" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("problem, steps", [

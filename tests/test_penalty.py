@@ -951,10 +951,11 @@ def _recorded_schedule(p, sched, monkeypatch):
     return pair, trace, infos
 
 
-@pytest.mark.parametrize("make, steps", [
-    (equality_qp, 14), (lambda: lq_endpoint_problem(10), 10),
+@pytest.mark.parametrize("make, steps, extrapolated", [
+    (equality_qp, 14, True), (lambda: lq_endpoint_problem(10), 10, False),
 ], ids=["equality-qp", "lq-endpoint"])
 def test_schedule_reuses_the_parts_of_the_returned_point(make, steps,
+                                                         extrapolated,
                                                          monkeypatch):
     # every record's pair, and its info phi, dist and gap_plus, must be
     # those of a fresh evaluation at u_eps.  Both warm attempts at the
@@ -962,7 +963,8 @@ def test_schedule_reuses_the_parts_of_the_returned_point(make, steps,
     # fail: each returns its minimizer moved by 1 in every coordinate,
     # with that point's parts, whose Phi > eps sends the step on to the
     # cold restart; parts kept from those attempts (or from any rejected
-    # trial point) show here
+    # trial point) show here.  The QP's pair is resolved by extrapolation
+    # before its 14 eps run out; lq-endpoint at mesh 10 runs all 10
     p = make()
     ub = p.u_bar.coords
     sched = default_schedule(0.1, steps)
@@ -971,18 +973,25 @@ def test_schedule_reuses_the_parts_of_the_returned_point(make, steps,
 
     def failing_warm_start(q, u0, f0_bar, eps, tol):
         if eps == sched[2] and not np.array_equal(u0, ub):
-            forced.append(eps)
             u, _, stats = solve(q, u0, f0_bar, eps, tol)
+            forced.append(stats["inner_iters"])
             far = u + 1.0
             return far, penalty._phi_parts(q, far, f0_bar, eps), stats
         return solve(q, u0, f0_bar, eps, tol)
 
     monkeypatch.setattr(penalty, "_newton_minimize", failing_warm_start)
     pair, trace, infos = _recorded_schedule(p, sched, monkeypatch)
-    assert forced == [sched[2]] * 2 and infos[2]["cold_start"]
+    assert len(forced) == 2 and infos[2]["cold_start"]
     assert infos[2]["start"] == "reference"
     assert infos[2]["rejected_starts"] == 2
-    assert len(infos) == len(trace) == steps
+    # the Newton work of both given-up attempts is counted, and only there
+    assert min(forced) >= 1
+    assert infos[2]["rejected_iters"] == sum(forced)
+    assert all(i["rejected_iters"] == 0 for k, i in enumerate(infos)
+               if k != 2)
+    assert len(infos) == len(trace)
+    assert pair.extrapolated is extrapolated
+    assert len(trace) < steps if extrapolated else len(trace) == steps
     f0_bar = p.objective(ub)
     for rec, info in zip(trace, infos):
         a, b = _pair_at(p, p.u_bar, rec.eps, rec.u_eps)
@@ -994,7 +1003,8 @@ def test_schedule_reuses_the_parts_of_the_returned_point(make, steps,
         assert info["dist"] == rec.dist_val == dist
         assert info["gap_plus"] == gp
         assert np.array_equal(info["f"], fx)
-    assert pair.z0 == trace[-1].a
+    if not extrapolated:
+        assert pair.z0 == trace[-1].a
 
 
 def test_default_qp_schedule_phi_evaluation_budget(monkeypatch):
@@ -1018,10 +1028,12 @@ def test_default_qp_schedule_phi_evaluation_budget(monkeypatch):
 
     monkeypatch.setattr(penalty, "_phi_parts", counting)
     p = equality_qp()
-    extract_multiplier(p, p.u_bar, default_schedule(0.1, 14))
+    _, trace = extract_multiplier(p, p.u_bar, default_schedule(0.1, 14))
     assert 0 < points[0] <= 2000
-    # each Ekeland check evaluates its 16 x 3 probe points as one stack
-    assert stacks == [48] * 14
+    # each Ekeland check evaluates its 16 x 3 probe points as one stack,
+    # once per record; the extrapolated pair ends the schedule early
+    assert len(trace) < 14
+    assert stacks == [48] * len(trace)
     # single points are the Newton iterates and trial points only: the
     # Phi <= eps check, the probe's Phi(u_eps), the info dict and the pair
     # reuse the parts of the last gradient (151 with one evaluation each)
@@ -1032,8 +1044,9 @@ def test_secant_start_when_a_is_below_half(monkeypatch):
     # z0 = 0.476 < 1/2: the previous near-minimizer u_eps has gap
     # (a - 1/2) eps < 0 at eps/2, and Newton spends 3 iterations per eps
     # getting back onto the path (41 over the schedule); from the secant
-    # prediction it takes 1.  The pair keeps its distance to the Schur
-    # reference, 1.13e-6 either way
+    # prediction it takes 1.  The raw pair of the 14th record is 1.13e-6
+    # from the Schur reference either way; the extrapolated pair ends the
+    # schedule after 10 records
     p = equality_qp(8, 3, 0)
     pair, trace, infos = _recorded_schedule(p, default_schedule(0.1, 14),
                                             monkeypatch)
@@ -1045,8 +1058,8 @@ def test_secant_start_when_a_is_below_half(monkeypatch):
     assert err.max() <= 2e-6
     # the first eps starts cold from u_bar, every later one from its
     # prediction, the second one's from the secant through (0, u_bar)
-    assert [i["start"] for i in infos] == ["reference"] + ["predicted"] * 13
-    assert [i["cold_start"] for i in infos] == [True] + [False] * 13
+    assert [i["start"] for i in infos] == ["reference"] + ["predicted"] * 9
+    assert [i["cold_start"] for i in infos] == [True] + [False] * 9
     assert all(i["rejected_starts"] == 0 for i in infos)
 
 
@@ -1074,3 +1087,69 @@ def test_prediction_on_the_path_is_not_taken_unmoved(N, monkeypatch):
     for info in infos:
         assert info["rejected_starts"] == {"predicted": 0, "previous": 1,
                                            "reference": 0}[info["start"]]
+
+
+def _pair_error(p, pair):
+    # normalized (z0, z) against the normalized Schur-complement (1, lambda)
+    ref = np.concatenate([[1.0], p.extras["kkt_multiplier"]])
+    got = np.concatenate([[pair.z0], pair.z.coords])
+    return np.linalg.norm(got / np.linalg.norm(got)
+                          - ref / np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("N", [50, 200])
+def test_lq_schedule_ends_at_its_extrapolated_limit(N):
+    # the raw pair is first order in eps, 1.7e-8 from the reference after
+    # all 23 eps at mesh 50; one Richardson step through the last two
+    # records is resolved well before that and is the reported pair
+    from fcopt.evolution import adjoint_evolution, maximum_principle_residual
+    p = lq_endpoint_problem(N)
+    pair, trace = extract_multiplier(p, p.u_bar, p.extras["schedule"])
+    assert pair.extrapolated and pair.converged
+    assert len(trace) <= 15
+    assert pair.cauchy_gap <= 1e-8
+    assert_allclose(pair.z0 ** 2 + pair.z_norm() ** 2, 1.0, atol=1e-12)
+    assert _pair_error(p, pair) <= 5e-9
+    sysm = p.extras["system"]
+    mp = maximum_principle_residual(sysm, pair,
+                                    adjoint_evolution(sysm, pair.z0, pair.z))
+    assert mp["stationarity"] <= 1e-8
+
+
+def test_qp_schedule_ends_at_its_extrapolated_limit():
+    # the raw 14th record is 1.13e-6 from the Schur reference
+    p = equality_qp(8, 3, 0)
+    pair, trace = extract_multiplier(p, p.u_bar, default_schedule(0.1, 14))
+    assert pair.extrapolated
+    assert len(trace) < 14
+    assert _pair_error(p, pair) <= 1e-8
+
+
+@pytest.mark.parametrize("make", [scalar_problem, l2_example],
+                         ids=["scalar", "l2"])
+def test_pair_without_first_order_differences_is_the_last_record(make):
+    # the raw differences of these pairs never shrink at first order (on
+    # l2 they are exactly 0 from the 5th record on), so no limit is
+    # resolved: the schedule runs out and its last record is the pair
+    p = make()
+    pair, trace = extract_multiplier(p, p.u_bar, default_schedule(0.1, 15))
+    assert pair.extrapolated is False
+    assert len(trace) == 15
+    assert pair.z0 == trace[-1].a
+    assert np.array_equal(pair.z.coords, trace[-1].b.coords)
+    assert pair.cauchy_gap == penalty._cauchy_gap(trace)
+
+
+def test_extrapolation_reads_the_order_off_the_eps_differences():
+    # on a schedule of ratio 1/3 the raw differences shrink by 3, not by
+    # the 2 of a halving schedule; the order test compares them with the
+    # ratio of the eps differences, so the limit is still resolved
+    p = lq_endpoint_problem(50)
+    sched = [0.1 * 3.0 ** (-k) for k in range(23)]
+    pair, trace = extract_multiplier(p, p.u_bar, sched)
+    assert pair.extrapolated
+    assert len(trace) < 23
+    steps = [penalty._PairLimit(p.X, r1, r0).step
+             for r0, r1 in zip(trace.records[-3:], trace.records[-2:])]
+    assert abs(np.log2(steps[0] / steps[1]) - np.log2(3.0)) <= 0.1
+    assert _pair_error(p, pair) <= 1e-8
