@@ -277,11 +277,10 @@ _SOLUTION_SLACK = 1e-8
 _SOLUTION_SAMPLES = 64
 # Cauchy gap over the final records above which extract_multiplier warns.
 _LIMIT_TOL = 1e-2
-# The pair extrapolated to eps = 0 ends the schedule, from this record on,
-# when the limits from the last two pairs of records agree within
-# _EXTRAP_TOL and the last two raw differences shrink by the ratio of
-# their eps differences within a factor 2^(+-_ORDER_SLACK) (first order).
-_EXTRAP_MIN_RECORDS = 4
+# The pair extrapolated to eps = 0 ends the schedule when the limits from
+# the last two pairs of records agree within _EXTRAP_TOL and the last two
+# raw differences shrink by the ratio of their eps differences within a
+# factor 2^(+-_ORDER_SLACK) (first order).
 _EXTRAP_TOL = 1e-8
 _ORDER_SLACK = 0.1
 # Threshold declaring z0, or |z|, nonzero in the branch reports.
@@ -893,7 +892,7 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
     _verify_local_solution(p, ub, cfg.seed)
 
     trace = PenaltyTrace()
-    limits = []
+    prev = None
     for e in sched:
         el, info = minimize_penalty(p, ub, e, cfg,
                                     warm_start=_secant_start(trace, ub, e),
@@ -904,14 +903,13 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
             dist_val=info["dist"], f0_gap=p.objective(el) - f0_bar,
             inner_iters=info["inner_iters"], grad_norm=info["grad_norm"],
             ekeland_residual=info["ekeland_residual"]))
-        if len(trace) > 1:
-            limits.append(_PairLimit(p.X, trace[-1], trace[-2]))
-        if len(trace) >= _EXTRAP_MIN_RECORDS:
-            gap = _resolved(limits[-2], limits[-1])
+        if len(trace) >= 3:
+            lim = _PairLimit(p.X, trace[-1], trace[-2])
+            gap = None if prev is None else _resolved(prev, lim)
             if gap is not None:
-                lim = limits[-1]
                 return MultiplierPair(lim.a, Element(lim.b, p.X),
                                       cauchy_gap=gap, extrapolated=True), trace
+            prev = lim
 
     last = trace[-1]
     gap = _cauchy_gap(trace)

@@ -1040,22 +1040,28 @@ def test_default_qp_schedule_phi_evaluation_budget(monkeypatch):
     assert singles[0] <= 109
 
 
+def _pair_error(p, pair):
+    # normalized (z0, z) against the normalized Schur-complement (1, lambda)
+    ref = np.concatenate([[1.0], p.extras["kkt_multiplier"]])
+    got = np.concatenate([[pair.z0], pair.z.coords])
+    return np.linalg.norm(got / np.linalg.norm(got)
+                          - ref / np.linalg.norm(ref))
+
+
 def test_secant_start_when_a_is_below_half(monkeypatch):
     # z0 = 0.476 < 1/2: the previous near-minimizer u_eps has gap
     # (a - 1/2) eps < 0 at eps/2, and Newton spends 3 iterations per eps
     # getting back onto the path (41 over the schedule); from the secant
     # prediction it takes 1.  The raw pair of the 14th record is 1.13e-6
     # from the Schur reference either way; the extrapolated pair ends the
-    # schedule after 10 records
+    # schedule after 10 records, within 1e-8 of it
     p = equality_qp(8, 3, 0)
     pair, trace, infos = _recorded_schedule(p, default_schedule(0.1, 14),
                                             monkeypatch)
     assert 0.45 < pair.z0 < 0.5
     assert sum(r.inner_iters for r in trace) <= 20
-    ref = np.concatenate([[1.0], p.extras["kkt_multiplier"]])
-    got = np.concatenate([[pair.z0], pair.z.coords])
-    err = np.abs(got / np.linalg.norm(got) - ref / np.linalg.norm(ref))
-    assert err.max() <= 2e-6
+    assert pair.extrapolated
+    assert _pair_error(p, pair) <= 1e-8
     # the first eps starts cold from u_bar, every later one from its
     # prediction, the second one's from the secant through (0, u_bar)
     assert [i["start"] for i in infos] == ["reference"] + ["predicted"] * 9
@@ -1069,32 +1075,28 @@ def test_prediction_on_the_path_is_not_taken_unmoved(N, monkeypatch):
     # stands at most eps; taken unmoved, its pair is only tol-accurate (a
     # pair error of 2.9e-5 at mesh 100, stationarity 2.0e-5).  Such a start
     # is given up, so every record is at least one Newton step from its
-    # start.  Mesh 200 takes the Woodbury path
+    # start.  The rule fires only at the last eps (5 of 23 at mesh 100, 6
+    # at mesh 200), which an extrapolated stop never reaches, so the limit
+    # is kept unresolved and the raw last record is the pair.  Mesh 200
+    # takes the Woodbury path
     from fcopt.evolution import adjoint_evolution, maximum_principle_residual
+    monkeypatch.setattr(penalty, "_resolved", lambda prev, last: None)
     p = lq_endpoint_problem(N)
     pair, trace, infos = _recorded_schedule(p, p.extras["schedule"],
                                             monkeypatch)
+    assert not pair.extrapolated
+    assert len(trace) == len(p.extras["schedule"])
     assert min(r.inner_iters for r in trace) >= 1
-    ref = np.concatenate([[1.0], p.extras["kkt_multiplier"]])
-    got = np.concatenate([[pair.z0], pair.z.coords])
-    assert np.linalg.norm(got / np.linalg.norm(got)
-                          - ref / np.linalg.norm(ref)) <= 1e-7
+    assert _pair_error(p, pair) <= 1e-7
     sysm = p.extras["system"]
     mp = maximum_principle_residual(sysm, pair,
                                     adjoint_evolution(sysm, pair.z0, pair.z))
     assert mp["stationarity"] <= 1e-6
     # a start given up falls through to the next in the chain
+    assert any(info["start"] == "previous" for info in infos)
     for info in infos:
         assert info["rejected_starts"] == {"predicted": 0, "previous": 1,
                                            "reference": 0}[info["start"]]
-
-
-def _pair_error(p, pair):
-    # normalized (z0, z) against the normalized Schur-complement (1, lambda)
-    ref = np.concatenate([[1.0], p.extras["kkt_multiplier"]])
-    got = np.concatenate([[pair.z0], pair.z.coords])
-    return np.linalg.norm(got / np.linalg.norm(got)
-                          - ref / np.linalg.norm(ref))
 
 
 @pytest.mark.parametrize("N", [50, 200])
@@ -1116,21 +1118,13 @@ def test_lq_schedule_ends_at_its_extrapolated_limit(N):
     assert mp["stationarity"] <= 1e-8
 
 
-def test_qp_schedule_ends_at_its_extrapolated_limit():
-    # the raw 14th record is 1.13e-6 from the Schur reference
-    p = equality_qp(8, 3, 0)
-    pair, trace = extract_multiplier(p, p.u_bar, default_schedule(0.1, 14))
-    assert pair.extrapolated
-    assert len(trace) < 14
-    assert _pair_error(p, pair) <= 1e-8
-
-
 @pytest.mark.parametrize("make", [scalar_problem, l2_example],
                          ids=["scalar", "l2"])
 def test_pair_without_first_order_differences_is_the_last_record(make):
     # the raw differences of these pairs never shrink at first order (on
-    # l2 they are exactly 0 from the 5th record on), so no limit is
-    # resolved: the schedule runs out and its last record is the pair
+    # scalar they are exactly 0, on l2 at roundoff from the 3rd record
+    # on), so no limit is resolved: the schedule runs out and its last
+    # record is the pair
     p = make()
     pair, trace = extract_multiplier(p, p.u_bar, default_schedule(0.1, 15))
     assert pair.extrapolated is False
