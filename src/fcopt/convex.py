@@ -90,26 +90,14 @@ class Singleton(ConvexSet):
         return np.repeat(self.point[None, :], max(count, 1), axis=0)
 
 
-def _require_diagonal(space, what):
-    # in a diagonal gram the projection onto a box is the clip per
-    # coordinate; no planned problem clips in any other gram
-    if not space.is_diagonal:
-        raise ValueError("a %s needs a diagonal gram; space %r has a "
-                         "non-diagonal one" % (what, space.name))
-
-
 class NonnegativeCone(ConvexSet):
-    """The cone {x : x_i >= 0 componentwise}, in a diagonal gram.
+    """The cone {x : x_i >= 0 componentwise}.
 
-    The gram projection onto it is the clip at 0 per coordinate.  A space
-    with a non-diagonal gram raises ValueError.
+    Every gram is diagonal, so the gram projection onto it is the clip at
+    0 per coordinate.
     """
 
     kind = "nonneg"
-
-    def __init__(self, space):
-        _require_diagonal(space, "nonnegative cone")
-        super().__init__(space)
 
     def _project(self, coords):
         return np.clip(coords, 0.0, None)
@@ -123,16 +111,15 @@ class NonnegativeCone(ConvexSet):
 
 
 class Box(ConvexSet):
-    """The box {x : lo_i <= x_i <= hi_i}, in a diagonal gram.
+    """The box {x : lo_i <= x_i <= hi_i}.
 
-    The gram projection onto it is the clip to [lo_i, hi_i] per
-    coordinate.  A space with a non-diagonal gram raises ValueError.
+    Every gram is diagonal, so the gram projection onto it is the clip to
+    [lo_i, hi_i] per coordinate.
     """
 
     kind = "box"
 
     def __init__(self, space, lo, hi):
-        _require_diagonal(space, "box")
         super().__init__(space)
         self.lo = np.broadcast_to(np.asarray(lo, dtype=float), (space.dim,)).copy()
         self.hi = np.broadcast_to(np.asarray(hi, dtype=float), (space.dim,)).copy()

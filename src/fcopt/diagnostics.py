@@ -152,13 +152,11 @@ def _stacked_with(F, G):
     fstar = adjoint(F)
     if G.domain.dim != F.codomain.dim:
         raise ValueError("G must act on the codomain of F")
-    vdim, wdim = fstar.codomain.dim, G.codomain.dim
-    gram = np.zeros((vdim + wdim, vdim + wdim))
-    gram[:vdim, :vdim] = fstar.codomain.gram
-    gram[vdim:, vdim:] = G.codomain.gram
     stacked_cod = SpaceDescriptor("stacked(%s+%s)"
                                   % (fstar.codomain.name, G.codomain.name),
-                                  vdim + wdim, gram)
+                                  fstar.codomain.dim + G.codomain.dim,
+                                  np.concatenate([fstar.codomain.gram,
+                                                  G.codomain.gram]))
     mat = np.vstack([fstar.matrix, G.matrix])
     return LinearMap(mat, F.codomain, stacked_cod)
 

@@ -464,7 +464,7 @@ def _woodbury_step(p, chol, g, aux, mu):
     alpha = 2.0 * gp + mu
     if alpha <= 0.0:
         return None
-    cols = p.X._factor_transpose_apply(jac)
+    cols = p.X._factor_apply(jac)
     if gp > 0.0:
         cols = np.vstack([cols, g0])
     vw = _solve_triangular(chol, np.column_stack([np.sqrt(2.0) * cols.T, g]),

@@ -1,7 +1,7 @@
 """Finite-dimensional inner-product spaces with explicit gram forms.
 
-A ``SpaceDescriptor`` carries a symmetric positive definite gram matrix G
-defining the norm |x| = sqrt(x' G x).  Dual vectors are kept in the same
+A ``SpaceDescriptor`` carries a positive diagonal gram G = diag(g),
+stored as the vector g, defining the norm |x| = sqrt(x' G x).  Dual vectors are kept in the same
 coordinate system with the pairing <phi, x> = phi' x, so the dual norm is
 |phi|_* = sqrt(phi' G^-1 phi) and the Riesz map is an application of G
 (or its inverse), never an implicit identification.
@@ -36,11 +36,6 @@ _TRI_BLOCK = 64
 # block size of the blocked Cholesky factorization: its trailing updates are
 # matrix products of this inner dimension
 _CHOL_BLOCK = 128
-
-
-def _is_diagonal(m):
-    # no nonzero off the diagonal; counts without forming m - diag(m)
-    return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
 
 
 def _row_dots(x, y):
@@ -99,12 +94,11 @@ def _cholesky(a):
 
 
 class SpaceDescriptor:
-    """A finite-dimensional space with a gram form.
+    """A finite-dimensional space with a diagonal gram form.
 
-    A diagonal gram (the identity, a lumped mass h I) is kept as its
-    diagonal vector, so such a space costs O(dim) memory and every gram
-    product is elementwise; ``gram`` forms the dense matrix only when
-    read.
+    The gram G = diag(g) (the identity, a lumped mass h I, the L2(0,T)
+    weight dt I of a control path) is kept as its diagonal vector g, so a
+    space costs O(dim) memory and every gram product is elementwise.
 
     Parameters
     ----------
@@ -113,7 +107,13 @@ class SpaceDescriptor:
     dim : int
         Dimension, must be positive.
     gram : array_like or None
-        dim x dim symmetric positive definite matrix; None means identity.
+        The dim finite, positive diagonal entries g of G; None means the
+        identity.  Anything else raises ValueError.
+
+    Attributes
+    ----------
+    gram : ndarray
+        The read-only diagonal g.
     """
 
     def __init__(self, name, dim, gram=None):
@@ -121,64 +121,27 @@ class SpaceDescriptor:
             raise ValueError("space dimension must be positive, got %r" % dim)
         self.name = str(name)
         self.dim = int(dim)
-        if gram is None:
-            self._gram = np.ones(self.dim)
-        else:
-            self._gram = self._checked_gram(gram)
-        # the diagonal vector (1-D) or the dense symmetric matrix (2-D)
-        self.is_diagonal = self._gram.ndim == 1
-        if self.is_diagonal:
-            # the Cholesky factor of a diagonal gram is the square root of
-            # its diagonal, and every solve with it is a division
-            if not np.all(self._gram > 0.0):
-                raise ValueError(
-                    "gram of space %r is not positive definite" % self.name)
-            self._chol = np.sqrt(self._gram)
-        else:
-            try:
-                # lower Cholesky factor; existence certifies positive
-                # definiteness
-                self._chol = np.linalg.cholesky(self._gram)
-            except np.linalg.LinAlgError:
-                raise ValueError(
-                    "gram of space %r is not positive definite" % self.name
-                ) from None
-        self._gram.flags.writeable = False
+        g = np.ones(self.dim) if gram is None else np.array(gram, dtype=float)
+        if g.shape != (self.dim,):
+            raise ValueError("gram of space %r must be a vector of %d diagonal "
+                             "entries, got shape %r" % (self.name, self.dim,
+                                                        g.shape))
+        if not np.all(np.isfinite(g) & (g > 0.0)):
+            raise ValueError("gram of space %r must have finite positive "
+                             "entries" % self.name)
+        g.flags.writeable = False
+        self.gram = g
+        # the Cholesky factor of a diagonal gram is the square root of its
+        # diagonal, and every solve with it is a division
+        self._chol = np.sqrt(g)
         self._chol.flags.writeable = False
-
-    def _checked_gram(self, gram):
-        """A private copy of a symmetric gram: its diagonal if it has nothing
-        off the diagonal, else its symmetrization."""
-        gram = np.asarray(gram, dtype=float)
-        if gram.shape != (self.dim, self.dim):
-            raise ValueError(
-                "gram of space %r must be %d x %d, got %r"
-                % (self.name, self.dim, self.dim, gram.shape)
-            )
-        scale = np.abs(gram).max()
-        diagonal = _is_diagonal(gram)
-        if scale == 0.0 or (not diagonal and np.abs(gram - gram.T).max()
-                            > 1e-12 * max(scale, 1.0)):
-            raise ValueError("gram of space %r is not symmetric" % self.name)
-        # a diagonal gram is its own symmetrization, so it skips both passes
-        # over the transpose
-        return np.diagonal(gram).copy() if diagonal else 0.5 * (gram + gram.T)
-
-    @property
-    def gram(self):
-        """The gram matrix G (formed on each read for a diagonal gram)."""
-        return np.diag(self._gram) if self.is_diagonal else self._gram
 
     def apply_gram(self, coords):
         """Return G x for a coordinate vector or a (dim, k) matrix."""
         coords = np.asarray(coords, dtype=float)
-        if not self.is_diagonal:
-            return self._gram @ coords
-        if coords.ndim == 1:
-            return self._gram * coords
-        # C order, the layout of the dense product, so that reductions over
-        # the result (the row dots of quadratic_form) sum in the same order
-        return np.multiply(self._diag_rows(self._gram, coords), coords,
+        # C order, so that reductions over the result (the row dots of
+        # quadratic_form) sum in the order of a dense product
+        return np.multiply(self._diag_rows(self.gram, coords), coords,
                            order="C")
 
     def quadratic_form(self, coords):
@@ -188,27 +151,21 @@ class SpaceDescriptor:
 
     def apply_gram_inverse(self, coords):
         """Return G^-1 phi for a coordinate array."""
-        return self._factor_solve(self._factor_solve(coords), transpose=True)
+        return self._factor_solve(self._factor_solve(coords))
 
     @staticmethod
     def _diag_rows(d, coords):
         # a diagonal shaped to scale the rows of coords
         return d.reshape((-1,) + (1,) * (coords.ndim - 1))
 
-    def _factor_solve(self, coords, transpose=False):
-        """Solve L y = x (or L' y = x with ``transpose``) for y."""
+    def _factor_solve(self, coords):
+        """Solve L y = x for y, L = sqrt(G)."""
         coords = np.asarray(coords, dtype=float)
-        if self.is_diagonal:
-            return coords / self._diag_rows(self._chol, coords)
-        if transpose:
-            return _solve_triangular(self._chol.T, coords, lower=False)
-        return _solve_triangular(self._chol, coords, lower=True)
+        return coords / self._diag_rows(self._chol, coords)
 
-    def _factor_transpose_apply(self, coords):
-        """Return L' x."""
-        if self.is_diagonal:
-            return coords * self._diag_rows(self._chol, coords)
-        return self._chol.T @ coords
+    def _factor_apply(self, coords):
+        """Return L x, L = sqrt(G)."""
+        return coords * self._diag_rows(self._chol, coords)
 
     def zero(self):
         """The zero element."""
@@ -284,11 +241,9 @@ class LinearMap:
 
 
 def _check_space(space, x, what):
-    # the same object, or the same dimension and gram (a stored diagonal and
-    # a stored dense gram differ in shape): an l2 element passed to an
-    # h-weighted L2 space of the same dimension fails here
-    if x.space is not space and not np.array_equal(x.space._gram,
-                                                   space._gram):
+    # the same object, or the same dimension and gram: an l2 element passed
+    # to an h-weighted L2 space of the same dimension fails here
+    if x.space is not space and not np.array_equal(x.space.gram, space.gram):
         raise ValueError("%s: element of %r passed where %r expected"
                          % (what, x.space.name, space.name))
 
@@ -331,7 +286,7 @@ def adjoint(F):
     equivalently (F* phi, u)_dom = (phi, F u)_cod for the gram inner
     products, for all u and phi.
     """
-    m = F.domain.apply_gram_inverse(F.matrix.T @ F.codomain.gram)
+    m = F.domain.apply_gram_inverse(F.codomain.apply_gram(F.matrix).T)
     return LinearMap(m, domain=F.codomain, codomain=F.domain,
                      compact_flag=F.compact_flag)
 
@@ -339,8 +294,8 @@ def adjoint(F):
 def singular_triplets(F, compute_uv=True):
     """Singular value decomposition in the gram-induced geometry.
 
-    Computes the SVD of C = L_cod' M L_dom'^-1 where G = L L' are the
-    Cholesky factorizations of the two grams.  Returns a list of triplets
+    Computes the SVD of C = L_cod M L_dom^-1 where L = sqrt(G) are the
+    square roots of the two diagonal grams.  Returns a list of triplets
     (sigma, left, right) sorted by descending sigma with
 
         F(right) = sigma * left,   |right|_dom = |left|_cod = 1.
@@ -352,14 +307,14 @@ def singular_triplets(F, compute_uv=True):
     1-D ndarray of length min(domain.dim, codomain.dim), with no vectors
     formed and none un-whitened.
     """
-    # M L_dom'^-1  ==  solve (L_dom X' = M') transposed
-    tmp = F.domain._factor_solve(F.matrix.T).T
-    c = F.codomain._factor_transpose_apply(tmp)
+    # the columns of M divided by sqrt(g_dom), then its rows scaled by
+    # sqrt(g_cod)
+    c = F.codomain._factor_apply(F.matrix / F.domain._chol)
     if not compute_uv:
         return np.linalg.svd(c, compute_uv=False)
     u, s, wt = np.linalg.svd(c, full_matrices=False)
-    lefts = F.codomain._factor_solve(u, transpose=True)
-    rights = F.domain._factor_solve(wt.T, transpose=True)
+    lefts = F.codomain._factor_solve(u)
+    rights = F.domain._factor_solve(wt.T)
     return [(float(s[i]),
              Element(lefts[:, i], F.codomain),
              Element(rights[:, i], F.domain))

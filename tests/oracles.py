@@ -4,11 +4,12 @@ Each builds, by plain dense linear algebra or difference quotients, an
 object the package computes another way (or does not need), so tests can
 compare against it:
 
-* ``stiffness1d``, ``laplace_inverse``, ``solution_space``, ``data_space``,
-  ``operator_matrix`` and ``elliptic_operator_map``: the dense grams of
-  the elliptic norm pairs, the dense operator matrix and the forward map
-  between them, whose whitened SVD is the oracle of the Sturm-bisection
-  estimate in ``fcopt.elliptic``;
+* ``stiffness1d``, ``laplace_inverse``, ``solution_gram``, ``data_gram``,
+  ``gram_norm``, ``operator_matrix`` and ``dense_sigma``: the dense grams
+  of the elliptic norm pairs (not diagonal in H1_0/H-1, so the library's
+  spaces cannot hold them), the dense operator matrix and its singular
+  values between those grams, whitened by ``np.linalg.cholesky``: the
+  oracle of the Sturm-bisection estimate in ``fcopt.elliptic``;
 * ``AffineSubspace``: an affine target set with a gram-orthonormal basis;
 * ``directional_variation`` with ``VariationEstimate``: one-sided
   difference quotients of an evaluator along a direction;
@@ -19,7 +20,7 @@ compare against it:
 import numpy as np
 
 from fcopt.convex import ConvexSet, _kronecker
-from fcopt.spaces import Element, LinearMap, SpaceDescriptor
+from fcopt.spaces import Element
 
 
 # ---------------------------------------------------------------- elliptic
@@ -42,28 +43,29 @@ def laplace_inverse(N):
     return lo * (N + 1 - hi) / (N + 1)
 
 
-def solution_space(sys):
-    """Space the argument phi of an EllipticSystem lives in, per its tag.
+def solution_gram(sys):
+    """Dense gram of the space the argument phi of an EllipticSystem lives in.
 
     L2L2: the lumped mass h I; H1H-1: the stiffness K0 = T/h.
     """
     if sys.tag == "L2L2":
-        return SpaceDescriptor("elliptic-solution-L2", sys.N,
-                               gram=sys.h * np.eye(sys.N))
-    return SpaceDescriptor("elliptic-solution-H10", sys.N,
-                           gram=stiffness1d(sys.N, sys.h))
+        return sys.h * np.eye(sys.N)
+    return stiffness1d(sys.N, sys.h)
 
 
-def data_space(sys):
-    """Space the image h = L phi lives in, per the tag.
+def data_gram(sys):
+    """Dense gram of the space the image h = L phi lives in, per the tag.
 
     L2L2: the lumped mass h I; H1H-1: the dual gram h^3 T^-1.
     """
     if sys.tag == "L2L2":
-        return SpaceDescriptor("elliptic-data-L2", sys.N,
-                               gram=sys.h * np.eye(sys.N))
-    return SpaceDescriptor("elliptic-data-Hm1", sys.N,
-                           gram=sys.h ** 3 * laplace_inverse(sys.N))
+        return sys.h * np.eye(sys.N)
+    return sys.h ** 3 * laplace_inverse(sys.N)
+
+
+def gram_norm(gram, x):
+    """sqrt(x' G x) in a dense gram."""
+    return float(np.sqrt(x @ gram @ x))
 
 
 def operator_matrix(sys):
@@ -72,10 +74,17 @@ def operator_matrix(sys):
             + np.diag(sys._off, -1))
 
 
-def elliptic_operator_map(sys):
-    """The forward map phi -> L phi between the tagged spaces."""
-    return LinearMap(operator_matrix(sys), domain=solution_space(sys),
-                     codomain=data_space(sys))
+def dense_sigma(sys):
+    """Singular values of phi -> L phi between the tagged grams, descending.
+
+    The SVD of C = R_X M R_V^-1, where G = R'R for the upper Cholesky
+    factor R of each dense gram: |M x|_X / |x|_V = |C y| / |y| for
+    y = R_V x.
+    """
+    rv = np.linalg.cholesky(solution_gram(sys)).T
+    rx = np.linalg.cholesky(data_gram(sys)).T
+    c = rx @ np.linalg.solve(rv.T, operator_matrix(sys).T).T
+    return np.linalg.svd(c, compute_uv=False)
 
 
 # ------------------------------------------------------------------ convex
@@ -101,7 +110,7 @@ class AffineSubspace(ConvexSet):
             basis = basis[:, None]
         if basis.shape[0] != space.dim:
             raise ValueError("basis rows must match space dim")
-        gb = basis.T @ space.gram @ basis
+        gb = basis.T @ space.apply_gram(basis)
         if np.abs(gb - np.eye(basis.shape[1])).max() > 1e-8:
             raise ValueError(
                 "affine basis is not gram-orthonormal (B' G B != I); "

@@ -70,8 +70,8 @@ def _sigma_only_call(case):
     if case == "restricted":
         rng = np.random.default_rng(5)
         b, c = rng.normal(size=(6, 6)), rng.normal(size=(4, 4))
-        v = SpaceDescriptor("V", 6, b @ b.T + 6.0 * np.eye(6))
-        x = SpaceDescriptor("X", 4, c @ c.T + 4.0 * np.eye(4))
+        v = SpaceDescriptor("V", 6, np.diag(b @ b.T) + 6.0)
+        x = SpaceDescriptor("X", 4, np.diag(c @ c.T) + 4.0)
         f = LinearMap(rng.normal(size=(4, 6)), v, x)
         return lambda: restricted_estimate_constant(f)
     p = equality_qp(6, 2, 0)

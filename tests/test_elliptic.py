@@ -9,9 +9,9 @@ from numpy.testing import assert_allclose
 
 from fcopt.elliptic import (EllipticSystem, _sturm_count,
                             elliptic_estimate_constant, elliptic_sweep)
-from fcopt.spaces import Element, norm, rank_mask, singular_triplets
-from oracles import (data_space, elliptic_operator_map, operator_matrix,
-                     solution_space, stiffness1d)
+from fcopt.spaces import rank_mask
+from oracles import (data_gram, dense_sigma, gram_norm, operator_matrix,
+                     solution_gram, stiffness1d)
 
 # c at which the lowest discrete eigenvalue of the N = 15 mesh vanishes
 _C_KERNEL_15 = 4.0 * 16 ** 2 * np.sin(np.pi / 32) ** 2
@@ -102,13 +102,13 @@ def test_h1_norms_bracket_operator_directly():
     s = EllipticSystem(24, a=lambda x: 1.0 + 0.5 * np.sin(3 * x),
                        c=0.3, tag="H1H-1")
     rep = elliptic_estimate_constant(s)
-    V, X = solution_space(s), data_space(s)
+    gv, gx = solution_gram(s), data_gram(s)
     rng = np.random.default_rng(5)
     ratios = []
     for _ in range(64):
         phi = rng.standard_normal(24)
-        ratios.append(norm(X, Element(operator_matrix(s) @ phi, X))
-                      / norm(V, Element(phi, V)))
+        ratios.append(gram_norm(gx, operator_matrix(s) @ phi)
+                      / gram_norm(gv, phi))
     ratios = np.array(ratios)
     assert np.all(ratios <= rep.constant * (1 + 1e-9))
     assert ratios.max() > 0.2 * rep.constant  # constant is attained nearby
@@ -118,14 +118,13 @@ def test_h1_dual_norm_matches_variational_definition():
     # |h|_{H^-1} = sup_v <h, v>_{L^2} / |v|_{H^1_0}, realized by the
     # solution of the unit-coefficient problem
     s = EllipticSystem(12, tag="H1H-1")
-    X = data_space(s)
     K0 = stiffness1d(s.N, s.h)
     M = s.h * np.eye(12)
     rng = np.random.default_rng(9)
     h_vec = rng.standard_normal(12)
     v_star = np.linalg.solve(K0, M @ h_vec)
     sup = (h_vec @ M @ v_star) / np.sqrt(v_star @ K0 @ v_star)
-    assert_allclose(norm(X, Element(h_vec, X)), sup, rtol=1e-10)
+    assert_allclose(gram_norm(data_gram(s), h_vec), sup, rtol=1e-10)
 
 
 def test_indefinite_potential_reported():
@@ -255,16 +254,12 @@ def test_validation_errors():
 
 
 def test_operator_map_spaces_consistent():
+    # the H^-1 gram h^3 T^-1 is h^2 times the inverse of the H^1_0 gram
+    # K0 = T/h, the two grams of one dual pair
     s = EllipticSystem(6, tag="H1H-1")
-    F = elliptic_operator_map(s)
-    assert F.domain.dim == 6 and F.codomain.dim == 6
-    assert F.domain.name.endswith("H10")
-    assert F.codomain.name.endswith("Hm1")
-
-
-def _dense_sigma(s):
-    # the oracle: sigma-only SVD of the whitened map in the dense grams
-    return singular_triplets(elliptic_operator_map(s), compute_uv=False)
+    gv, gx = solution_gram(s), data_gram(s)
+    assert gv.shape == gx.shape == (6, 6)
+    assert_allclose(gx @ gv, s.h ** 2 * np.eye(6), atol=1e-15)
 
 
 @pytest.mark.parametrize("tag", ["L2L2", "H1H-1"])
@@ -276,7 +271,7 @@ def test_bisection_matches_dense_svd(tag, N, a_kind, c):
          "nodal": 1.0 + np.linspace(0.0, 1.0, N + 2) ** 2}[a_kind]
     s = EllipticSystem(N, a=a, c=c, tag=tag)
     rep = elliptic_estimate_constant(s)
-    sig = _dense_sigma(s)
+    sig = dense_sigma(s)
     assert rep.kernel_dim == N - np.count_nonzero(rank_mask(sig))
     assert_allclose(rep.constant, sig[0], rtol=1e-12)
     smax, smin = rep.sigma_profile
@@ -298,7 +293,7 @@ def test_kernel_count_matches_dense_rank_mask(tag, N, c):
     # a vanishing lowest eigenvalue, and the 1 x 1 zero matrix
     s = EllipticSystem(N, a=1.0, c=c, tag=tag)
     rep = elliptic_estimate_constant(s)
-    sig = _dense_sigma(s)
+    sig = dense_sigma(s)
     assert rep.kernel_dim == N - np.count_nonzero(rank_mask(sig)) == 1
     assert rep.sigma_profile[1] == 0.0
 

@@ -66,14 +66,13 @@ def _cone_problem():
 def _target_problem(kind):
     """f0 = c.u + |u|^2/2, f(u) = M u + m into a target of the given kind.
 
-    The control space has a non-diagonal gram, so the probe directions are
-    normalized in a metric other than the Euclidean one.  u_bar = -c
+    The control space has a gram other than the identity, so the probe
+    directions are normalized in a metric other than the Euclidean one.  u_bar = -c
     minimizes f0, so Phi_eps >= eps everywhere; it need not be feasible,
     since only the probe arithmetic is under test.
     """
     rng = np.random.default_rng(11)
-    V = SpaceDescriptor("controls", 3, [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2],
-                                        [0.0, 0.2, 1.5]])
+    V = SpaceDescriptor("controls", 3, [2.0, 1.0, 1.5])
     X = SpaceDescriptor("targets", 3)
     M = rng.standard_normal((3, 3))
     m = rng.standard_normal(3)
@@ -806,14 +805,14 @@ def test_woodbury_iteration_forms_no_square_array(monkeypatch):
 def test_woodbury_step_solves_the_newton_system():
     # against the dense solve of ((2 gap+ + mu) H + 2 J'G_X J
     # + 2 grad f0 grad f0') s = -g, with and without the grad f0 term, in
-    # a non-diagonal constraint gram
+    # a constraint gram other than the identity
     rng = np.random.default_rng(3)
     dim, k = 9, 3
     B = rng.standard_normal((dim, dim))
     H = B @ B.T / dim + np.eye(dim)
     chol = np.linalg.cholesky(H)
     C = rng.standard_normal((k, k))
-    X = SpaceDescriptor("constraints", k, gram=C @ C.T + k * np.eye(k))
+    X = SpaceDescriptor("constraints", k, gram=np.diag(C @ C.T) + k)
     p = ConstrainedProblem(
         SpaceDescriptor("controls", dim), X, f0=None, f0_grad=None, f=None,
         f_jac=None, E=Singleton(X, np.zeros(k)), f0_hess=H)
@@ -822,7 +821,7 @@ def test_woodbury_step_solves_the_newton_system():
     g = rng.standard_normal(dim)
     for gp, mu in ((0.3, 0.0), (1e-6, 0.0), (0.0, 1e-3), (0.2, 0.5)):
         aux = (0.0, gp, None, None, jac, g0 if gp > 0.0 else None)
-        h = 2.0 * jac.T @ X.gram @ jac + (2.0 * gp + mu) * H
+        h = 2.0 * jac.T @ (X.gram[:, None] * jac) + (2.0 * gp + mu) * H
         if gp > 0.0:
             h += 2.0 * np.outer(g0, g0)
         want = np.linalg.solve(h, -g)

@@ -29,8 +29,13 @@ def random_spd(rng, dim):
     return a.T @ a + 0.5 * np.eye(dim)
 
 
+def random_diagonal(rng, dim):
+    # positive diagonal gram entries spread over two decades
+    return np.exp(rng.uniform(-2.3, 2.3, dim))
+
+
 def gram_inner(space, x, y):
-    return float(x.coords @ space.gram @ y.coords)
+    return float(x.coords @ (space.gram * y.coords))
 
 
 # ---------------------------------------------------------------- norm
@@ -42,19 +47,22 @@ def test_norm_euclidean():
 
 
 def test_norm_zero():
-    s = SpaceDescriptor("X", 3, random_spd(np.random.default_rng(0), 3))
+    s = SpaceDescriptor("X", 3, random_diagonal(np.random.default_rng(0), 3))
     assert norm(s, s.zero()) == 0.0
 
 
 def test_norm_stiffness_oracle():
-    # oracle: explicit quadratic form x'Kx for K = tridiag(-1,2,-1)/h
+    # oracle: explicit quadratic form x'Kx for K = tridiag(-1,2,-1)/h; K is
+    # D'D/h for the N+1 differences D x of x with its zero boundary values,
+    # so the same norm is the 1/h-weighted diagonal norm of D x
     h = 0.25
     k = stiffness1d(3, h)
     x = np.array([1.0, 0.0, 0.0])
     expected = np.sqrt(x @ k @ x)  # = sqrt(2/h) = sqrt(8)
     assert expected == pytest.approx(np.sqrt(8.0))
-    s = SpaceDescriptor("H", 3, k)
-    assert norm(s, Element(x, s)) == pytest.approx(expected, rel=1e-12)
+    s = SpaceDescriptor("H", 4, np.full(4, 1.0 / h))
+    dx = np.diff(np.concatenate([[0.0], x, [0.0]]))
+    assert norm(s, Element(dx, s)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_norm_dimension_mismatch():
@@ -73,30 +81,36 @@ def test_element_length_checked():
 # ---------------------------------------------------------------- grams
 
 
-def test_gram_must_be_symmetric():
-    with pytest.raises(ValueError):
-        SpaceDescriptor("X", 2, [[1.0, 0.5], [0.0, 1.0]])
-    # the zero gram is diagonal, and still reported here
-    with pytest.raises(ValueError, match="not symmetric"):
-        SpaceDescriptor("X", 2, np.zeros((2, 2)))
+def test_gram_must_be_a_finite_positive_vector():
+    # a gram is the vector of its dim diagonal entries: any matrix, the
+    # identity included, and a vector of another length are refused
+    for gram in (np.eye(2), [[1.0, 0.5], [0.0, 1.0]], np.ones((2, 1)),
+                 [1.0], [1.0, 1.0, 1.0], 1.0):
+        with pytest.raises(ValueError, match="vector of 2 diagonal"):
+            SpaceDescriptor("X", 2, gram)
+    # as is an entry that is zero, negative, nan or infinite
+    for bad in (0.0, -0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite positive"):
+            SpaceDescriptor("X", 2, [1.0, bad])
 
 
 def test_diagonal_gram_kept_bitwise_and_owned():
-    g = np.diag([3.0, 1e-300, 7.0])
+    g = np.array([3.0, 1e-300, 7.0])
     s = SpaceDescriptor("X", 3, g)
-    assert np.array_equal(s.gram, 0.5 * (g + g.T))
-    g[0, 0] = 5.0
-    assert s.gram[0, 0] == 3.0
+    assert np.array_equal(s.gram, g)
+    g[0] = 5.0
+    assert s.gram[0] == 3.0
+    with pytest.raises(ValueError):
+        s.gram[0] = 5.0
 
 
 def test_quadratic_form_rows_match_norms():
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(4, 4))
-    s = SpaceDescriptor("X", 4, a.T @ a + np.eye(4))
+    s = SpaceDescriptor("X", 4, random_diagonal(rng, 4))
     stack = rng.normal(size=(6, 4))
     rows = [norm(s, Element(x, s)) ** 2 for x in stack]
     assert_allclose(s.quadratic_form(stack), rows, rtol=1e-13)
-    assert s.quadratic_form(stack[0]) == stack[0] @ (s.gram @ stack[0])
+    assert s.quadratic_form(stack[0]) == stack[0] @ (s.gram * stack[0])
 
 
 @pytest.mark.parametrize("h", [None, 0.1])
@@ -105,15 +119,13 @@ def test_diagonal_gram_matches_dense_reference(h):
     # space formed while it stored its gram as a matrix, and division by
     # its Cholesky factor sqrt(d) for the dual norm
     dim = 37
-    gram = None if h is None else h * np.eye(dim)
     d = np.ones(dim) if h is None else np.full(dim, h)
-    s = SpaceDescriptor("X", dim, gram)
-    assert s.is_diagonal
+    s = SpaceDescriptor("X", dim, None if h is None else d)
     dense = np.diag(d)
     rng = np.random.default_rng(11)
     x = rng.normal(size=dim)
     stack = rng.normal(size=(16, dim))
-    assert np.array_equal(s.gram, dense)
+    assert np.array_equal(s.gram, d)
     assert np.array_equal(s._chol, np.sqrt(d))
     assert np.array_equal(s.apply_gram(x), dense @ x)
     assert np.array_equal(s.apply_gram(stack.T), dense @ stack.T)
@@ -145,7 +157,7 @@ def test_same_dimension_other_gram_rejected():
     # dt-weighted L2 space of the same dimension
     N = 50
     l2 = SpaceDescriptor("control-path", N)
-    L2 = SpaceDescriptor("control-path", N, (1.0 / N) * np.eye(N))
+    L2 = SpaceDescriptor("control-path", N, np.full(N, 1.0 / N))
     x = Element(np.ones(N), l2)
     with pytest.raises(ValueError, match="passed where"):
         norm(L2, x)
@@ -153,9 +165,9 @@ def test_same_dimension_other_gram_rejected():
         dual_norm(L2, x)
     with pytest.raises(ValueError, match="passed where"):
         apply_map(LinearMap(np.eye(N), L2, L2), x)
-    # an equal gram held by another object is accepted, dense ones too
+    # an equal gram held by another object is accepted, weighted ones too
     assert norm(SpaceDescriptor("copy", N), x) == pytest.approx(np.sqrt(N))
-    k = stiffness1d(4, 0.25)
+    k = np.full(4, 8.0)
     H = SpaceDescriptor("H", 4, k)
     y = Element([1.0, 0.0, 0.0, 0.0], H)
     assert norm(SpaceDescriptor("H-copy", 4, k), y) == pytest.approx(
@@ -165,10 +177,11 @@ def test_same_dimension_other_gram_rejected():
 
 
 def test_gram_must_be_positive_definite():
-    for gram in ([[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 0.0]],
-                 [[1.0, 2.0], [2.0, 1.0]]):
-        with pytest.raises(ValueError, match="not positive definite"):
+    # a diagonal gram is positive definite when every entry is positive
+    for gram in ([1.0, -1.0], [1.0, 0.0], [-1.0, -2.0]):
+        with pytest.raises(ValueError, match="finite positive"):
             SpaceDescriptor("X", 2, gram)
+    assert SpaceDescriptor("X", 2, [1e-300, 1e300]).dim == 2
 
 
 # ---------------------------------------------------------------- dual norm
@@ -176,7 +189,7 @@ def test_gram_must_be_positive_definite():
 
 def test_dual_norm_is_sup_of_pairing():
     rng = np.random.default_rng(42)
-    s = SpaceDescriptor("X", 4, random_spd(rng, 4))
+    s = SpaceDescriptor("X", 4, random_diagonal(rng, 4))
     phi = Element(rng.normal(size=4), s)
     dn = dual_norm(s, phi)
     # sampled sup over unit vectors never exceeds the gram-dual norm
@@ -204,7 +217,7 @@ def test_adjoint_plain_transpose_for_identity_grams():
 
 
 def test_adjoint_of_identity_is_identity():
-    g = random_spd(np.random.default_rng(1), 3)
+    g = random_diagonal(np.random.default_rng(1), 3)
     v = SpaceDescriptor("V", 3, g)
     x = SpaceDescriptor("X", 3, g)
     f = LinearMap(np.eye(3), v, x)
@@ -214,8 +227,8 @@ def test_adjoint_of_identity_is_identity():
 def test_adjoint_pairing_identity_random():
     # oracle: both inner products evaluated directly, 100 random pairs
     rng = np.random.default_rng(7)
-    v = SpaceDescriptor("V", 3, random_spd(rng, 3))
-    x = SpaceDescriptor("X", 4, random_spd(rng, 4))
+    v = SpaceDescriptor("V", 3, random_diagonal(rng, 3))
+    x = SpaceDescriptor("X", 4, random_diagonal(rng, 4))
     f = LinearMap(rng.normal(size=(4, 3)), v, x)
     fstar = adjoint(f)
     for _ in range(100):
@@ -230,8 +243,8 @@ def test_adjoint_pairing_identity_random():
 @given(st.integers(0, 10**6), st.integers(1, 5), st.integers(1, 5))
 def test_adjoint_involution(seed, nv, nx):
     rng = np.random.default_rng(seed)
-    v = SpaceDescriptor("V", nv, random_spd(rng, nv))
-    x = SpaceDescriptor("X", nx, random_spd(rng, nx))
+    v = SpaceDescriptor("V", nv, random_diagonal(rng, nv))
+    x = SpaceDescriptor("X", nx, random_diagonal(rng, nx))
     f = LinearMap(rng.normal(size=(nx, nv)), v, x)
     back = adjoint(adjoint(f))
     assert_allclose(back.matrix, f.matrix, rtol=1e-12, atol=1e-12)
@@ -318,14 +331,13 @@ def test_blocked_triangular_solve_matches_dense_solve(n, lower):
 
 def test_apply_gram_inverse_matches_dense_solve():
     rng = np.random.default_rng(5)
-    for gram in (random_spd(rng, 70), np.diag(rng.uniform(0.5, 2.0, 70))):
-        s = SpaceDescriptor("X", 70, gram=gram)
-        # the stored factor: a diagonal gram keeps the diagonal of L
-        factor = np.diag(s._chol) if s.is_diagonal else s._chol
-        assert np.array_equal(factor, np.linalg.cholesky(gram))
-        phi = rng.normal(size=70)
-        assert_allclose(s.apply_gram_inverse(phi), np.linalg.solve(gram, phi),
-                        rtol=1e-10, atol=1e-12)
+    d = rng.uniform(0.5, 2.0, 70)
+    s = SpaceDescriptor("X", 70, gram=d)
+    # the stored factor is the diagonal of L
+    assert np.array_equal(np.diag(s._chol), np.linalg.cholesky(np.diag(d)))
+    phi = rng.normal(size=70)
+    assert_allclose(s.apply_gram_inverse(phi),
+                    np.linalg.solve(np.diag(d), phi), rtol=1e-10, atol=1e-12)
 
 
 def test_rank_mask_cutoff():
@@ -354,8 +366,8 @@ def test_rank_mask_matches_inline_rule(values, tol):
 
 def test_singular_triplets_structure_and_reconstruction():
     rng = np.random.default_rng(11)
-    v = SpaceDescriptor("V", 3, random_spd(rng, 3))
-    x = SpaceDescriptor("X", 4, random_spd(rng, 4))
+    v = SpaceDescriptor("V", 3, random_diagonal(rng, 3))
+    x = SpaceDescriptor("X", 4, random_diagonal(rng, 4))
     f = LinearMap(rng.normal(size=(4, 3)), v, x)
     trips = singular_triplets(f)
     smax = trips[0][0]
@@ -365,7 +377,7 @@ def test_singular_triplets_structure_and_reconstruction():
         assert norm(v, right) == pytest.approx(1.0, rel=1e-10)
         assert_allclose(apply_map(f, right).coords, sig * left.coords,
                         atol=1e-10 * max(smax, 1.0))
-        recon += sig * np.outer(left.coords, v.gram @ right.coords)
+        recon += sig * np.outer(left.coords, v.gram * right.coords)
     assert np.abs(recon - f.matrix).max() <= 1e-10 * max(smax, 1.0)
     assert_sigma_only_matches(f, [t[0] for t in trips])
 
@@ -374,8 +386,8 @@ def test_singular_triplets_structure_and_reconstruction():
 @given(st.integers(0, 10**6))
 def test_sigma_set_matches_adjoint(seed):
     rng = np.random.default_rng(seed)
-    v = SpaceDescriptor("V", 5, random_spd(rng, 5))
-    x = SpaceDescriptor("X", 5, random_spd(rng, 5))
+    v = SpaceDescriptor("V", 5, random_diagonal(rng, 5))
+    x = SpaceDescriptor("X", 5, random_diagonal(rng, 5))
     f = LinearMap(rng.normal(size=(5, 5)), v, x)
     s1 = np.array([t[0] for t in singular_triplets(f)])
     s2 = np.array([t[0] for t in singular_triplets(adjoint(f))])
