@@ -17,7 +17,8 @@ step factors are polynomials in the same matrix and therefore commute.
 One loop steps this scheme forward: trajectories start from a given
 initial state (zero for variations) and may carry a trailing batch axis,
 so a batch of B control paths is simulated in a single pass.
-State-space grams are the identity.
+The state space has the identity gram and the flattened control-path
+space the L2(0,T) gram dt I.
 """
 
 import numpy as np
@@ -97,9 +98,9 @@ class EvolutionSystem:
         self.E = E
         self.name = name
         self.state_space = SpaceDescriptor("state", n)
-        # flattened control paths, step-major
-        self.control_path_space = SpaceDescriptor("control-path",
-                                                  self.N * self.m)
+        # flattened control paths, step-major, in the L2(0,T) norm
+        self.control_path_space = SpaceDescriptor(
+            "control-path", self.N * self.m, np.full(self.N * self.m, self.dt))
         eye = np.eye(n)
         # Crank-Nicolson step factors (I -+ dt/2 A_k), one pair per step
         self._R = eye - 0.5 * self.dt * self.A
@@ -160,8 +161,8 @@ def simulate_variation_evolution(sys, w):
 def endpoint_map(sys):
     """The linear endpoint map w -> xi(T) as a LinearMap.
 
-    Domain is the flattened control-path space (step-major, identity gram),
-    codomain the state space.  Columns are accumulated transition products,
+    Domain is the flattened control-path space (step-major, L2(0,T) gram
+    dt I), codomain the state space.  Columns are accumulated transition products,
     equivalent to propagating unit impulses.
     """
     mat = np.zeros((sys.n, sys.N * sys.m))

@@ -288,7 +288,9 @@ def lq_endpoint_problem(N=50, T=1.0):
     response plus 0.5 times the image of a smooth reference input.
     The objective reduces to the quadratic 0.5 u'Hu + c'u + const on the
     flattened control path, the constraint to the affine endpoint map G
-    (see _quadratic_problem); H is the only N m x N m array kept.
+    (see _quadratic_problem); H is the only N m x N m array kept.  The
+    control and constraint spaces are those of the EvolutionSystem: the
+    control path in the L2(0,T) gram dt I, the endpoint in the identity.
     """
     n, m = 4, 2
     dt = T / N
@@ -311,9 +313,8 @@ def lq_endpoint_problem(N=50, T=1.0):
     y_free = free[N]
     shape = 0.3 * np.sin(np.linspace(0.0, 3.0, nu))
     y_target = y_free + 0.5 * (G @ shape)
-    p = _quadratic_problem(SpaceDescriptor("control-path", nu),
-                           SpaceDescriptor("endpoint", n), H, c, const, G,
-                           y_target - y_free, "lq-endpoint")
+    p = _quadratic_problem(sysmodel.control_path_space, sysmodel.state_space,
+                           H, c, const, G, y_target - y_free, "lq-endpoint")
 
     # reference-dependent per-step cost gradients for the adjoint equation,
     # from a forward sweep of u_bar
@@ -321,8 +322,7 @@ def lq_endpoint_problem(N=50, T=1.0):
     ybar_ref = _midpoints(_crank_nicolson(
         sysmodel, y0, np.einsum("kij,kj->ki", sysmodel.Bc, u_ref)))
     system = EvolutionSystem(T, N, _LQ_A, _LQ_B, gy=ybar_ref, gu=u_ref,
-                             E=Singleton(SpaceDescriptor("endpoint", n),
-                                         y_target),
+                             E=Singleton(p.X, y_target),
                              name="lq-endpoint")
     p.extras.update(y_free=y_free, y_target=y_target, system=system,
                     u_ref=u_ref, ybar_ref=ybar_ref, y0=y0,

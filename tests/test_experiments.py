@@ -76,6 +76,17 @@ def test_l2_experiment_passes():
     assert len(rows) == rep.results["records"]
 
 
+@pytest.mark.parametrize("mesh", [250, 400, 800])
+def test_lq_endpoint_passes_on_fine_meshes(mesh):
+    # the sqrt(eps) ball and the Ekeland probes are measured in the L2(0,T)
+    # control norm, which does not grow with the mesh; in the l2 norm of
+    # the control samples these meshes left the ball at the first eps
+    rep = run_experiment("lq-endpoint", {"mesh": mesh})
+    assert rep.passed
+    assert rep.results["pair_error"] <= 1e-8
+    assert rep.results["stationarity"] <= 1e-8
+
+
 def test_elliptic_l2_experiment_passes():
     rep = run_experiment("elliptic-l2", {"levels": (8, 16, 32, 64)})
     assert rep.passed

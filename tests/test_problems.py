@@ -283,15 +283,18 @@ def test_lq_pipeline_matches_kkt_oracle():
 
 def test_lq_controllability_and_surjectivity():
     # controllability matrix has full rank, so the endpoint map is onto
-    # and the surjectivity surrogate is positive
+    # and the surjectivity surrogate is positive; it is taken from the
+    # L2(0,T) control gram dt I to the identity endpoint gram, where the
+    # singular values are those of G / sqrt(dt)
     ctrl = np.hstack([np.linalg.matrix_power(_LQ_A, k) @ _LQ_B
                       for k in range(4)])
     assert np.linalg.matrix_rank(ctrl) == 4
     p = lq_endpoint_problem()
     pair = MultiplierPair(1.0, Element(p.extras["kkt_multiplier"], p.X))
     rep = kkt_check(p, p.u_bar, pair)
+    dt = 1.0 / 50
     sigma_direct = np.linalg.svd(p.extras["G"],
-                                 compute_uv=False)[-1]
+                                 compute_uv=False)[-1] / np.sqrt(dt)
     assert rep["surjectivity_sigma"] > 1e-4
     assert_allclose(rep["surjectivity_sigma"], sigma_direct, rtol=1e-10)
 
