@@ -67,7 +67,8 @@ __all__ = [
 
 
 class DegeneratePenaltyError(ValueError):
-    """Raised when Phi_eps vanishes, i.e. a feasible point beats f0(u_bar) - eps."""
+    """Raised when Phi_eps vanishes up to roundoff, i.e. a (numerically)
+    feasible point beats f0(u_bar) - eps."""
 
 
 class InnerConvergenceError(RuntimeError):
@@ -749,12 +750,16 @@ def _pair(p, phi, dist, gp, fx):
     fx = f(u_eps), as _phi_parts and minimize_penalty give them.
     a = gp / phi and b = dist psi / phi, with psi the distance subgradient
     at f(u_eps) in dual coordinates, so a^2 + |b|^2 = 1.  Raises
-    DegeneratePenaltyError when phi = 0.
+    DegeneratePenaltyError when gap+ = 0 and the subgradient selection is
+    0 (f(u_eps) lies in E up to roundoff, phi = 0 included): such a
+    point beats f0(u_bar) - eps, and the pair would read (0, 0).
     """
-    if phi == 0.0:
-        raise DegeneratePenaltyError("Phi_eps(u_eps) = 0: pair undefined")
-    a = gp / phi
     psi = dist_subgradient(p.E, Element(fx, p.X))
+    if gp == 0.0 and not psi.coords.any():
+        raise DegeneratePenaltyError(
+            "Phi_eps(u_eps) = %.3g is roundoff of a feasible point below "
+            "f0(u_bar) - eps: pair undefined" % phi)
+    a = gp / phi
     b = Element((dist / phi) * psi.coords, p.X)
     return a, b
 

@@ -443,6 +443,20 @@ def test_multiplier_degenerate_error():
         _pair_at(p, bad_ref, 0.5, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("eps", [0.1 * 2.0 ** -13, 0.1 * 2.0 ** -14])
+def test_pair_at_a_roundoff_phi_is_refused(eps):
+    # started from u_bar, the l2 example's inner solve reaches Phi_eps of
+    # 2.6e-15 and 3.2e-16 at these eps: gap+ = 0, and dist is below the
+    # roundoff cutoff of dist_subgradient, which selects 0; the pair
+    # would read (0, 0), so it is refused
+    p = l2_example(6)
+    _, info = minimize_penalty(p, p.u_bar, eps)
+    assert info["gap_plus"] == 0.0 and 0.0 < info["phi"] <= 1e-14
+    with pytest.raises(DegeneratePenaltyError, match="roundoff"):
+        penalty._pair(p, info["phi"], info["dist"], info["gap_plus"],
+                      info["f"])
+
+
 def test_multiplier_l2_fifth_order_asymptotics(monkeypatch):
     # at the tight-tolerance near-minimizer, a = (6/sqrt(2)) eps^2 (1 + O(eps^4))
     # and b = -(1, 1, 0, ...)/sqrt(2)
