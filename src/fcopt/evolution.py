@@ -162,8 +162,8 @@ def endpoint_map(sys):
     """The linear endpoint map w -> xi(T) as a LinearMap.
 
     Domain is the flattened control-path space (step-major, L2(0,T) gram
-    dt I), codomain the state space.  Columns are accumulated transition products,
-    equivalent to propagating unit impulses.
+    dt I), codomain the state space.  Columns are accumulated transition
+    products, equivalent to propagating unit impulses.
     """
     mat = np.zeros((sys.n, sys.N * sys.m))
     # one stacked solve per factor: the same LU solve of each step's

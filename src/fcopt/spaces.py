@@ -1,10 +1,10 @@
 """Finite-dimensional inner-product spaces with explicit gram forms.
 
-A ``SpaceDescriptor`` carries a positive diagonal gram G = diag(g),
-stored as the vector g, defining the norm |x| = sqrt(x' G x).  Dual vectors are kept in the same
-coordinate system with the pairing <phi, x> = phi' x, so the dual norm is
-|phi|_* = sqrt(phi' G^-1 phi) and the Riesz map is an application of G
-(or its inverse), never an implicit identification.
+A ``SpaceDescriptor`` carries a positive diagonal gram G = diag(g), stored
+as the vector g, defining the norm |x| = sqrt(x' G x).  Dual vectors are
+kept in the same coordinate system with the pairing <phi, x> = phi' x, so
+the dual norm is |phi|_* = sqrt(phi' G^-1 phi) and the Riesz map is an
+application of G (or its inverse), never an implicit identification.
 
 ``LinearMap`` objects know their domain and codomain descriptors; adjoints
 and singular values are always taken in the gram-induced geometry.
@@ -123,9 +123,9 @@ class SpaceDescriptor:
         self.dim = int(dim)
         g = np.ones(self.dim) if gram is None else np.array(gram, dtype=float)
         if g.shape != (self.dim,):
-            raise ValueError("gram of space %r must be a vector of %d diagonal "
-                             "entries, got shape %r" % (self.name, self.dim,
-                                                        g.shape))
+            raise ValueError("gram of space %r must be a vector of %d "
+                             "diagonal entries, got shape %r"
+                             % (self.name, self.dim, g.shape))
         if not np.all(np.isfinite(g) & (g > 0.0)):
             raise ValueError("gram of space %r must have finite positive "
                              "entries" % self.name)

@@ -67,9 +67,9 @@ def _target_problem(kind):
     """f0 = c.u + |u|^2/2, f(u) = M u + m into a target of the given kind.
 
     The control space has a gram other than the identity, so the probe
-    directions are normalized in a metric other than the Euclidean one.  u_bar = -c
-    minimizes f0, so Phi_eps >= eps everywhere; it need not be feasible,
-    since only the probe arithmetic is under test.
+    directions are normalized in a metric other than the Euclidean one.
+    u_bar = -c minimizes f0, so Phi_eps >= eps everywhere; it need not be
+    feasible, since only the probe arithmetic is under test.
     """
     rng = np.random.default_rng(11)
     V = SpaceDescriptor("controls", 3, [2.0, 1.0, 1.5])
