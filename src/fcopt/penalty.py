@@ -404,8 +404,10 @@ def _phi_parts(p, u, f0_bar, eps):
     return d2 + gp * gp, np.sqrt(d2), gp, fx, pe
 
 
-def _grad_phi2(p, u, f0_bar, eps):
-    parts = _phi_parts(p, u, f0_bar, eps)
+def _grad_phi2(p, u, f0_bar, eps, parts=None):
+    # parts, when given, are _phi_parts at u as the line search computed them
+    if parts is None:
+        parts = _phi_parts(p, u, f0_bar, eps)
     _, dist, gp, fx, pe = parts
     jac = p.jacobian(u)
     g = 2.0 * (jac.T @ p.X.apply_gram(fx - pe))
@@ -516,12 +518,13 @@ def _newton_minimize(p, u0, f0_bar, eps, tol):
     + 1e-4 t g.s, or, when that fails with Phi2(u + t s) <= Phi2(u) + noise
     (the rounding noise of Phi2 at u), by the approximate Wolfe test on the
     slope: -0.9 |g.s| <= grad Phi2(u + t s).s <= 0.8 |g.s|.  The gradient
-    that test computed is reused for the next iteration.
+    that test computed is reused for the next iteration, and the gradient
+    at an accepted point reuses the Phi parts its trial computed.
 
     Returns (u, parts, stats): parts is _phi_parts at the returned u, as
-    its last gradient computed them; stats holds inner_iters, grad_norm,
-    backtracks (rejected trial points) and wolfe_steps (steps accepted by
-    the slope test).
+    its last trial (or, at u0, its first gradient) computed them; stats
+    holds inner_iters, grad_norm, backtracks (rejected trial points) and
+    wolfe_steps (steps accepted by the slope test).
     """
     u = u0.copy()
     chol = None
@@ -554,12 +557,13 @@ def _newton_minimize(p, u0, f0_bar, eps, tol):
         at_cand = None
         for _ in range(60):
             cand = u + t * step
-            cand_phi2 = _phi_parts(p, cand, f0_bar, eps)[0]
+            cand_parts = _phi_parts(p, cand, f0_bar, eps)
+            cand_phi2 = cand_parts[0]
             if cand_phi2 <= phi2 + 1e-4 * t * slope:
                 moved = True
                 break
             if cand_phi2 <= phi2 + noise:
-                at_cand = _grad_phi2(p, cand, f0_bar, eps)
+                at_cand = _grad_phi2(p, cand, f0_bar, eps, cand_parts)
                 cand_slope = float(at_cand[1] @ step)
                 if (-_WOLFE_SIGMA * abs(slope) <= cand_slope
                         <= _WOLFE_CAP * abs(slope)):
@@ -575,7 +579,7 @@ def _newton_minimize(p, u0, f0_bar, eps, tol):
             mu = mu * 0.25 if mu > 1e-14 else 0.0
             u = cand
             if at_cand is None:
-                at_cand = _grad_phi2(p, u, f0_bar, eps)
+                at_cand = _grad_phi2(p, u, f0_bar, eps, cand_parts)
             parts, g, aux = at_cand
             gnorm = dual_norm(p.V, Element(g, p.V))
         iters += 1

@@ -1047,10 +1047,11 @@ def test_default_qp_schedule_phi_evaluation_budget(monkeypatch):
     # once per record; the extrapolated pair ends the schedule early
     assert len(trace) < 14
     assert stacks == [48] * len(trace)
-    # single points are the Newton iterates and trial points only: the
-    # Phi <= eps check, the probe's Phi(u_eps), the info dict and the pair
-    # reuse the parts of the last gradient (151 with one evaluation each)
-    assert singles[0] <= 109
+    # single points are the Newton trial points and each start's first
+    # gradient only: the gradient at an accepted trial point, the Phi <= eps
+    # check, the probe's Phi(u_eps), the info dict and the pair reuse the
+    # parts of that trial (32 when the gradient evaluated them again)
+    assert singles[0] <= 21
 
 
 def _pair_error(p, pair):
