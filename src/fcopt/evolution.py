@@ -102,9 +102,13 @@ class EvolutionSystem:
         self.control_path_space = SpaceDescriptor(
             "control-path", self.N * self.m, np.full(self.N * self.m, self.dt))
         eye = np.eye(n)
-        # Crank-Nicolson step factors (I -+ dt/2 A_k), one pair per step
-        self._R = eye - 0.5 * self.dt * self.A
-        self._P = eye + 0.5 * self.dt * self.A
+        # Crank-Nicolson step matrices R_k^-1 P_k and R_k^-1, with R_k, P_k
+        # = I -+ dt/2 A_k, from one stacked solve each: a step is then two
+        # matrix products instead of a LAPACK call, and the adjoint steps by
+        # the transposes of the same two matrices
+        R = eye - 0.5 * self.dt * self.A
+        self._step = np.linalg.solve(R, eye + 0.5 * self.dt * self.A)
+        self._inv = np.linalg.solve(R, np.broadcast_to(eye, R.shape))
 
     def reshape_control(self, w):
         """Coerce a control variation to shape (N, m), or (N, m, B) for a
@@ -128,13 +132,15 @@ def _crank_nicolson_steps(sys, x0, forcing):
     """Yield the Crank-Nicolson states x_1, ..., x_N from x_0 = x0.
 
     Steps (I - dt/2 A_k) x_{k+1} = (I + dt/2 A_k) x_k + dt f_k, taking f_k
-    from the iterable ``forcing`` of N per-step values.  x0 has shape (n,)
-    or (n, B) and each f_k (n,) or (n, B); a trailing batch axis carries B
-    trajectories at once.  Each state is a new array.
+    from the iterable ``forcing`` of N per-step values, as the products
+    x_{k+1} = R_k^-1 P_k x_k + dt R_k^-1 f_k with the system's stored step
+    matrices.  x0 has shape (n,) or (n, B) and each f_k (n,) or (n, B); a
+    trailing batch axis carries B trajectories at once.  Each state is a
+    new array.
     """
     x = x0
-    for k, f in enumerate(forcing):
-        x = np.linalg.solve(sys._R[k], sys._P[k] @ x + sys.dt * f)
+    for step, inv, f in zip(sys._step, sys._inv, forcing):
+        x = step @ x + sys.dt * (inv @ f)
         yield x
 
 
@@ -166,14 +172,11 @@ def endpoint_map(sys):
     products, equivalent to propagating unit impulses.
     """
     mat = np.zeros((sys.n, sys.N * sys.m))
-    # one stacked solve per factor: the same LU solve of each step's
-    # system as a per-step call, without 2N Python round trips
-    S = sys.dt * np.linalg.solve(sys._R, sys.Bc)
-    step = np.linalg.solve(sys._R, sys._P)
+    S = sys.dt * (sys._inv @ sys.Bc)
     acc = np.eye(sys.n)
     for k in range(sys.N - 1, -1, -1):
         mat[:, k * sys.m:(k + 1) * sys.m] = acc @ S[k]
-        acc = acc @ step[k]
+        acc = acc @ sys._step[k]
     return LinearMap(mat, domain=sys.control_path_space,
                      codomain=sys.state_space)
 
@@ -206,7 +209,10 @@ def adjoint_evolution(sys, z0, z):
     """Backward adjoint trajectory psi with psi(T) = -z; returns (N+1, n).
 
     Steps (I - dt/2 A_k') psi_k = (I + dt/2 A_k') psi_{k+1} - dt z0 gy_k,
-    the exact discrete transpose of the forward variation scheme.
+    the exact discrete transpose of the forward variation scheme: psi_k =
+    (R_k^-1 P_k)' psi_{k+1} - dt z0 R_k^-T gy_k with the transposes of the
+    forward scheme's stored step matrices (R_k^-1 and P_k commute, both
+    being functions of A_k).
     """
     zc = z.coords if isinstance(z, Element) else np.asarray(z, dtype=float)
     if zc.shape != (sys.n,):
@@ -214,8 +220,8 @@ def adjoint_evolution(sys, z0, z):
     psi = np.zeros((sys.N + 1, sys.n))
     psi[sys.N] = -zc
     for k in range(sys.N - 1, -1, -1):
-        rhs = sys._P[k].T @ psi[k + 1] - sys.dt * float(z0) * sys.gy[k]
-        psi[k] = np.linalg.solve(sys._R[k].T, rhs)
+        psi[k] = (sys._step[k].T @ psi[k + 1]
+                  - sys.dt * float(z0) * (sys._inv[k].T @ sys.gy[k]))
     return psi
 
 
