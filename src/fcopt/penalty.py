@@ -30,11 +30,11 @@ are verified a posteriori on probe points.
 The pipeline has one path.  extract_multiplier spot-checks the local
 optimality of u_bar once, then for each eps of the schedule calls
 minimize_penalty, which returns u_eps with the Phi parts (_phi_parts) its
-last Newton gradient computed there, and reads the pair (a, b) off those
+Newton solve last computed there, and reads the pair (a, b) off those
 parts (_pair); Phi_eps is not evaluated again at u_eps.  Each eps after
 the first starts from the secant prediction through the last two
-near-minimizers (_secant_start).  The same secant, taken through the last
-two pairs and evaluated at eps = 0 (_PairLimit), extrapolates the pair to
+near-minimizers (_secant_start).  The quadratic in eps through the last
+three pairs, evaluated at eps = 0 (_PairLimit), extrapolates the pair to
 its limit; the schedule ends at the first record where that limit is
 resolved, and otherwise runs out and reports its final record.
 """
@@ -279,7 +279,7 @@ _SOLUTION_SAMPLES = 64
 # Cauchy gap over the final records above which extract_multiplier warns.
 _LIMIT_TOL = 1e-2
 # The pair extrapolated to eps = 0 ends the schedule when the limits from
-# the last two pairs of records agree within _EXTRAP_TOL and the last two
+# the last two triples of records agree within _EXTRAP_TOL and the last two
 # raw differences shrink by the ratio of their eps differences within a
 # factor 2^(+-_ORDER_SLACK) (first order).
 _EXTRAP_TOL = 1e-8
@@ -665,8 +665,8 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None, f0_bar=None):
     the attempt that succeeded.  The local-optimality spot check of u_bar
     is not run here: extract_multiplier runs it once per schedule.
 
-    The Phi parts of u_eps that the inner solver's last gradient computed
-    serve the Phi <= eps check, the Ekeland residual and the info dict;
+    The Phi parts of u_eps that the inner solver last computed serve the
+    Phi <= eps check, the Ekeland residual and the info dict;
     Phi is not evaluated at u_eps again.  f0_bar is f0(u_bar) when the
     caller has it already (extract_multiplier passes it once per
     schedule); None computes it here.
@@ -807,19 +807,26 @@ def _dual_hypot(da, db, gdb):
 
 
 class _PairLimit:
-    """Pair at eps = 0 on the secant through two consecutive records.
+    """Pair at eps = 0 on the quadratic through three consecutive records.
 
-    a and b are the secant's value at eps = 0 (one Richardson step on a
-    halving schedule), renormalized to a^2 + |b|^2 = 1; gb = G^-1 b.  step
-    is hypot(|a_1 - a_2|, |b_1 - b_2|) of the raw difference and de the
-    eps difference of the two records.  One solve with the gram of X per
-    record serves both dual norms.
+    r1, r2 and r3 are the last three records, latest first.  a and b are
+    the value at eps = 0 of the quadratic in eps through their pairs, the
+    sum of the pairs with the Lagrange weights prod_{j != i} e_j / (e_j -
+    e_i), renormalized to a^2 + |b|^2 = 1; gb = G^-1 b.  On a halving
+    schedule that is (8 g(eps) - 6 g(2 eps) + g(4 eps)) / 3, two
+    Richardson steps.  step is hypot(|a_1 - a_2|, |b_1 - b_2|) of the raw
+    difference of the last two records and de their eps difference.  One
+    solve with the gram of X per record serves both dual norms.
     """
 
-    def __init__(self, X, r1, r2):
-        g1 = np.concatenate([[r1.a], r1.b.coords])
-        g2 = np.concatenate([[r2.a], r2.b.coords])
-        lim = _secant(r1.eps, g1, r2.eps, g2, 0.0)
+    def __init__(self, X, r1, r2, r3):
+        e1, e2, e3 = r1.eps, r2.eps, r3.eps
+        w = (e2 * e3 / ((e2 - e1) * (e3 - e1)),
+             e1 * e3 / ((e1 - e2) * (e3 - e2)),
+             e1 * e2 / ((e1 - e3) * (e2 - e3)))
+        g1, g2, g3 = (np.concatenate([[r.a], r.b.coords])
+                      for r in (r1, r2, r3))
+        lim = w[0] * g1 + w[1] * g2 + w[2] * g3
         diff = g1 - g2
         gi = X.apply_gram_inverse(np.column_stack([lim[1:], diff[1:]]))
         scale = _dual_hypot(lim[0], lim[1:], gi[:, 0])
@@ -827,10 +834,10 @@ class _PairLimit:
         self.b = lim[1:] / scale
         self.gb = gi[:, 0] / scale
         self.step = _dual_hypot(diff[0], diff[1:], gi[:, 1])
-        self.de = r2.eps - r1.eps
+        self.de = e2 - e1
 
     def gap(self, other):
-        """hypot(|a - a'|, |b - b'|) to the limit of another record pair."""
+        """hypot(|a - a'|, |b - b'|) to the limit of another record triple."""
         return _dual_hypot(self.a - other.a, self.b - other.b,
                            self.gb - other.gb)
 
@@ -867,13 +874,16 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
     accuracy.
 
     The schedule is a maximum.  The raw pair (a_eps, b_eps) is first order
-    in eps, so from the 4th record on the pair is extrapolated to eps = 0
-    by the same secant, through the last two records (one Richardson
-    step, 2 g(eps) - g(2 eps), on a halving schedule; Richardson, Phil.
-    Trans. R. Soc. A 210, 1911), and renormalized to a^2 + |b|^2 = 1.
-    The schedule stops at the first record where this limit is resolved:
-    it agrees within 1e-8 with the limit from the previous two records,
-    the last two raw differences shrink by the ratio of their eps
+    in eps, so from the 3rd record on the pair is extrapolated to eps = 0
+    by the quadratic in eps through the last three records (see
+    _PairLimit; two Richardson steps, (8 g(eps) - 6 g(2 eps) + g(4 eps))
+    / 3 = (4 R1(eps) - R1(2 eps)) / 3 with R1(eps) = 2 g(eps) - g(2 eps),
+    on a halving schedule; Richardson, Phil. Trans. R. Soc. A 210, 1911;
+    Fiacco and McCormick, Nonlinear Programming: SUMT, Wiley 1968), and
+    renormalized to a^2 + |b|^2 = 1.  From the 4th record on, the
+    schedule stops at the first record where this limit is resolved: it
+    agrees within 1e-8 with the limit from the triple ending one record
+    earlier, the last two raw differences shrink by the ratio of their eps
     differences within a factor 2^(+-0.1), and its z0 is >= 0.  That
     limit is the pair, flagged extrapolated, with their agreement as its
     Cauchy gap.  A schedule that runs out first reports its final record,
@@ -913,7 +923,7 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
             inner_iters=info["inner_iters"], grad_norm=info["grad_norm"],
             ekeland_residual=info["ekeland_residual"]))
         if len(trace) >= 3:
-            lim = _PairLimit(p.X, trace[-1], trace[-2])
+            lim = _PairLimit(p.X, trace[-1], trace[-2], trace[-3])
             gap = None if prev is None else _resolved(prev, lim)
             if gap is not None:
                 return MultiplierPair(lim.a, Element(lim.b, p.X),

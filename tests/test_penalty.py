@@ -749,14 +749,21 @@ def test_qp_pair_matches_direct_kkt_solve(dim, k, seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_qp_sweep_matches_direct_kkt_solve(seed):
-    # every shape dim 4..14, k 1..3 with the default configuration
+    # every shape dim 4..14, k 1..3 with the default configuration: the
+    # pair matches the direct KKT solve within 1e-4, and it is the
+    # extrapolated limit, within 1e-8 of the Schur reference (7.9e-9 at
+    # most over the 132 shapes), resolved within 9 of the 14 eps
     bad = []
     for dim in range(4, 15):
         for k in range(1, 4):
             p = equality_qp(dim=dim, n_constraints=k, seed=seed)
-            err = np.abs(_extracted_pair(p) - _direct_kkt_pair(p)).max()
-            if err > 1e-4:
-                bad.append((dim, k, err))
+            pair, trace = extract_multiplier(p, p.u_bar,
+                                             default_schedule(0.1, 14))
+            got = np.concatenate([[pair.z0], pair.z.coords])
+            err = np.abs(got - _direct_kkt_pair(p)).max()
+            if not (err <= 1e-4 and pair.extrapolated and len(trace) <= 9
+                    and _pair_error(p, pair) <= 1e-8):
+                bad.append((dim, k, err, len(trace), _pair_error(p, pair)))
     assert bad == []
 
 
@@ -1050,8 +1057,8 @@ def test_default_qp_schedule_phi_evaluation_budget(monkeypatch):
     # single points are the Newton trial points and each start's first
     # gradient only: the gradient at an accepted trial point, the Phi <= eps
     # check, the probe's Phi(u_eps), the info dict and the pair reuse the
-    # parts of that trial (32 when the gradient evaluated them again)
-    assert singles[0] <= 21
+    # parts of that trial (one first gradient and one trial per record here)
+    assert singles[0] <= 15
 
 
 def _pair_error(p, pair):
@@ -1068,7 +1075,7 @@ def test_secant_start_when_a_is_below_half(monkeypatch):
     # getting back onto the path (41 over the schedule); from the secant
     # prediction it takes 1.  The raw pair of the 14th record is 1.13e-6
     # from the Schur reference either way; the extrapolated pair ends the
-    # schedule after 10 records, within 1e-8 of it
+    # schedule after 7 records, within 1e-8 of it
     p = equality_qp(8, 3, 0)
     pair, trace, infos = _recorded_schedule(p, default_schedule(0.1, 14),
                                             monkeypatch)
@@ -1078,8 +1085,8 @@ def test_secant_start_when_a_is_below_half(monkeypatch):
     assert _pair_error(p, pair) <= 1e-8
     # the first eps starts cold from u_bar, every later one from its
     # prediction, the second one's from the secant through (0, u_bar)
-    assert [i["start"] for i in infos] == ["reference"] + ["predicted"] * 9
-    assert [i["cold_start"] for i in infos] == [True] + [False] * 9
+    assert [i["start"] for i in infos] == ["reference"] + ["predicted"] * 6
+    assert [i["cold_start"] for i in infos] == [True] + [False] * 6
     assert all(i["rejected_starts"] == 0 for i in infos)
 
 
@@ -1116,16 +1123,17 @@ def test_prediction_on_the_path_is_not_taken_unmoved(N, monkeypatch):
 @pytest.mark.parametrize("N", [50, 200])
 def test_lq_schedule_ends_at_its_extrapolated_limit(N):
     # the raw pair is first order in eps, 1.7e-8 from the reference after
-    # all 23 eps at mesh 50; one Richardson step through the last two
-    # records is resolved well before that and is the reported pair
+    # all 23 eps at mesh 50; two Richardson steps, the quadratic through
+    # the last three records at eps = 0, are resolved after 11 records
+    # (8.4e-10 at mesh 50, 7.2e-10 at mesh 200) and are the reported pair
     from fcopt.evolution import adjoint_evolution, maximum_principle_residual
     p = lq_endpoint_problem(N)
     pair, trace = extract_multiplier(p, p.u_bar, p.extras["schedule"])
     assert pair.extrapolated and pair.converged
-    assert len(trace) <= 15
+    assert len(trace) <= 11
     assert pair.cauchy_gap <= 1e-8
     assert_allclose(pair.z0 ** 2 + pair.z_norm() ** 2, 1.0, atol=1e-12)
-    assert _pair_error(p, pair) <= 5e-9
+    assert _pair_error(p, pair) <= 1e-9
     sysm = p.extras["system"]
     mp = maximum_principle_residual(sysm, pair,
                                     adjoint_evolution(sysm, pair.z0, pair.z))
@@ -1157,7 +1165,29 @@ def test_extrapolation_reads_the_order_off_the_eps_differences():
     pair, trace = extract_multiplier(p, p.u_bar, sched)
     assert pair.extrapolated
     assert len(trace) < 23
-    steps = [penalty._PairLimit(p.X, r1, r0).step
-             for r0, r1 in zip(trace.records[-3:], trace.records[-2:])]
+    steps = [penalty._PairLimit(p.X, r2, r1, r0).step
+             for r0, r1, r2 in zip(trace.records[-4:], trace.records[-3:],
+                                   trace.records[-2:])]
     assert abs(np.log2(steps[0] / steps[1]) - np.log2(3.0)) <= 0.1
     assert _pair_error(p, pair) <= 1e-8
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0 / 3.0], ids=["halving", "third"])
+def test_pair_limit_is_the_quadratic_at_zero(ratio):
+    # records whose (a, b) is an exact quadratic q(eps) = q0 + q1 eps +
+    # q2 eps^2: the limit is q(0), renormalized in the dual norm of a
+    # non-identity gram, to roundoff
+    rng = np.random.default_rng(5)
+    X = SpaceDescriptor("constraints", 3, [0.5, 2.0, 3.0])
+    q0, q1, q2 = rng.standard_normal((3, 4))
+    recs = []
+    for e in (0.1 * ratio ** k for k in (2, 1, 0)):
+        g = q0 + q1 * e + q2 * e * e
+        recs.append(penalty.TraceRecord(e, None, 1.0, g[0],
+                                        Element(g[1:], X), 0.0, 0.0, 0))
+    lim = penalty._PairLimit(X, *recs)
+    want = q0 / np.hypot(q0[0], dual_norm(X, Element(q0[1:], X)))
+    assert_allclose(np.concatenate([[lim.a], lim.b]), want, rtol=0,
+                    atol=1e-13)
+    assert_allclose(lim.gb, lim.b / X.gram, rtol=1e-15, atol=0)
+    assert lim.de == recs[1].eps - recs[0].eps
