@@ -404,10 +404,8 @@ def _phi_parts(p, u, f0_bar, eps):
     return d2 + gp * gp, np.sqrt(d2), gp, fx, pe
 
 
-def _grad_phi2(p, u, f0_bar, eps, parts=None):
-    # parts, when given, are _phi_parts at u as the line search computed them
-    if parts is None:
-        parts = _phi_parts(p, u, f0_bar, eps)
+def _grad_phi2(p, u, parts):
+    # parts is _phi_parts at u, which the caller has already computed
     _, dist, gp, fx, pe = parts
     jac = p.jacobian(u)
     g = 2.0 * (jac.T @ p.X.apply_gram(fx - pe))
@@ -522,7 +520,7 @@ def _newton_minimize(p, u0, f0_bar, eps, tol):
     at an accepted point reuses the Phi parts its trial computed.
 
     Returns (u, parts, stats): parts is _phi_parts at the returned u, as
-    its last trial (or, at u0, its first gradient) computed them; stats
+    its last trial (or, at u0, its first evaluation) computed them; stats
     holds inner_iters, grad_norm, backtracks (rejected trial points) and
     wolfe_steps (steps accepted by the slope test).
     """
@@ -531,7 +529,7 @@ def _newton_minimize(p, u0, f0_bar, eps, tol):
     if p.f_hess_combo is None and p.V.dim >= _WOODBURY_MIN_DIM:
         chol = p.hessian_factor()
     mu = 0.0
-    parts, g, aux = _grad_phi2(p, u, f0_bar, eps)
+    parts, g, aux = _grad_phi2(p, u, _phi_parts(p, u, f0_bar, eps))
     gnorm = dual_norm(p.V, Element(g, p.V))
     iters = backtracks = wolfe_steps = 0
     while gnorm > tol and iters < _MAX_ITERS:
@@ -563,7 +561,7 @@ def _newton_minimize(p, u0, f0_bar, eps, tol):
                 moved = True
                 break
             if cand_phi2 <= phi2 + noise:
-                at_cand = _grad_phi2(p, cand, f0_bar, eps, cand_parts)
+                at_cand = _grad_phi2(p, cand, cand_parts)
                 cand_slope = float(at_cand[1] @ step)
                 if (-_WOLFE_SIGMA * abs(slope) <= cand_slope
                         <= _WOLFE_CAP * abs(slope)):
@@ -579,7 +577,7 @@ def _newton_minimize(p, u0, f0_bar, eps, tol):
             mu = mu * 0.25 if mu > 1e-14 else 0.0
             u = cand
             if at_cand is None:
-                at_cand = _grad_phi2(p, u, f0_bar, eps, cand_parts)
+                at_cand = _grad_phi2(p, u, cand_parts)
             parts, g, aux = at_cand
             gnorm = dual_norm(p.V, Element(g, p.V))
         iters += 1
