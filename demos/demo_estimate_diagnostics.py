@@ -29,7 +29,7 @@ for n in sizes:
     rep = restricted_estimate_constant(harmonic(n))
     print("  n=%-3d  C(n) = %-8.4g  C(n)/n = %.4f" % (n, rep.constant,
                                                       rep.constant / n))
-fam = OperatorFamily([(n, harmonic(n)) for n in sizes], "diag(1/k)")
+fam = OperatorFamily([(n, harmonic(n)) for n in sizes])
 print("  verdict: %s" % codim_growth_verdict(fam).verdict)
 print()
 

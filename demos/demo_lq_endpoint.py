@@ -21,7 +21,9 @@ pair, trace = extract_multiplier(p, p.u_bar, p.extras["schedule"],
 print("extracted pair: z0 = %.6f, z = %s" % (pair.z0,
                                              np.round(pair.z.coords, 6)))
 
-H = np.asarray(p.extras["H"])
+# the problem keeps H only as its Cholesky factor
+low = p.f0_hess.low
+H = low @ low.T
 c = np.asarray(p.extras["c"])
 G = np.asarray(p.extras["G"])
 rhs = np.asarray(p.extras["y_target"]) - np.asarray(p.extras["y_free"])

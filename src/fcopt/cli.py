@@ -148,7 +148,7 @@ def _diag_family(levels):
         s = SpaceDescriptor("X", n)
         mat = np.diag(1.0 / np.arange(1, n + 1))
         pairs.append((n, LinearMap(mat, s, s)))
-    return OperatorFamily(pairs, "diag(1/k) truncations")
+    return OperatorFamily(pairs)
 
 
 def _custom_family(path):
@@ -174,7 +174,7 @@ def _custom_family(path):
         cod = SpaceDescriptor("X", mat.shape[0])
         pairs.append((n, LinearMap(mat, dom, cod)))
     pairs.sort(key=lambda t: t[0])
-    return OperatorFamily(pairs, os.path.basename(path))
+    return OperatorFamily(pairs)
 
 
 def _cmd_diagnose(args):

@@ -44,7 +44,8 @@ class OperatorFamily:
     levels : sequence of (n, LinearMap)
         Pairs of level size and operator, ordered by strictly increasing n.
     description : str
-        Free-text description used in reports.
+        Free-text label of the family; no report reads it (reports name
+        the family by their own inputs).
     """
 
     def __init__(self, levels, description=""):

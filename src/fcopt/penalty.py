@@ -40,13 +40,14 @@ resolved, and otherwise runs out and reports its final record.
 """
 
 import warnings
+from functools import cached_property
 
 import numpy as np
 
 from .convex import WholeSpace, dist_subgradient, tangent_cone_sample
 from .convex import VariationSample
 from .spaces import (Element, dual_norm, norm, pairing, LinearMap,
-                     singular_triplets, _cholesky, _solve_triangular)
+                     singular_triplets)
 
 __all__ = [
     "ConstrainedProblem",
@@ -105,6 +106,74 @@ def _coords(u):
     return np.asarray(u, dtype=float)
 
 
+# block sizes of the triangular substitution (its off-diagonal updates run
+# as matrix products, its small diagonal blocks by LU) and of the blocked
+# Cholesky factorization (the inner dimension of its trailing updates)
+_TRI_BLOCK = 64
+_CHOL_BLOCK = 128
+
+
+def _solve_triangular(t, b, lower):
+    """Solve t x = b for a square triangular t by blocked substitution.
+
+    b is a vector or a matrix of right-hand sides.  Each block row first
+    subtracts the already solved blocks with one matrix product, then
+    solves its own diagonal block with ``np.linalg.solve``.
+    """
+    n = t.shape[0]
+    x = np.array(b, dtype=float)
+    starts = range(0, n, _TRI_BLOCK)
+    for i in (starts if lower else reversed(starts)):
+        j = min(i + _TRI_BLOCK, n)
+        if lower and i > 0:
+            x[i:j] -= t[i:j, :i] @ x[:i]
+        elif not lower and j < n:
+            x[i:j] -= t[i:j, j:] @ x[j:]
+        x[i:j] = np.linalg.solve(t[i:j, i:j], x[i:j])
+    return x
+
+
+def _cholesky(a):
+    """Overwrite the positive definite float array a by its lower Cholesky
+    factor, reading only its lower triangle, and return it.
+
+    Blocked right-looking elimination: ``np.linalg.cholesky`` factors each
+    diagonal block, ``_solve_triangular`` the panel below it, and the
+    trailing lower triangle is updated one column strip at a time, so no
+    temporary is larger than n x _CHOL_BLOCK (``np.linalg.cholesky`` of
+    the whole matrix would copy it).  Raises np.linalg.LinAlgError when a
+    is not positive definite.
+    """
+    n = a.shape[0]
+    for k in range(0, n, _CHOL_BLOCK):
+        e = min(k + _CHOL_BLOCK, n)
+        a[k:e, k:e] = np.linalg.cholesky(a[k:e, k:e])
+        a[k:e, e:] = 0.0
+        strips = [(j, min(j + _CHOL_BLOCK, n))
+                  for j in range(e, n, _CHOL_BLOCK)]
+        for j, f in strips:
+            a[j:f, k:e] = _solve_triangular(a[k:e, k:e], a[j:f, k:e].T,
+                                            lower=True).T
+        for j, f in strips:
+            a[j:, j:f] -= a[j:, k:e] @ a[j:f, k:e].T
+    return a
+
+
+class _CholeskyHessian:
+    """A constant positive definite Hessian H = low low', kept as ``low``.
+
+    The array h handed in is overwritten by the factor (see _cholesky);
+    ``matrix`` forms H when first read.
+    """
+
+    def __init__(self, h):
+        self.low = _cholesky(h)
+
+    @cached_property
+    def matrix(self):
+        return self.low @ self.low.T
+
+
 class ConstrainedProblem:
     """Data of a smooth constrained problem: spaces, evaluators, target set.
 
@@ -131,12 +200,12 @@ class ConstrainedProblem:
         Target set in X.
     domain : ConvexSet or None
         Admissible set in V; None means the whole space.
-    f0_hess : ndarray
-        Constant objective Hessian, a (V.dim, V.dim) array; it is required,
-        and anything else (None included) raises ValueError.  A positive
-        definite one is Cholesky-factored once (see ``hessian_factor``),
-        which lets a large problem without f_hess_combo take its Newton
-        steps by the Woodbury identity (see _newton_minimize).
+    f0_hess : ndarray or _CholeskyHessian
+        Constant objective Hessian: a (V.dim, V.dim) array, used as it is,
+        or a positive definite one kept as its Cholesky factor, which lets
+        a large problem without f_hess_combo take its Newton steps by the
+        Woodbury identity (see _newton_minimize).  It is required, and
+        anything else (None included) raises ValueError.
     f_hess_combo : callable or None
         (u, w) -> sum_i w_i * Hess f_i(u), the second-order term of the
         constraint map weighted by a dual vector w; 0 for affine maps.
@@ -165,21 +234,18 @@ class ConstrainedProblem:
 
     @property
     def f0_hess(self):
-        """Constant (V.dim, V.dim) Hessian of f0."""
+        """Constant Hessian of f0: a (V.dim, V.dim) array or its factor."""
         return self._f0_hess
 
     @f0_hess.setter
     def f0_hess(self, hess):
-        if not (isinstance(hess, np.ndarray)
-                and hess.shape == (self.V.dim,) * 2):
+        arr = hess.low if isinstance(hess, _CholeskyHessian) else hess
+        if not (isinstance(arr, np.ndarray)
+                and arr.shape == (self.V.dim,) * 2):
             raise ValueError(
                 "f0_hess of problem %r must be a (%d, %d) array"
                 % (self.name, self.V.dim, self.V.dim))
         self._f0_hess = hess
-        try:
-            self._factor = _cholesky(hess)
-        except np.linalg.LinAlgError:
-            self._factor = None
 
     def objective(self, u):
         """Evaluate f0 at u: a float for one point, (k,) for a (k, V.dim) stack.
@@ -219,14 +285,6 @@ class ConstrainedProblem:
                 "(f0 and f must evaluate each row of a stack)"
                 % (name, self.name, val.shape, shape[0], shape))
         return val
-
-    def hessian_factor(self):
-        """Lower Cholesky factor of f0_hess, or None.
-
-        None when f0_hess is not positive definite.  The factor is computed
-        when f0_hess is set.
-        """
-        return self._factor
 
     def jacobian(self, u):
         """Jacobian of f at u as an (X.dim, V.dim) array."""
@@ -421,8 +479,10 @@ def _hess_phi2(p, u, aux):
     gx_j = p.X.apply_gram(jac)
     h = 2.0 * (jac.T @ gx_j)
     if gp > 0.0:
-        h = h + 2.0 * np.outer(g0, g0)
-        h = h + 2.0 * gp * p.f0_hess
+        hess = p.f0_hess
+        if isinstance(hess, _CholeskyHessian):
+            hess = hess.matrix
+        h = h + 2.0 * np.outer(g0, g0) + 2.0 * gp * hess
     if p.f_hess_combo is not None:
         w = p.X.apply_gram(fx - pe)
         h = h + 2.0 * np.asarray(p.f_hess_combo(u, w), dtype=float)
@@ -432,10 +492,8 @@ def _hess_phi2(p, u, aux):
 # Smallest V.dim at which _newton_minimize takes Woodbury steps.  Whole
 # penalty schedules (2 vCPUs, 1 BLAS thread, min of 5-7 runs) measured the
 # Woodbury/dense time ratio at 1.07-1.28 on equality QPs of dim 4-96, 1.04
-# at dim 128, 0.84 at 192 and 0.67 at 256, and on lq-endpoint at 1.14 for
-# V.dim 100, 1.03 for 128, 0.99 for 150, 0.80 for 200 and 0.36 for 400:
-# below about 128 the two triangular solves per step cost more than one
-# small dense solve.
+# at 128, 0.84 at 192 and 0.67 at 256, and on lq-endpoint at 1.14, 1.03,
+# 0.99, 0.80 and 0.36 for V.dim 100, 128, 150, 200 and 400.
 _WOODBURY_MIN_DIM = 128
 
 
@@ -508,10 +566,10 @@ def _newton_minimize(p, u0, f0_bar, eps, tol):
 
     Each iteration solves the mu-regularized Newton system for a step s
     and tries u + t s for t = 1, 1/2, 1/4, ...  A problem with a factored
-    f0_hess H, no f_hess_combo and V.dim >= _WOODBURY_MIN_DIM regularizes
-    along H and solves by the Woodbury identity (see _woodbury_step), so
-    one factor of H serves every iteration and every mu; any other problem
-    forms the Hessian of Phi_eps^2, adds mu I and solves it densely.  A
+    f0_hess H (_CholeskyHessian), no f_hess_combo and V.dim >=
+    _WOODBURY_MIN_DIM regularizes along H and solves by the Woodbury
+    identity on the factor (see _woodbury_step); any other problem forms
+    the Hessian of Phi_eps^2, adds mu I and solves it densely.  A
     trial point is accepted by the Armijo test Phi2(u + t s) <= Phi2(u)
     + 1e-4 t g.s, or, when that fails with Phi2(u + t s) <= Phi2(u) + noise
     (the rounding noise of Phi2 at u), by the approximate Wolfe test on the
@@ -526,8 +584,9 @@ def _newton_minimize(p, u0, f0_bar, eps, tol):
     """
     u = u0.copy()
     chol = None
-    if p.f_hess_combo is None and p.V.dim >= _WOODBURY_MIN_DIM:
-        chol = p.hessian_factor()
+    if (isinstance(p.f0_hess, _CholeskyHessian) and p.f_hess_combo is None
+            and p.V.dim >= _WOODBURY_MIN_DIM):
+        chol = p.f0_hess.low
     mu = 0.0
     parts, g, aux = _grad_phi2(p, u, _phi_parts(p, u, f0_bar, eps))
     gnorm = dual_norm(p.V, Element(g, p.V))
@@ -649,13 +708,9 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None, f0_bar=None):
     anywhere within the tolerance of the path, while a Newton step lands
     far below it, and the pair read off the unmoved prediction loses that
     accuracy (on lq-endpoint the pair error grew from 1e-8 to 3e-5).
-    The Hessian of f0 in the Newton system is the problem's constant
-    f0_hess; on a large problem a positive definite f0_hess is factored
-    once and the steps are taken by the Woodbury identity (see
-    _newton_minimize).
-    The line search accepts a step by the Armijo decrease of Phi_eps^2,
-    or, when the change of Phi_eps^2 is below its rounding noise, by the
-    approximate Wolfe condition on the slope along the step (see
+    The Newton system takes f0_hess as the Hessian of f0, and the line
+    search accepts a step by the Armijo decrease of Phi_eps^2 or, below
+    its rounding noise, by an approximate Wolfe condition (see
     _newton_minimize).  It then verifies a posteriori that
     Phi_eps(u_eps) <= eps, that u_eps stays within sqrt(eps) + 1e-6 of
     u_bar, and that the Ekeland-type inequality holds on 16 probe
@@ -663,11 +718,9 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None, f0_bar=None):
     the attempt that succeeded.  The local-optimality spot check of u_bar
     is not run here: extract_multiplier runs it once per schedule.
 
-    The Phi parts of u_eps that the inner solver last computed serve the
-    Phi <= eps check, the Ekeland residual and the info dict;
-    Phi is not evaluated at u_eps again.  f0_bar is f0(u_bar) when the
-    caller has it already (extract_multiplier passes it once per
-    schedule); None computes it here.
+    Phi is not evaluated at u_eps again: the Phi parts the inner solver
+    last computed there serve the Phi <= eps check, the Ekeland residual
+    and the info dict.  f0_bar is f0(u_bar), or None to compute it here.
 
     Returns (element, info dict) where info carries phi, dist, gap_plus,
     f (the constraint value f(u_eps); _pair forms the coefficient pair

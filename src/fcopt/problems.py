@@ -17,8 +17,9 @@ attached as ``p.u_bar`` (an Element) and oracle data in ``p.extras``:
 
 The last two are the same kind of problem, minimize 0.5 u'Hu + c'u + const
 subject to Gu = r with H positive definite, and share one builder
-(_quadratic_problem): the KKT system, solved on the Cholesky factor of H,
-gives the reference point and the oracle multiplier.
+(_quadratic_problem): it keeps H only as its Cholesky factor L, the
+problem's f0_hess, and the KKT system, solved on L, gives the reference
+point and the oracle multiplier.
 
 Every f0 and f takes one point or a (k, dim) stack of points.  ``u.T[j]``
 is coordinate j of a point or column j of a stack, and ``(M @ u.T).T`` is
@@ -31,8 +32,9 @@ import numpy as np
 from .convex import Singleton
 from .evolution import (EvolutionSystem, _crank_nicolson,
                         _crank_nicolson_steps, endpoint_map)
-from .penalty import ConstrainedProblem, default_schedule
-from .spaces import Element, SpaceDescriptor, _row_dots, _solve_triangular
+from .penalty import (ConstrainedProblem, default_schedule, _CholeskyHessian,
+                      _solve_triangular)
+from .spaces import Element, SpaceDescriptor, _row_dots
 
 __all__ = [
     "scalar_problem",
@@ -142,13 +144,12 @@ def l2_example(dim=6):
 def _quadratic_problem(V, X, H, c, const, G, r, name):
     """minimize 0.5 u'Hu + c'u + const subject to Gu = r, H positive definite.
 
-    H is the problem's constant f0_hess.  The reference point and the
-    oracle multiplier solve the KKT system Hu + G'lam = -c, Gu = r,
-    eliminated on the Cholesky factor L of H (``hessian_factor``, which
-    the Newton steps of the penalty schedule reuse): with Y = L^-1 G' and
+    The array H is overwritten by its lower Cholesky factor L, the
+    problem's f0_hess: f0 = 0.5 |L'u|^2 + c'u + const, grad f0 = L L'u + c.
+    The reference point and the oracle multiplier solve the KKT system
+    Hu + G'lam = -c, Gu = r, eliminated on L: with Y = L^-1 G' and
     z = L^-1 c, the X.dim x X.dim Schur complement is Y'Y and
-    u = -L'^-1 (z + Y lam).  The extras hold that multiplier and H, c, G
-    and r.
+    u = -L'^-1 (z + Y lam).  The extras hold that multiplier and c, G, r.
     """
     # orthonormal basis of the range of G', whose complement is null(G)
     range_basis = np.linalg.qr(G.T)[0]
@@ -162,22 +163,28 @@ def _quadratic_problem(V, X, H, c, const, G, r, name):
         radii = np.array([0.02, 0.2, 2.0])[np.arange(count) % 3, None]
         return ub + radii * w
 
+    hess = _CholeskyHessian(H)
+    low = hess.low
+
+    def f0(u):
+        y = u @ low
+        return 0.5 * _row_dots(y, y) + c @ u.T + const
+
     p = ConstrainedProblem(
         V, X,
-        f0=lambda u: 0.5 * _row_dots(u @ H, u) + c @ u.T + const,
-        f0_grad=lambda u: H @ u + c,
+        f0=f0,
+        f0_grad=lambda u: low @ (u @ low) + c,
         f=lambda u: (G @ u.T).T - r,
         f_jac=lambda u: G,
         E=Singleton(X, np.zeros(X.dim)),
-        f0_hess=H,
+        f0_hess=hess,
         feasible_sampler=feasible_sampler,
         name=name)
-    chol = p.hessian_factor()
-    yz = _solve_triangular(chol, np.column_stack([G.T, c]), lower=True)
+    yz = _solve_triangular(low, np.column_stack([G.T, c]), lower=True)
     Y, z = yz[:, :X.dim], yz[:, X.dim]
     lam = -np.linalg.solve(Y.T @ Y, Y.T @ z + r)
-    p.u_bar = Element(-_solve_triangular(chol.T, z + Y @ lam, lower=False), V)
-    p.extras = {"kkt_multiplier": lam, "H": H, "c": c, "G": G, "r": r}
+    p.u_bar = Element(-_solve_triangular(low.T, z + Y @ lam, lower=False), V)
+    p.extras = {"kkt_multiplier": lam, "c": c, "G": G, "r": r}
     return p
 
 
@@ -247,8 +254,8 @@ def _midpoint_gram(sys, ybar0):
     of steps k0 .. k1-1 is zero in the columns of steps k1 and later (a
     control acts only from its own step on).  Each block adds the lower
     triangle of its W_b'W_b in column strips of _GRAM_STRIP, so no
-    temporary is larger than (N m) x _GRAM_STRIP; the upper triangle is
-    mirrored at the end, which makes the result exactly symmetric.
+    temporary is larger than (N m) x _GRAM_STRIP; only the lower
+    triangle of the result holds W'W.
     """
     n, m = sys.n, sys.m
     nu = sys.N * m
@@ -270,12 +277,6 @@ def _midpoint_gram(sys, ybar0):
         for j in range(0, cols, _GRAM_STRIP):
             e = min(j + _GRAM_STRIP, cols)
             gram[j:cols, j:e] += wb[:, j:].T @ wb[:, j:e]
-    for j in range(0, nu, _GRAM_STRIP):
-        e = min(j + _GRAM_STRIP, nu)
-        gram[j:e, e:] = gram[e:, j:e].T
-        block = gram[j:e, j:e]
-        upper = np.triu_indices(e - j, 1)
-        block[upper] = block.T[upper]
     return gram, rhs
 
 
@@ -288,7 +289,8 @@ def lq_endpoint_problem(N=50, T=1.0):
     response plus 0.5 times the image of a smooth reference input.
     The objective reduces to the quadratic 0.5 u'Hu + c'u + const on the
     flattened control path, the constraint to the affine endpoint map G
-    (see _quadratic_problem); H is the only N m x N m array kept.  The
+    (see _quadratic_problem); the Cholesky factor of H, formed in place,
+    is the only N m x N m array kept.  The
     control and constraint spaces are those of the EvolutionSystem: the
     control path in the L2(0,T) gram dt I, the endpoint in the identity.
     """

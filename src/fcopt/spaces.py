@@ -29,68 +29,12 @@ __all__ = [
 # numerical rank cutoff: singular values <= RANK_RTOL * sigma_max count as zero
 RANK_RTOL = 1e-10
 
-# diagonal block size of the triangular substitution: large enough that the
-# off-diagonal updates run as matrix products, small enough that the LU of a
-# diagonal block costs little next to them
-_TRI_BLOCK = 64
-# block size of the blocked Cholesky factorization: its trailing updates are
-# matrix products of this inner dimension
-_CHOL_BLOCK = 128
-
 
 def _row_dots(x, y):
     """x . y for two vectors; the dot product of each pair of rows for stacks."""
     if x.ndim == 1:
         return x @ y
     return np.einsum("ij,ij->i", x, y)
-
-
-def _solve_triangular(t, b, lower):
-    """Solve t x = b for a square triangular t by blocked substitution.
-
-    b is a vector or a matrix of right-hand sides.  Each block row first
-    subtracts the already solved blocks with one matrix product, then
-    solves its own diagonal block with ``np.linalg.solve``.
-    """
-    n = t.shape[0]
-    x = np.array(b, dtype=float)
-    starts = range(0, n, _TRI_BLOCK)
-    for i in (starts if lower else reversed(starts)):
-        j = min(i + _TRI_BLOCK, n)
-        if lower and i > 0:
-            x[i:j] -= t[i:j, :i] @ x[:i]
-        elif not lower and j < n:
-            x[i:j] -= t[i:j, j:] @ x[j:]
-        x[i:j] = np.linalg.solve(t[i:j, i:j], x[i:j])
-    return x
-
-
-def _cholesky(a):
-    """Lower Cholesky factor of a symmetric positive definite matrix.
-
-    Blocked right-looking elimination on one copy of a, reading its lower
-    triangle: each diagonal block is factored by ``np.linalg.cholesky``,
-    the panel below it by ``_solve_triangular``, one block of rows at a
-    time, and the trailing lower triangle is updated one column strip at
-    a time.  Unlike ``np.linalg.cholesky`` of the whole matrix, which
-    copies its input into a work array of the same size, it holds no
-    second n x n array and no temporary larger than n x _CHOL_BLOCK.
-    Raises np.linalg.LinAlgError when a is not positive definite.
-    """
-    n = a.shape[0]
-    low = np.array(a, dtype=float)
-    for k in range(0, n, _CHOL_BLOCK):
-        e = min(k + _CHOL_BLOCK, n)
-        low[k:e, k:e] = np.linalg.cholesky(low[k:e, k:e])
-        low[k:e, e:] = 0.0
-        strips = [(j, min(j + _CHOL_BLOCK, n))
-                  for j in range(e, n, _CHOL_BLOCK)]
-        for j, f in strips:
-            low[j:f, k:e] = _solve_triangular(low[k:e, k:e], low[j:f, k:e].T,
-                                              lower=True).T
-        for j, f in strips:
-            low[j:, j:f] -= low[j:, k:e] @ low[j:f, k:e].T
-    return low
 
 
 class SpaceDescriptor:

@@ -14,12 +14,18 @@ compare against it:
 * ``directional_variation`` with ``VariationEstimate``: one-sided
   difference quotients of an evaluator along a direction;
 * ``jacobian_fd_error`` and ``check_reference``: a problem's analytic
-  constraint Jacobian against central differences of its constraint map.
+  constraint Jacobian against central differences of its constraint map;
+* ``kkt_solve``, ``equality_qp_hessian`` and
+  ``lq_identity_batch_reference``: the Hessians H of the quadratic
+  problems, which the package keeps only as a Cholesky factor, and their
+  KKT solutions by one dense solve.
 """
 
 import numpy as np
 
 from fcopt.convex import ConvexSet, _kronecker
+from fcopt.evolution import EvolutionSystem, endpoint_map
+from fcopt.problems import _LQ_A, _LQ_B
 from fcopt.spaces import Element
 
 
@@ -228,3 +234,57 @@ def check_reference(p, u_bar, tol=1e-5, h=1e-6):
             "jacobian check failed at the reference point: "
             "relative error %.3e > %.1e" % (err, tol))
     return err
+
+
+# ---------------------------------------------------------------- problems
+
+
+def kkt_solve(H, A, g, r):
+    """Solve the dense KKT system [[H, A'], [A, 0]] (x, lam) = (g, r)."""
+    nx, nc = H.shape[0], A.shape[0]
+    kkt = np.zeros((nx + nc, nx + nc))
+    kkt[:nx, :nx] = H
+    kkt[:nx, nx:] = A.T
+    kkt[nx:, :nx] = A
+    sol = np.linalg.solve(kkt, np.concatenate([g, r]))
+    return sol[:nx], sol[nx:]
+
+
+def equality_qp_hessian(dim, seed):
+    """H of ``equality_qp(dim, n_constraints, seed)``, redrawn from its seed.
+
+    H is the first draw of the builder's generator, so n_constraints does
+    not change it.
+    """
+    B = np.random.default_rng(seed).standard_normal((dim, dim))
+    return B.T @ B / dim + np.eye(dim)
+
+
+def lq_identity_batch_reference(N, T=1.0):
+    """H, c, u_bar, lambda, ybar_ref and G of the LQ builder with W formed
+    from the identity batch of nu control paths, stepped all at once."""
+    n, m = 4, 2
+    nu, dt = N * m, T / N
+    R = np.eye(n) - 0.5 * dt * _LQ_A
+    P = np.eye(n) + 0.5 * dt * _LQ_A
+
+    def steps(x0, forcing):
+        x = np.empty((N + 1,) + np.shape(x0))
+        x[0] = x0
+        for k in range(N):
+            x[k + 1] = np.linalg.solve(R, P @ x[k] + dt * forcing[k])
+        return 0.5 * (x[:-1] + x[1:]), x[N]
+
+    mid_free, y_free = steps(np.array([1.0, 0.0, -0.5, 0.0]),
+                             np.zeros((N, n)))
+    ybar0 = mid_free.ravel()
+    forcing = np.einsum("kij,kj...->ki...",
+                        np.broadcast_to(_LQ_B, (N, n, m)),
+                        np.eye(nu).reshape(N, m, nu))
+    W = steps(np.zeros((n, nu)), forcing)[0].reshape(N * n, nu)
+    H = dt * (W.T @ W) + dt * np.eye(nu)
+    c = dt * (W.T @ ybar0)
+    G = endpoint_map(EvolutionSystem(T, N, _LQ_A, _LQ_B)).matrix
+    y_target = y_free + 0.5 * (G @ (0.3 * np.sin(np.linspace(0.0, 3.0, nu))))
+    ubar, lam = kkt_solve(H, G, -c, y_target - y_free)
+    return H, c, ubar, lam, (ybar0 + W @ ubar).reshape(N, n), G

@@ -31,7 +31,7 @@ from fcopt.elliptic import elliptic_sweep
 from fcopt.tree import (TreeModel, sde_estimate_sweep, sde_duality_residual,
                         rank_deficiency_witness)
 from fcopt.wave import wave_sweep
-from oracles import directional_variation
+from oracles import directional_variation, lq_identity_batch_reference
 
 
 @contextmanager
@@ -123,8 +123,9 @@ def test_acceptance_3_lq_matches_dense_kkt(capfd):
         pair, _ = _extract(p, schedule=p.extras["schedule"])
 
         # independent oracle: one dense solve of the stationarity system
-        # [[H, G'], [G, 0]] [u, lam] = [-c, y_target - y_free]
-        H = np.asarray(p.extras["H"])
+        # [[H, G'], [G, 0]] [u, lam] = [-c, y_target - y_free], with H
+        # formed from the dense identity batch
+        H = lq_identity_batch_reference(50)[0]
         c = np.asarray(p.extras["c"])
         G = np.asarray(p.extras["G"])
         rhs = np.asarray(p.extras["y_target"]) - np.asarray(p.extras["y_free"])
@@ -155,7 +156,7 @@ def test_acceptance_4_diagnostics_calibration(capfd):
         for n in sizes:
             rep = restricted_estimate_constant(harmonic(n))
             assert 0.9 <= rep.constant / n <= 1.1
-        fam = OperatorFamily([(n, harmonic(n)) for n in sizes], "diag(1/k)")
+        fam = OperatorFamily([(n, harmonic(n)) for n in sizes])
         assert codim_growth_verdict(fam).verdict == "growing"
 
         def ident(n):
@@ -164,7 +165,7 @@ def test_acceptance_4_diagnostics_calibration(capfd):
 
         for n in sizes:
             assert restricted_estimate_constant(ident(n)).constant == 1.0
-        fam = OperatorFamily([(n, ident(n)) for n in sizes], "identity")
+        fam = OperatorFamily([(n, ident(n)) for n in sizes])
         assert codim_growth_verdict(fam).verdict == "bounded"
 
 

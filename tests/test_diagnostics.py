@@ -224,7 +224,7 @@ def test_compact_perturbed_monotone_in_g_rows(seed):
 
 
 def test_growth_verdict_identity_family_bounded():
-    fam = OperatorFamily([(n, idmap(n)) for n in (8, 16, 32)], "identity")
+    fam = OperatorFamily([(n, idmap(n)) for n in (8, 16, 32)])
     sweep = codim_growth_verdict(fam)
     assert sweep.verdict == "bounded"
     assert_allclose(sweep.constants, [1.0, 1.0, 1.0])
@@ -233,9 +233,7 @@ def test_growth_verdict_identity_family_bounded():
 def test_growth_verdict_harmonic_family_growing():
     fam = OperatorFamily(
         [(n, idmap(n, np.diag(1.0 / np.arange(1, n + 1))))
-         for n in (8, 16, 32, 64)],
-        "diag(1/k) truncations",
-    )
+         for n in (8, 16, 32, 64)])
     sweep = codim_growth_verdict(fam)
     assert sweep.verdict == "growing"
     for (n, rep) in sweep.levels:
@@ -257,7 +255,7 @@ def test_growth_verdict_kernel_based_when_all_infinite():
         m[:half, :half] = np.eye(half)
         return idmap(n, m)
 
-    fam = OperatorFamily([(n, deficient(n)) for n in (8, 16, 32)], "deficient")
+    fam = OperatorFamily([(n, deficient(n)) for n in (8, 16, 32)])
     sweep = codim_growth_verdict(fam)
     assert sweep.verdict == "growing"
     assert sweep.kernel_dims == [4, 8, 16]

@@ -20,7 +20,7 @@ from fcopt.penalty import (ConstrainedProblem, DegeneratePenaltyError,
 from fcopt.problems import (equality_qp, l2_example, lq_endpoint_problem,
                             scalar_problem)
 from fcopt.spaces import Element, SpaceDescriptor, dual_norm, norm
-from oracles import AffineSubspace
+from oracles import AffineSubspace, equality_qp_hessian
 
 
 def _unconstrained_quadratic():
@@ -707,13 +707,15 @@ def test_normal_cone_inequality_along_trace():
 # ------------------------------------------------------- oracle equivalence
 
 
-def _direct_kkt_pair(p):
-    """Normalized (1, lambda) of an equality_qp from a direct KKT solve.
+def _direct_kkt_pair(p, seed):
+    """Normalized (1, lambda) of equality_qp(p.V.dim, k, seed) from a
+    direct KKT solve.
 
-    Independent of the penalty code: null-space reduction for u_bar,
-    least squares for the multiplier.
+    Independent of the penalty code: H redrawn from the seed, null-space
+    reduction for u_bar, least squares for the multiplier.
     """
-    H, G, r, c = (p.extras[key] for key in ("H", "G", "r", "c"))
+    H = equality_qp_hessian(p.V.dim, seed)
+    G, r, c = (p.extras[key] for key in ("G", "r", "c"))
     from scipy.linalg import null_space, lstsq
     Z = null_space(G)
     u_part = np.linalg.lstsq(G, r, rcond=None)[0]
@@ -744,7 +746,8 @@ def test_qp_pair_matches_direct_kkt_solve(dim, k, seed):
     # the extracted pair, with the default configuration, must match the
     # normalized (1, lambda) direction within 1e-4
     p = equality_qp(dim=dim, n_constraints=k, seed=seed)
-    assert_allclose(_extracted_pair(p), _direct_kkt_pair(p), atol=1e-4)
+    assert_allclose(_extracted_pair(p), _direct_kkt_pair(p, seed),
+                    atol=1e-4)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -760,7 +763,7 @@ def test_qp_sweep_matches_direct_kkt_solve(seed):
             pair, trace = extract_multiplier(p, p.u_bar,
                                              default_schedule(0.1, 14))
             got = np.concatenate([[pair.z0], pair.z.coords])
-            err = np.abs(got - _direct_kkt_pair(p)).max()
+            err = np.abs(got - _direct_kkt_pair(p, seed)).max()
             if not (err <= 1e-4 and pair.extrapolated and len(trace) <= 9
                     and _pair_error(p, pair) <= 1e-8):
                 bad.append((dim, k, err, len(trace), _pair_error(p, pair)))
@@ -785,7 +788,7 @@ def test_lq_woodbury_pairs_match_dense_path(N, monkeypatch):
     # much.  The bound is 1e-9 plus 8 such ulps
     sched = default_schedule(0.1, 23)
     p = lq_endpoint_problem(N)
-    assert p.hessian_factor() is not None
+    assert isinstance(p.f0_hess, penalty._CholeskyHessian)
     with monkeypatch.context() as m:
         m.setattr(penalty, "_WOODBURY_MIN_DIM", 1)
         m.setattr(penalty, "_hess_phi2", _no_dense_hessian)
@@ -831,12 +834,13 @@ def test_woodbury_step_solves_the_newton_system():
     dim, k = 9, 3
     B = rng.standard_normal((dim, dim))
     H = B @ B.T / dim + np.eye(dim)
-    chol = np.linalg.cholesky(H)
     C = rng.standard_normal((k, k))
     X = SpaceDescriptor("constraints", k, gram=np.diag(C @ C.T) + k)
     p = ConstrainedProblem(
         SpaceDescriptor("controls", dim), X, f0=None, f0_grad=None, f=None,
-        f_jac=None, E=Singleton(X, np.zeros(k)), f0_hess=H)
+        f_jac=None, E=Singleton(X, np.zeros(k)),
+        f0_hess=penalty._CholeskyHessian(H.copy()))
+    chol = p.f0_hess.low
     jac = rng.standard_normal((k, dim))
     g0 = rng.standard_normal(dim)
     g = rng.standard_normal(dim)
@@ -855,28 +859,32 @@ def test_woodbury_step_solves_the_newton_system():
                                                None), 0.0) is None
 
 
-def test_constant_hessian_factored_once():
-    # the factor is computed when f0_hess is set and kept while f0_hess is
-    # the same array; a new array or an indefinite matrix give a new
-    # factor or None
-    p = lq_endpoint_problem(10)
-    H = p.f0_hess
-    chol = p.hessian_factor()
-    assert p.hessian_factor() is chol
-    p.f0_hess = H.copy()
-    assert p.hessian_factor() is not chol
-    assert_allclose(p.hessian_factor(), chol, rtol=0, atol=1e-15)
-    p.f0_hess = -H
-    assert p.hessian_factor() is None
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+def test_cholesky_in_place_reads_only_the_lower_triangle(n):
+    # sizes around the block edge.  The factor overwrites its argument,
+    # matches the dense factorization, and is the same bit for bit when
+    # the strict upper triangle of the argument is NaN
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((n, n))
+    H = B @ B.T / n + np.eye(n)
+    a = H.copy()
+    low = penalty._cholesky(a)
+    assert low is a
+    assert_allclose(low, np.linalg.cholesky(H), rtol=0, atol=1e-12)
+    nan_upper = H.copy()
+    nan_upper[np.triu_indices(n, 1)] = np.nan
+    assert np.array_equal(penalty._cholesky(nan_upper), low)
 
 
 def test_f0_hess_is_an_array_or_none():
-    # a callable, or an array of another shape, is refused when the
-    # problem is built and when f0_hess is replaced; the problem keeps the
-    # Hessian it had
+    # a callable, a list, an array of another shape or a factor of another
+    # shape is refused when the problem is built and when f0_hess is
+    # replaced; the problem keeps the Hessian it had
     p = equality_qp(dim=5, n_constraints=2, seed=1)
     H = p.f0_hess
-    for bad in (lambda u: H, H[:4, :4], H.tolist()):
+    low = H.low
+    for bad in (lambda u: low, low[:4, :4], low.tolist(),
+                penalty._CholeskyHessian(np.eye(4))):
         with pytest.raises(ValueError, match="f0_hess"):
             ConstrainedProblem(p.V, p.X, f0=None, f0_grad=None, f=None,
                                f_jac=None, E=p.E, f0_hess=bad)

@@ -7,27 +7,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fcopt.convex import distance
-from fcopt.evolution import (EvolutionSystem, adjoint_evolution,
-                             adjoint_midpoints, endpoint_map,
-                             maximum_principle_residual,
+from fcopt.evolution import (adjoint_evolution, maximum_principle_residual,
                              simulate_variation_evolution)
 from fcopt.penalty import (MultiplierPair, extract_multiplier,
                            fritz_john_residual, kkt_check)
 from fcopt.problems import (equality_qp, l2_example, lq_endpoint_problem,
                             scalar_problem, _LQ_A, _LQ_B)
 from fcopt.spaces import Element
-from oracles import check_reference, jacobian_fd_error
-
-
-def _kkt_solve(H, A, g, r):
-    """Solve the dense KKT system [[H, A'], [A, 0]] (x, lam) = (g, r)."""
-    nx, nc = H.shape[0], A.shape[0]
-    kkt = np.zeros((nx + nc, nx + nc))
-    kkt[:nx, :nx] = H
-    kkt[:nx, nx:] = A.T
-    kkt[nx:, :nx] = A
-    sol = np.linalg.solve(kkt, np.concatenate([g, r]))
-    return sol[:nx], sol[nx:]
+from oracles import (check_reference, equality_qp_hessian, jacobian_fd_error,
+                     kkt_solve, lq_identity_batch_reference)
 
 
 def test_scalar_problem_shape():
@@ -78,7 +66,8 @@ def test_l2_dim_validation():
 
 def test_qp_builder_kkt_consistency():
     p = equality_qp(dim=9, n_constraints=2, seed=4)
-    H, G, r, c = (p.extras[k] for k in ("H", "G", "r", "c"))
+    H = equality_qp_hessian(9, 4)
+    G, r, c = (p.extras[k] for k in ("G", "r", "c"))
     lam = p.extras["kkt_multiplier"]
     ub = p.u_bar.coords
     assert_allclose(H @ ub + c + G.T @ lam, np.zeros(9), atol=1e-10)
@@ -97,8 +86,8 @@ def test_qp_reference_matches_dense_kkt_solve(seed):
     shapes = [(dim, k) for dim in range(4, 15) for k in range(1, 4)]
     for dim, k in shapes + [(8, 3)]:
         p = equality_qp(dim, k, seed)
-        H, G, r, c = (p.extras[key] for key in ("H", "G", "r", "c"))
-        ubar, lam = _kkt_solve(H, G, -c, r)
+        G, r, c = (p.extras[key] for key in ("G", "r", "c"))
+        ubar, lam = kkt_solve(equality_qp_hessian(dim, seed), G, -c, r)
         for got, want in ((p.u_bar.coords, ubar),
                           (p.extras["kkt_multiplier"], lam)):
             tol = 1e-12 * (1.0 + np.abs(want).max())
@@ -138,7 +127,8 @@ def test_lq_objective_matches_simulation_oracle(N):
 @pytest.mark.parametrize("N", [50, 400])
 def test_lq_builder_kkt_consistency(N):
     p = lq_endpoint_problem(N)
-    H, c, G = p.extras["H"], p.extras["c"], p.extras["G"]
+    H = lq_identity_batch_reference(N)[0]
+    c, G = p.extras["c"], p.extras["G"]
     lam = p.extras["kkt_multiplier"]
     ub = p.u_bar.coords
     assert_allclose(H @ ub + c + G.T @ lam, np.zeros(p.V.dim), atol=1e-10)
@@ -150,57 +140,26 @@ def test_lq_builder_kkt_consistency(N):
         assert p.objective(q) >= f0_bar - 1e-10
 
 
-def _lq_identity_batch_reference(N, T=1.0):
-    """H, c, u_bar, lambda, ybar_ref and G of the LQ builder with W formed
-    from the identity batch of nu control paths, stepped all at once."""
-    n, m = 4, 2
-    nu, dt = N * m, T / N
-    R = np.eye(n) - 0.5 * dt * _LQ_A
-    P = np.eye(n) + 0.5 * dt * _LQ_A
-
-    def steps(x0, forcing):
-        x = np.empty((N + 1,) + np.shape(x0))
-        x[0] = x0
-        for k in range(N):
-            x[k + 1] = np.linalg.solve(R, P @ x[k] + dt * forcing[k])
-        return 0.5 * (x[:-1] + x[1:]), x[N]
-
-    mid_free, y_free = steps(np.array([1.0, 0.0, -0.5, 0.0]),
-                             np.zeros((N, n)))
-    ybar0 = mid_free.ravel()
-    forcing = np.einsum("kij,kj...->ki...",
-                        np.broadcast_to(_LQ_B, (N, n, m)),
-                        np.eye(nu).reshape(N, m, nu))
-    W = steps(np.zeros((n, nu)), forcing)[0].reshape(N * n, nu)
-    H = dt * (W.T @ W) + dt * np.eye(nu)
-    c = dt * (W.T @ ybar0)
-    G = endpoint_map(EvolutionSystem(T, N, _LQ_A, _LQ_B)).matrix
-    y_target = y_free + 0.5 * (G @ (0.3 * np.sin(np.linspace(0.0, 3.0, nu))))
-    ubar, lam = _kkt_solve(H, G, -c, y_target - y_free)
-    return H, c, ubar, lam, (ybar0 + W @ ubar).reshape(N, n), G
-
-
 @pytest.mark.parametrize("N", [2, 17, 50])
 def test_lq_builder_matches_identity_batch_oracle(N):
-    # H and c accumulated over blocks of steps, u_bar and lambda from the
-    # factor of H and the 4 x 4 Schur complement, ybar_ref from a forward
-    # sweep of u_bar and the sampler's projected draws, against the dense
-    # identity batch and the dense KKT solve: equal up to roundoff
+    # H and c accumulated over blocks of steps, H factored in place, u_bar
+    # and lambda from that factor and the 4 x 4 Schur complement, ybar_ref
+    # from a forward sweep of u_bar and the sampler's projected draws,
+    # against the dense identity batch and the dense KKT solve: equal up
+    # to roundoff
     p = lq_endpoint_problem(N)
-    H, c, ubar, lam, ybar_ref, G = _lq_identity_batch_reference(N)
-    for got, want, tol in ((p.extras["H"], H, 1e-12),
+    H, c, ubar, lam, ybar_ref, G = lq_identity_batch_reference(N)
+    low = p.f0_hess.low
+    for got, want, tol in ((low @ low.T, H, 1e-12),
                            (p.extras["c"], c, 1e-12),
                            (p.u_bar.coords, ubar, 1e-11),
                            (p.extras["kkt_multiplier"], lam, 1e-11),
                            (p.extras["ybar_ref"], ybar_ref, 1e-11)):
         assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
     assert np.array_equal(p.extras["G"], G)
-    assert np.array_equal(p.extras["H"], p.extras["H"].T)
-    # f0_hess is H itself, a constant, and its factor is the one the
-    # builder used
-    assert p.f0_hess is p.extras["H"]
-    chol = p.hessian_factor()
-    assert_allclose(chol @ chol.T, H, rtol=0, atol=1e-12 * np.abs(H).max())
+    # the factor is lower triangular, and f0_hess forms H from it
+    assert np.array_equal(low, np.tril(low))
+    assert np.array_equal(p.f0_hess.matrix, low @ low.T)
     pts = p.feasible_sampler(p.u_bar.coords, 30, 5)
     assert pts.shape == (30, 2 * N)
     assert_allclose((pts - p.u_bar.coords) @ G.T, 0.0, atol=1e-12)
@@ -211,10 +170,11 @@ def test_lq_builder_matches_identity_batch_oracle(N):
 
 
 def test_lq_builder_traced_peak_at_mesh_400():
-    # H (800 x 800, 5.1 MB) and its Cholesky factor (5.1 MB) are the only
-    # arrays of that size: W is never formed, and the blocked accumulation
-    # and factorization keep no temporary larger than 800 x 128.  The peak
-    # is 11.4e6 B (20.9e6 with W formed); the bound is that plus 20%
+    # H (800 x 800, 5.1 MB), factored in place, is the only array of that
+    # size: W is never formed, and the blocked accumulation and
+    # factorization keep no temporary larger than 800 x 128.  The peak is
+    # 7.2e6 B (11.4e6 with a separate factor, 20.9e6 with W formed); the
+    # bound is that plus 20%
     tracemalloc.start()
     try:
         p = lq_endpoint_problem(400)
@@ -222,7 +182,22 @@ def test_lq_builder_traced_peak_at_mesh_400():
     finally:
         tracemalloc.stop()
     assert p.V.dim == 800
-    assert peak <= 13.7e6
+    assert peak <= 8.7e6
+
+
+@pytest.mark.parametrize("N", [200, 400])
+def test_lq_builder_holds_one_square_array(N):
+    # the problem keeps the Cholesky factor of H and no copy of H: the
+    # traced memory still held after the build is at most 1.5 arrays of
+    # N m x N m, where H beside its factor would hold 2
+    lq_endpoint_problem(10)
+    tracemalloc.start()
+    try:
+        p = lq_endpoint_problem(N)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.5 * 8 * p.V.dim ** 2
 
 
 def test_lq_reference_trajectory_consistency():

@@ -19,8 +19,8 @@ from fcopt.spaces import (
     singular_triplets,
     rank_mask,
     RANK_RTOL,
-    _solve_triangular,
 )
+from fcopt.penalty import _solve_triangular
 from oracles import stiffness1d
 
 
