@@ -40,7 +40,7 @@ print("normalized pair error vs dense solve: %.3g" % np.linalg.norm(got - ref))
 
 sysm = p.extras["system"]
 psi = adjoint_evolution(sysm, pair.z0, pair.z)
-mp = maximum_principle_residual(sysm, pair, psi, seed=7)
+mp = maximum_principle_residual(sysm, pair, psi)
 print("adjoint stationarity residual:        %.3g" % mp["stationarity"])
 print()
 print("z0 = %.3f >= 0.1: the endpoint map is surjective here, so the" % pair.z0)

@@ -67,13 +67,11 @@ class EvolutionSystem:
         (midpoint values); defaults to zero.
     gu : (m,) or (N, m) array, optional
         Running-cost control gradient along the reference; defaults to zero.
-    E : ConvexSet or None
-        Endpoint target set in the state space.
     name : str
         Display name.
     """
 
-    def __init__(self, T, N, A, Bc, gy=None, gu=None, E=None, name="evolution"):
+    def __init__(self, T, N, A, Bc, gy=None, gu=None, name="evolution"):
         if N < 1:
             raise ValueError("need at least one time step")
         if not (T > 0 and np.isfinite(T)):
@@ -95,7 +93,6 @@ class EvolutionSystem:
                             self.N, (n,), "gy")
         self.gu = _per_step(np.zeros(m) if gu is None else gu,
                             self.N, (m,), "gu")
-        self.E = E
         self.name = name
         self.state_space = SpaceDescriptor("state", n)
         # flattened control paths, step-major, in the L2(0,T) norm
@@ -233,45 +230,24 @@ def adjoint_midpoints(sys, psi):
     return 0.5 * (psi[:-1] + psi[1:])
 
 
-def maximum_principle_residual(sys, pair, psi, hamiltonian_diff=None,
-                               u_sampler=None, count=128, seed=0):
-    """Pointwise-maximum certificate for the Hamiltonian along the grid.
+def maximum_principle_residual(sys, pair, psi):
+    """Stationarity certificate of the Hamiltonian along the grid.
 
-    With q_k the co-state midpoints of psi, always reports the convex
-    (stationarity) residual
+    With q_k the co-state midpoints of psi, reports the residual
 
         stationarity = max_k | Bc_k' q_k - z0 * gu_k |_inf,
 
-    which vanishes at an interior Hamiltonian maximum.  When
-    hamiltonian_diff(k, q_k, u) -> H(t_k, u) - H(t_k, u_ref(t_k)) is
-    supplied, also reports max_violation = max over grid steps and sampled
-    controls of that difference (<= tol certifies the maximum condition);
-    controls come from u_sampler(count, seed) -> (count, m) array, or a
-    seeded standard-normal sample when no sampler is given.
-
-    A degenerate pair (z0 = 0, z = 0) yields residual 0 and valid=False.
+    which vanishes at an interior Hamiltonian maximum, as a dict
+    {stationarity, valid}.  A degenerate pair (z0 = 0, z = 0) yields
+    residual 0 and valid=False.
     """
     q = adjoint_midpoints(sys, psi)
     z0 = float(pair.z0)
-    znorm = pair.z_norm() if hasattr(pair, "z_norm") else float(
-        np.linalg.norm(np.asarray(pair.z, dtype=float)))
-    valid = (z0 + znorm) >= 1e-6
+    valid = (z0 + pair.z_norm()) >= 1e-6
     stat = 0.0
     for k in range(sys.N):
         res = sys.Bc[k].T @ q[k] - z0 * sys.gu[k]
         stat = max(stat, float(np.abs(res).max()))
     if not valid:
         stat = 0.0
-    out = {"stationarity": stat, "max_violation": None, "valid": valid}
-    if hamiltonian_diff is not None:
-        if u_sampler is not None:
-            us = np.atleast_2d(np.asarray(u_sampler(count, seed), dtype=float))
-        else:
-            rng = np.random.default_rng(seed)
-            us = rng.standard_normal((count, sys.m))
-        worst = -np.inf
-        for k in range(sys.N):
-            for u in us:
-                worst = max(worst, float(hamiltonian_diff(k, q[k], u)))
-        out["max_violation"] = worst
-    return out
+    return {"stationarity": stat, "valid": valid}

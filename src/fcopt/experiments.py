@@ -428,7 +428,7 @@ def _run_lq_endpoint(params):
 
     sysm = p.extras["system"]
     psi = adjoint_evolution(sysm, pair.z0, pair.z)
-    mp = maximum_principle_residual(sysm, pair, psi, seed=params["seed"])
+    mp = maximum_principle_residual(sysm, pair, psi)
     norm_dev = _normalization_deviation(trace)
 
     criteria = [

@@ -27,16 +27,19 @@ solver minimizes Phi_eps^2 by damped Newton descent, with the problem's
 constant f0_hess as the Hessian of f0, and the Ekeland-type inequalities
 are verified a posteriori on probe points.
 
-The pipeline has one path.  extract_multiplier spot-checks the local
-optimality of u_bar once, then for each eps of the schedule calls
-minimize_penalty, which returns u_eps with the Phi parts (_phi_parts) its
-Newton solve last computed there, and reads the pair (a, b) off those
-parts (_pair); Phi_eps is not evaluated again at u_eps.  Each eps after
-the first starts from the secant prediction through the last two
-near-minimizers (_secant_start).  The quadratic in eps through the last
-three pairs, evaluated at eps = 0 (_PairLimit), extrapolates the pair to
-its limit; the schedule ends at the first record where that limit is
-resolved, and otherwise runs out and reports its final record.
+The pipeline has one path.  extract_multiplier certifies u_bar once where
+the problem's declared structure makes an exact certificate available (a
+strictly convex quadratic f0 under affine equality constraints: the KKT
+conditions at roundoff, see _certify_reference), then for each eps of
+the schedule calls minimize_penalty, which returns u_eps with the Phi
+parts (_phi_parts) its Newton solve last computed there, and reads the
+pair (a, b) off those parts (_pair); Phi_eps is not evaluated again at
+u_eps.  Each eps after the first starts from the secant prediction
+through the last two near-minimizers (_secant_start).  The quadratic in
+eps through the last three pairs, evaluated at eps = 0 (_PairLimit),
+extrapolates the pair to its limit; the schedule ends at the first
+record where that limit is resolved, and otherwise runs out and reports
+its final record.
 """
 
 import warnings
@@ -44,10 +47,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .convex import WholeSpace, dist_subgradient, tangent_cone_sample
-from .convex import VariationSample
+from .convex import Singleton, WholeSpace, dist_subgradient
+from .convex import VariationSample, tangent_cone_sample
 from .spaces import (Element, dual_norm, norm, pairing, LinearMap,
-                     singular_triplets)
+                     singular_triplets, _row_dots)
 
 __all__ = [
     "ConstrainedProblem",
@@ -189,13 +192,13 @@ class ConstrainedProblem:
 
         f0 and f must also accept a (k, V.dim) stack of points, one per
         row, and return f0 as a (k,) array and f as a (k, X.dim) array
-        (the Ekeland probe and the local-optimality spot check evaluate
-        their points as one stack).  A stacked result of another shape,
-        such as the first row that ``lambda u: u[0]`` returns, raises
-        ValueError; ``u[..., 0]`` or ``u.T[0]`` works for both.  A stack
-        of exactly V.dim rows, where that first row has the expected
-        shape, has its last row evaluated on its own as well, and a
-        disagreement beyond roundoff raises the same ValueError.
+        (the Ekeland probes evaluate their points as one stack).  A
+        stacked result of another shape, such as the first row that
+        ``lambda u: u[0]`` returns, raises ValueError; ``u[..., 0]`` or
+        ``u.T[0]`` works for both.  A stack of exactly V.dim rows, where
+        that first row has the expected shape, has its last row evaluated
+        on its own as well, and a disagreement beyond roundoff raises the
+        same ValueError.
     E : ConvexSet
         Target set in X.
     domain : ConvexSet or None
@@ -204,21 +207,19 @@ class ConstrainedProblem:
         Constant objective Hessian: a (V.dim, V.dim) array, used as it is,
         or a positive definite one kept as its Cholesky factor, which lets
         a large problem without f_hess_combo take its Newton steps by the
-        Woodbury identity (see _newton_minimize).  It is required, and
-        anything else (None included) raises ValueError.
+        Woodbury identity (see _newton_minimize) and, with a Singleton E,
+        have its reference point certified (see extract_multiplier).  It
+        is required, and anything else (None included) raises ValueError.
     f_hess_combo : callable or None
         (u, w) -> sum_i w_i * Hess f_i(u), the second-order term of the
-        constraint map weighted by a dual vector w; 0 for affine maps.
-    feasible_sampler : callable or None
-        (u_bar, count, seed) -> (count, V.dim) array of feasible points near
-        u_bar, used to spot-check local optimality of the reference point.
+        constraint map weighted by a dual vector w; None declares f
+        affine (see _factored_affine).
     name : str
         Display name.
     """
 
     def __init__(self, V, X, f0, f0_grad, f, f_jac, E, domain=None,
-                 f0_hess=None, f_hess_combo=None, feasible_sampler=None,
-                 name="problem"):
+                 f0_hess=None, f_hess_combo=None, name="problem"):
         self.V = V
         self.X = X
         self._f0 = f0
@@ -228,7 +229,6 @@ class ConstrainedProblem:
         self.E = E
         self.domain = domain
         self.f_hess_combo = f_hess_combo
-        self.feasible_sampler = feasible_sampler
         self.name = name
         self.f0_hess = f0_hess
 
@@ -330,10 +330,6 @@ _BALL_SLACK = 1e-6
 # Phi(u_eps) - Phi(u) <= sqrt(eps) d(u_eps, u).
 _EKELAND_TOL = 1e-8
 _EKELAND_PROBES = 16
-# Local-optimality spot check of u_bar: the sampled feasible points may
-# improve f0(u_bar) by at most _SOLUTION_SLACK.
-_SOLUTION_SLACK = 1e-8
-_SOLUTION_SAMPLES = 64
 # Cauchy gap over the final records above which extract_multiplier warns.
 _LIMIT_TOL = 1e-2
 # The pair extrapolated to eps = 0 ends the schedule when the limits from
@@ -351,7 +347,7 @@ _TAIL_LEN = 5
 
 
 class PenaltyConfig:
-    """Seed of the penalty pipeline's samplers (probes, spot check).
+    """Seed of the penalty pipeline's one sampler, the Ekeland probes.
 
     Every other setting is fixed (see the module constants above), and
     the inner solver is damped Newton for every problem (see
@@ -497,6 +493,13 @@ def _hess_phi2(p, u, aux):
 _WOODBURY_MIN_DIM = 128
 
 
+def _factored_affine(p):
+    """Whether p declares f affine (no f_hess_combo) and f0 a strictly
+    convex quadratic (f0_hess a _CholeskyHessian): the structure that the
+    Woodbury steps and the reference certificate rest on."""
+    return p.f_hess_combo is None and isinstance(p.f0_hess, _CholeskyHessian)
+
+
 def _dense_step(h, g, mu):
     """Solve (h + mu I) s = -g; None when the matrix is singular."""
     try:
@@ -584,8 +587,7 @@ def _newton_minimize(p, u0, f0_bar, eps, tol):
     """
     u = u0.copy()
     chol = None
-    if (isinstance(p.f0_hess, _CholeskyHessian) and p.f_hess_combo is None
-            and p.V.dim >= _WOODBURY_MIN_DIM):
+    if _factored_affine(p) and p.V.dim >= _WOODBURY_MIN_DIM:
         chol = p.f0_hess.low
     mu = 0.0
     parts, g, aux = _grad_phi2(p, u, _phi_parts(p, u, f0_bar, eps))
@@ -671,17 +673,45 @@ def _ekeland_residual(p, u, phi_u, f0_bar, eps, seed):
     return np.max(phi_u - phi_probe - se * t, initial=-np.inf)
 
 
-def _verify_local_solution(p, ub, seed):
-    if p.feasible_sampler is None:
+def _certify_reference(p, ub):
+    """Refuse u_bar unless it solves the problem's KKT system to roundoff.
+
+    Only for f = J u + b, f0 = 0.5 u'Hu + c'u + const with H positive
+    definite (_factored_affine) and E = {e}, where the KKT conditions make
+    u_bar the global minimizer (Nocedal and Wright, Numerical Optimization,
+    2006, Thm 16.2); any other u_bar is taken as given.  lam fits -grad
+    f0(u_bar) by least squares in the V* norm.  The residuals of the
+    system [[H, J'], [J, 0]] (u, lam) = (-c, e - b), |grad f0 + J' lam|_V*
+    and dist(f(u_bar), E), must each be at most V.dim * _NOISE_ULPS times
+    its normwise backward-error scale (|H| + |J|)(|u_bar| + |lam|) + |c| +
+    |e - b| (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    Thm 7.1), with Frobenius norms of the whitened H and J.
+    """
+    if not (_factored_affine(p) and isinstance(p.E, Singleton)):
         return
-    pts = np.atleast_2d(np.asarray(
-        p.feasible_sampler(ub, _SOLUTION_SAMPLES, seed), dtype=float))
-    f0_bar = p.objective(ub)
-    if np.any(p.objective(pts) < f0_bar - _SOLUTION_SLACK):
+    V, X = p.V, p.X
+    low = p.f0_hess.low
+    g0 = V._factor_solve(p.gradient(ub))
+    jac = p.jacobian(ub)
+    jt = V._factor_solve(jac.T)
+    lam = np.linalg.lstsq(jt, -g0, rcond=None)[0]
+    stat = np.linalg.norm(g0 + jt @ lam)
+    resid = p.constraint(ub) - p.E.point
+    # the right-hand side e - b is J u_bar - resid
+    feas, rhs = (norm(X, Element(x, X)) for x in (resid, jac @ ub - resid))
+    # |H| <= |low|_F^2 and c = grad f0 - H u_bar, whitened
+    h_size = float(np.sum(_row_dots(low, low) / V.gram))
+    c_size = np.linalg.norm(g0 - V._factor_solve(low @ (low.T @ ub)))
+    j_size = np.linalg.norm(X._factor_apply(jt.T))
+    tol = V.dim * _NOISE_ULPS * (
+        (h_size + j_size) * (norm(V, Element(ub, V))
+                             + dual_norm(X, Element(lam, X)))
+        + c_size + rhs)
+    if stat > tol or feas > tol:
         raise ValueError(
-            "reference point failed the local-optimality spot check: "
-            "a sampled feasible neighbor improves f0 by more than %.1e"
-            % _SOLUTION_SLACK)
+            "reference point of problem %r failed the local-optimality "
+            "certificate: KKT stationarity residual %.3e, dist(f(u_bar), E) "
+            "%.3e, tolerance %.3e" % (p.name, stat, feas, tol))
 
 
 def _check_no_domain(p):
@@ -715,8 +745,8 @@ def minimize_penalty(p, u_bar, eps, cfg=None, warm_start=None, f0_bar=None):
     Phi_eps(u_eps) <= eps, that u_eps stays within sqrt(eps) + 1e-6 of
     u_bar, and that the Ekeland-type inequality holds on 16 probe
     directions (seeded by cfg.seed) up to 1e-8; these checks run once, on
-    the attempt that succeeded.  The local-optimality spot check of u_bar
-    is not run here: extract_multiplier runs it once per schedule.
+    the attempt that succeeded.  u_bar is not certified here:
+    extract_multiplier does that once per schedule.
 
     Phi is not evaluated at u_eps again: the Phi parts the inner solver
     last computed there serve the Phi <= eps check, the Ekeland residual
@@ -942,9 +972,12 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
     final three records; a gap above 1e-2 raises a non-convergence
     warning but still returns the result.  A schedule of one eps has no
     difference to bound: its gap is inf and its pair is not converged.
-    The local-optimality spot check of u_bar runs once, before the first
-    eps.  Raises ValueError for a problem with a domain (see
-    minimize_penalty).
+    Before the first eps, u_bar is certified once: for f affine, f0 a
+    strictly convex quadratic kept as its Cholesky factor and E a point,
+    the KKT conditions must hold at u_bar up to roundoff, or ValueError is
+    raised (see _certify_reference); any other problem's u_bar is taken
+    as given.  cfg seeds the Ekeland probes.  Raises ValueError for a
+    problem with a domain (see minimize_penalty).
     """
     if cfg is None:
         cfg = PenaltyConfig()
@@ -959,7 +992,7 @@ def extract_multiplier(p, u_bar, schedule, cfg=None):
 
     ub = _coords(u_bar)
     f0_bar = p.objective(ub)
-    _verify_local_solution(p, ub, cfg.seed)
+    _certify_reference(p, ub)
 
     trace = PenaltyTrace()
     prev = None

@@ -62,7 +62,6 @@ def scalar_problem():
         E=Singleton(X, np.zeros(1)),
         f0_hess=np.zeros((1, 1)),
         f_hess_combo=lambda u, w: np.zeros((1, 1)),
-        feasible_sampler=lambda ub, count, seed: np.zeros((1, 1)),
         name="scalar")
     p.u_bar = Element(np.zeros(1), V)
     p.extras = {"minimizer": lambda eps: -0.5 * eps}
@@ -114,13 +113,6 @@ def l2_example(dim=6):
         h[0, 0] = 6.0 * (u[0] - 1.0) * (w[0] + w[1])
         return h
 
-    def feasible_sampler(ub, count, seed):
-        s = np.random.default_rng(seed).uniform(-1.0, 1.0, size=count)
-        pts = np.zeros((count, dim))
-        pts[:, 0] = 1.0
-        pts[:, 2] = s
-        return pts
-
     p = ConstrainedProblem(
         V, X,
         f0=lambda u: u.T[0],
@@ -130,7 +122,6 @@ def l2_example(dim=6):
         E=Singleton(X, np.zeros(dim)),
         f0_hess=np.zeros((dim, dim)),
         f_hess_combo=f_hess_combo,
-        feasible_sampler=feasible_sampler,
         name="l2-fritz-john")
     ub = np.zeros(dim)
     ub[0] = 1.0
@@ -151,18 +142,6 @@ def _quadratic_problem(V, X, H, c, const, G, r, name):
     z = L^-1 c, the X.dim x X.dim Schur complement is Y'Y and
     u = -L'^-1 (z + Y lam).  The extras hold that multiplier and c, G, r.
     """
-    # orthonormal basis of the range of G', whose complement is null(G)
-    range_basis = np.linalg.qr(G.T)[0]
-
-    def feasible_sampler(ub, count, seed):
-        # Gaussian draws projected onto null(G), at several radii so the
-        # local-optimality spot check also catches shallow descent
-        # directions near the reference point
-        w = np.random.default_rng(seed).standard_normal((count, V.dim))
-        w -= (w @ range_basis) @ range_basis.T
-        radii = np.array([0.02, 0.2, 2.0])[np.arange(count) % 3, None]
-        return ub + radii * w
-
     hess = _CholeskyHessian(H)
     low = hess.low
 
@@ -178,7 +157,6 @@ def _quadratic_problem(V, X, H, c, const, G, r, name):
         f_jac=lambda u: G,
         E=Singleton(X, np.zeros(X.dim)),
         f0_hess=hess,
-        feasible_sampler=feasible_sampler,
         name=name)
     yz = _solve_triangular(low, np.column_stack([G.T, c]), lower=True)
     Y, z = yz[:, :X.dim], yz[:, X.dim]
@@ -324,7 +302,6 @@ def lq_endpoint_problem(N=50, T=1.0):
     ybar_ref = _midpoints(_crank_nicolson(
         sysmodel, y0, np.einsum("kij,kj->ki", sysmodel.Bc, u_ref)))
     system = EvolutionSystem(T, N, _LQ_A, _LQ_B, gy=ybar_ref, gu=u_ref,
-                             E=Singleton(p.X, y_target),
                              name="lq-endpoint")
     p.extras.update(y_free=y_free, y_target=y_target, system=system,
                     u_ref=u_ref, ybar_ref=ybar_ref, y0=y0,

@@ -743,8 +743,10 @@ def sde_estimate_constant(model, G_mode="phi0"):
                 "sigma_min": smin, "sigma_max": smax})
 
 
-def sde_estimate_sweep(models, G_mode="phi0"):
+def sde_estimate_sweep(models):
     """Estimate constants over trees of increasing depth plus a verdict.
+
+    Each constant is sde_estimate_constant's with G_mode "phi0".
 
     Parameters
     ----------
@@ -761,8 +763,7 @@ def sde_estimate_sweep(models, G_mode="phi0"):
         geometrically with the representation dimension.
     """
     def build(mod):
-        return (mod.leaf_count * mod.n,
-                sde_estimate_constant(mod, G_mode=G_mode))
+        return mod.leaf_count * mod.n, sde_estimate_constant(mod)
 
     return _sweep(models, build, 2.0, "depths",
                   key=lambda mod: mod.d)

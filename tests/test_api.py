@@ -3,9 +3,10 @@
 Every name a module lists in ``__all__`` must be referenced by the
 package's own code (a caller, a subclass, a default), and so must every
 public method and property of a class listed there, unless WIRED_LATER
-names the ROADMAP item that will give it one; and no module may import a
-name it never uses.  The functions the benchmark's tracer times
-(perfbench/tracer.py) must exist and be traceable.
+names the ROADMAP item that will give it one; and no module of the
+package or of the tests may import a name it never uses.  The functions
+the benchmark's tracer times (perfbench/tracer.py) must exist and be
+traceable.
 """
 
 import ast
@@ -14,12 +15,19 @@ from collections import Counter
 import pathlib
 import types
 
+import numpy as np
 import pytest
 
 import fcopt
+from fcopt.evolution import EvolutionSystem, maximum_principle_residual
+from fcopt.penalty import ConstrainedProblem, MultiplierPair
+from fcopt.spaces import SpaceDescriptor
+from fcopt.tree import sde_estimate_sweep
 
 SRC = pathlib.Path(fcopt.__file__).parent
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+TESTS = pathlib.Path(__file__).resolve().parent
+TEST_MODULES = sorted(path.stem for path in TESTS.glob("*.py"))
 TRACER = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
           / "tracer.py")
 
@@ -142,9 +150,12 @@ def test_wired_later_lists_public_names():
     assert sorted(set(WIRED_LATER) - public) == []
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    tree = _tree(module)
+@pytest.mark.parametrize(
+    "path", [SRC / (m + ".py") for m in MODULES]
+    + [TESTS / (m + ".py") for m in TEST_MODULES],
+    ids=MODULES + ["tests." + m for m in TEST_MODULES])
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
     used = _loads(tree, attributes=False) | set(_public(tree))
     unused = []
     for node in ast.walk(tree):
@@ -153,8 +164,28 @@ def test_no_unused_imports(module):
                 bound = (alias.asname or alias.name).split(".")[0]
                 if bound not in used:
                     unused.append(bound)
-    assert unused == [], "fcopt.%s imports unused names: %s" % (
-        module, ", ".join(unused))
+    assert unused == [], "%s imports unused names: %s" % (
+        path.name, ", ".join(unused))
+
+
+def test_settings_without_a_setter_are_gone():
+    # knobs that no caller sets are not parameters
+    space = SpaceDescriptor("line", 1)
+    sys = EvolutionSystem(1.0, 2, np.zeros((1, 1)), np.ones((1, 1)))
+    pair = MultiplierPair(1.0, space.zero())
+    calls = [
+        lambda: ConstrainedProblem(space, space, None, None, None, None,
+                                   None, f0_hess=np.eye(1),
+                                   feasible_sampler=None),
+        lambda: maximum_principle_residual(sys, pair, np.zeros((3, 1)),
+                                           seed=0),
+        lambda: EvolutionSystem(1.0, 2, np.zeros((1, 1)), np.ones((1, 1)),
+                                E=None),
+        lambda: sde_estimate_sweep([], G_mode="phi0"),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call()
 
 
 def _tracer_tables():

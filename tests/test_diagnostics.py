@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from fcopt.spaces import (Element, SpaceDescriptor, LinearMap, adjoint,
+from fcopt.spaces import (Element, SpaceDescriptor, LinearMap,
                           singular_triplets)
 from fcopt.diagnostics import (
     OperatorFamily,

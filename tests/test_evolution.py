@@ -177,28 +177,6 @@ def test_maximum_principle_degenerate_pair_flagged():
     assert rep["stationarity"] == 0.0
 
 
-def test_maximum_principle_bang_bang_sign_rule():
-    # H = psi * u with U = {-1, 1}: the maximizer is u = sign(psi), and
-    # psi = -z is constant, so the sampled maximum condition is exact
-    N = 50
-    sys = EvolutionSystem(1.0, N, np.zeros((1, 1)), np.ones((1, 1)))
-    for z_sign in (-1.0, 1.0):
-        pair = MultiplierPair(0.0, Element(np.array([z_sign]), sys.state_space))
-        psi = adjoint_evolution(sys, 0.0, pair.z)
-        q = adjoint_midpoints(sys, psi)
-        u_ref = np.sign(q[:, 0])
-        assert_allclose(u_ref, -z_sign * np.ones(N))
-
-        def hdiff(k, qk, u):
-            return float(qk[0] * (u[0] - u_ref[k]))
-
-        rep = maximum_principle_residual(
-            sys, pair, psi, hamiltonian_diff=hdiff,
-            u_sampler=lambda count, seed: np.array([[-1.0], [1.0]]))
-        assert rep["valid"]
-        assert rep["max_violation"] <= 1e-12
-
-
 def test_system_validation():
     with pytest.raises(ValueError):
         EvolutionSystem(1.0, 0, np.eye(2), np.eye(2))

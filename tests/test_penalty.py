@@ -56,8 +56,6 @@ def _cone_problem():
         f_jac=lambda u: np.eye(2),
         E=NonnegativeCone(X),
         f0_hess=np.zeros((2, 2)),
-        feasible_sampler=lambda ub, count, seed:
-            np.abs(np.random.default_rng(seed).standard_normal((count, 2))),
         name="cone")
     p.u_bar = Element(np.zeros(2), V)
     return p
@@ -400,26 +398,72 @@ def test_penalty_config_holds_only_the_seed():
         "p", "u_bar", "eps", "cfg", "warm_start", "f0_bar"]
 
 
-def test_spot_check_runs_once_per_schedule():
-    # the local-optimality spot check samples 64 feasible neighbours of
-    # u_bar with the config seed: once for a whole extract_multiplier
+def test_certificate_runs_once_per_schedule(monkeypatch):
+    # the reference certificate runs once for a whole extract_multiplier
     # schedule, and never in a direct minimize_penalty call
     p = equality_qp()
-    sampler = p.feasible_sampler
     calls = []
+    certify = penalty._certify_reference
 
-    def counting(ub, count, seed):
-        calls.append((count, seed))
-        return sampler(ub, count, seed)
+    def counting(p, ub):
+        calls.append(p.name)
+        return certify(p, ub)
 
-    p.feasible_sampler = counting
+    monkeypatch.setattr(penalty, "_certify_reference", counting)
     _, trace = extract_multiplier(p, p.u_bar, default_schedule(0.1, 6),
                                   PenaltyConfig(seed=5))
     assert len(trace) == 6
-    assert calls == [(64, 5)]
+    assert calls == ["equality-qp"]
     minimize_penalty(p, p.u_bar, 1e-2, PenaltyConfig(seed=2))
     minimize_penalty(p, p.u_bar, 1e-3)
-    assert calls == [(64, 5)]
+    assert calls == ["equality-qp"]
+
+
+def _certified(p, ub):
+    # the certificate applies to p (else any u_bar passes) and accepts ub
+    assert penalty._factored_affine(p) and isinstance(p.E, Singleton)
+    penalty._certify_reference(p, penalty._coords(ub))
+
+
+def test_certificate_accepts_the_builders_references():
+    # the 132 QP shapes of the benchmark (dim 4..14, k 1..3, four seeds)
+    # and lq-endpoint meshes 2, 50 and 400: each u_bar solves its KKT
+    # system to roundoff
+    for dim in range(4, 15):
+        for k in range(1, 4):
+            for seed in range(4):
+                p = equality_qp(dim, k, seed)
+                _certified(p, p.u_bar)
+    for N in (2, 50, 400):
+        p = lq_endpoint_problem(N)
+        _certified(p, p.u_bar)
+
+
+def _unit_direction(p, kind):
+    """A V-unit direction along null(G) or range(G*), G = f'(u_bar).
+
+    The right singular vectors of G sqrt(G_V)^-1, mapped back by
+    sqrt(G_V)^-1: the last spans part of null(G) when G has one, the
+    first has the largest image.
+    """
+    vt = np.linalg.svd(p.V._factor_solve(p.jacobian(p.u_bar).T).T)[2]
+    return p.V._factor_solve(vt[-1] if kind == "null" else vt[0])
+
+
+def test_certificate_refuses_a_reference_off_the_minimizer():
+    # 1e-6 along null(G) keeps u_bar feasible but not stationary (passed
+    # the sampled check this certificate replaced); 1e-6 along range(G*)
+    # leaves the constraint; on lq-endpoint the control gram is dt I
+    cases = [(equality_qp(), "null"), (equality_qp(), "range")]
+    cases += [(lq_endpoint_problem(N), "range") for N in (2, 50, 400)]
+    for p, kind in cases:
+        d = _unit_direction(p, kind)
+        assert_allclose(norm(p.V, Element(d, p.V)), 1.0, rtol=1e-12)
+        if kind == "null":
+            assert_allclose(p.jacobian(p.u_bar) @ d, 0.0, atol=1e-12)
+        fake = p.u_bar.coords + 1e-6 * d
+        with pytest.raises(ValueError, match="local-optimality"):
+            extract_multiplier(p, fake, default_schedule(0.1, 4))
 
 
 # ------------------------------------------------------------------ pairs
