@@ -171,13 +171,13 @@ def test_no_unused_imports(path):
 def test_settings_without_a_setter_are_gone():
     # knobs that no caller sets are not parameters
     space = SpaceDescriptor("line", 1)
-    sys = EvolutionSystem(1.0, 2, np.zeros((1, 1)), np.ones((1, 1)))
+    system = EvolutionSystem(1.0, 2, np.zeros((1, 1)), np.ones((1, 1)))
     pair = MultiplierPair(1.0, space.zero())
     calls = [
         lambda: ConstrainedProblem(space, space, None, None, None, None,
                                    None, f0_hess=np.eye(1),
                                    feasible_sampler=None),
-        lambda: maximum_principle_residual(sys, pair, np.zeros((3, 1)),
+        lambda: maximum_principle_residual(system, pair, np.zeros((3, 1)),
                                            seed=0),
         lambda: EvolutionSystem(1.0, 2, np.zeros((1, 1)), np.ones((1, 1)),
                                 E=None),

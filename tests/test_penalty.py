@@ -451,9 +451,10 @@ def _unit_direction(p, kind):
 
 
 def test_certificate_refuses_a_reference_off_the_minimizer():
-    # 1e-6 along null(G) keeps u_bar feasible but not stationary (passed
-    # the sampled check this certificate replaced); 1e-6 along range(G*)
-    # leaves the constraint; on lq-endpoint the control gram is dt I
+    # 1e-6 along null(G) keeps u_bar feasible but not stationary, with f0
+    # within about 1e-12 of its minimum, below any slack on sampled f0
+    # values; 1e-6 along range(G*) leaves the constraint; on lq-endpoint
+    # the control gram is dt I
     cases = [(equality_qp(), "null"), (equality_qp(), "range")]
     cases += [(lq_endpoint_problem(N), "range") for N in (2, 50, 400)]
     for p, kind in cases:
